@@ -294,9 +294,12 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
 def cmd_sample(cfg: ExperimentConfig) -> int:
     spec = cfg.kernel_spec()
     radii = oracle.sample_radius(spec, cfg.samples, cfg.seed)
-    payload = {"seed": cfg.seed, "samples": int(cfg.samples),
-               "radii": [float(r) for r in radii]}
-    lines = ["radius"] + [f"{_fmt(r)}" for r in radii]
+    payload = {"seed": cfg.seed, "samples": int(cfg.samples)}
+    if cfg.format == "json":
+        payload["radii"] = radii.tolist()
+        lines = []
+    else:
+        lines = ["radius", *map(_fmt, radii)]
     _emit(cfg, payload, lines)
     return EXIT_OK
 

@@ -7,9 +7,13 @@ Gauss7/Kronrod15 rule evaluated after shifting by the panel maximum;
 infinite upper limits go through the variable change u = r/(1+r).
 
 The oscillatory J_mu(y)^2 y^{-lam} integrals of the Bessel-type kernels get
-a dedicated path: adaptive quadrature through the turning point, composite
-pi-wide panels across the oscillation, and an analytic tail built from the
-smooth large-argument mean of J^2 (envelope 1/(pi y)).
+a dedicated path.  Region A, [0, t0] through the turning point, is one
+adaptive PanelSet, built once per (mu, lam, rel_tol) and shared by the
+prefixes and the total.  Above t0 the panels form a fixed grid of pi-wide
+K15 panels anchored at t0: prefixes read its cumulative log-mass plus one
+partial panel, the total sums doubling blocks of it and attaches an
+analytic tail built from the smooth large-argument mean of J^2 (envelope
+1/(pi y)).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -512,7 +517,10 @@ def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _bessel_sq_log(mu: float, y: np.ndarray, lam: float) -> np.ndarray:
-    """log of J_mu(y)^2 y^{-lam}, safe down to y = 0."""
+    """log of J_mu(y)^2 y^{-lam}, safe down to y = 0 and -inf below it."""
+    y = np.asarray(y, dtype=float)
+    if y.min(initial=0.0) < 0.0:  # a mode scan's probe past y = 0
+        return np.where(y < 0.0, _NEG_INF, _bessel_sq_log(mu, np.maximum(y, 0.0), lam))
     log_ratio, _ = ln_bessel_j_ratio(mu, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         logy = np.where(y > 0, np.log(y), _NEG_INF)
@@ -537,65 +545,109 @@ def _bessel_sq_tail_log(mu: float, lam: float, Y: float) -> float:
     return math.log(val)
 
 
-def _composite_block_log(mu: float, lam: float, lo: float, hi: float) -> float:
-    """log integral over [lo, hi] with pi-wide K15 panels, vectorized."""
-    n_panels = max(int(math.ceil((hi - lo) / math.pi)), 1)
-    bounds = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    mid = 0.5 * (bounds[1:] + bounds[:-1])
+def _bessel_panels_log(mu: float, lam: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """log K15 integral of J_mu^2 y^{-lam} over each panel [lo_i, hi_i], vectorized.
+
+    The one panel rule of the oscillatory path: past the turning point J^2
+    has period at least pi, so a pi-wide panel spans one oscillation.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     ys = (mid[:, None] + half[:, None] * _KX[None, :]).ravel()
-    vals = _bessel_sq_log(mu, ys, lam).reshape(n_panels, 15)
+    vals = _bessel_sq_log(mu, ys, lam).reshape(len(lo), len(_KX))
     m = np.max(vals, axis=1)
-    finite = m > _NEG_INF
-    if not np.any(finite):
-        return _NEG_INF
-    k15 = np.einsum("ij,j->i", np.exp(vals[finite] - m[finite, None]), _KW)
-    logs = m[finite] + np.log(k15 * half[finite])
-    return _logsumexp(logs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = m + np.log(np.exp(vals - m[:, None]) @ _KW * half)
+    return np.where(m > _NEG_INF, out, _NEG_INF)
 
 
-def _bessel_region_a_log(mu: float, lam: float, t0: float, rel_tol: float) -> float:
-    f = LogIntegrand(log_f=lambda y: _bessel_sq_log(mu, y, lam), r_lo=0.0, r_hi=t0)
-    ps = integrate_log_panels(f, rel_tol=rel_tol)
-    return ps.log_total
+class _BesselSquare:
+    """Prefixes of int_0^inf J_mu(y)^2 y^{-lam} dy for one (mu, lam, rel_tol).
+
+    Region A, [0, t0] through the turning point, is one adaptive PanelSet.
+    Above t0 the panels form a fixed pi grid anchored at t0; `cum[k]` is the
+    log mass of [t0, t0 + k pi].  `cum` grows on demand by rebinding a longer
+    array, never in place, so a cached instance stays safe to share.
+    """
+
+    def __init__(self, mu: float, lam: float, rel_tol: float):
+        self.mu, self.lam = mu, lam
+        self.t0 = mu + 4.0 * mu ** (1.0 / 3.0) + 6.0
+        f = LogIntegrand(log_f=lambda y: _bessel_sq_log(mu, y, lam), r_lo=0.0, r_hi=self.t0)
+        self.region_a = integrate_log_panels(f, rel_tol=rel_tol)
+        self.cum = np.array([_NEG_INF])
+
+    def edge(self, k):
+        """Left edge of grid panel k (k may be an integer array)."""
+        return self.t0 + math.pi * k
+
+    def panels_log(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """log mass of each grid panel [t0 + k pi, t0 + (k + 1) pi], k_lo <= k < k_hi."""
+        edges = self.edge(np.arange(k_lo, k_hi + 1))
+        return _bessel_panels_log(self.mu, self.lam, edges[:-1], edges[1:])
+
+    def log_mass_to_edge(self, k: int) -> float:
+        """log mass of [t0, t0 + k pi]; grows `cum` at least twofold when short."""
+        cum = self.cum
+        if k >= len(cum):
+            logs = self.panels_log(len(cum) - 1, max(k, 2 * (len(cum) - 1)))
+            cum = np.concatenate([cum, np.logaddexp.accumulate(np.append(cum[-1], logs))[1:]])
+            self.cum = cum
+        return float(cum[k])
+
+    def log_prefix(self, y_hi: float, rel_tol: float) -> float:
+        if y_hi <= self.t0:
+            return self.region_a.log_prefix(y_hi, rel_tol=rel_tol)
+        k = int((y_hi - self.t0) // math.pi)
+        if self.edge(k) > y_hi:
+            k -= 1
+        elif self.edge(k + 1) <= y_hi:
+            k += 1
+        partial = _bessel_panels_log(self.mu, self.lam, [self.edge(k)], [y_hi])[0]
+        return _logsumexp([self.region_a.log_total, self.log_mass_to_edge(k), partial])
+
+
+@lru_cache(maxsize=64)
+def _bessel_square(mu: float, lam: float, rel_tol: float) -> _BesselSquare:
+    return _BesselSquare(mu, lam, rel_tol)
 
 
 def bessel_sq_moment_log(mu: float, lam: float, rel_tol: float = 1e-9) -> float:
     """log of int_0^inf J_mu(y)^2 y^{-lam} dy for 0 < lam < 2 mu + 1.
 
-    Doubles the explicitly-integrated oscillatory stretch until the value
-    (with the analytic tail attached) is stable to a fraction of rel_tol.
+    Region A plus blocks of the pi grid, each block twice as wide as the last,
+    until the value (with the analytic tail attached) is stable to a fraction
+    of rel_tol.  The blocks are summed, not kept: only prefixes grow `cum`.
     """
     if not (0.0 < lam < 2.0 * mu + 1.0):
         raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
-    t0 = mu + 4.0 * mu ** (1.0 / 3.0) + 6.0
-    log_a = _bessel_region_a_log(mu, lam, t0, rel_tol)
-    width = max(64.0 * math.pi, 2.0 * mu)
-    log_b = _NEG_INF
-    lo = t0
-    prev = None
+    sq = _bessel_square(mu, lam, rel_tol)
+    width = math.ceil(max(64.0 * math.pi, 2.0 * mu) / math.pi)  # in panels
+    k, log_b, prev = 0, _NEG_INF, None
     for _ in range(16):
-        hi = lo + width
-        log_b = _logsumexp([log_b, _composite_block_log(mu, lam, lo, hi)])
-        est = _logsumexp([log_a, log_b, _bessel_sq_tail_log(mu, lam, hi)])
+        log_b = _logsumexp(np.append(sq.panels_log(k, k + width), log_b))
+        k += width
+        est = _logsumexp([sq.region_a.log_total, log_b, _bessel_sq_tail_log(mu, lam, sq.edge(k))])
         if prev is not None and abs(est - prev) <= 0.3 * rel_tol:
             return est
         prev = est
-        lo = hi
-        width *= 2.0
+        width *= 2
     raise QuadratureError("oscillatory tail did not stabilize",
                           log_partial=prev if prev is not None else _NEG_INF)
 
 
 def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float,
                          rel_tol: float = 1e-9) -> float:
-    """log of int_0^{y_hi} J_mu(y)^2 y^{-lam} dy (lam may be any real here)."""
+    """log of int_0^{y_hi} J_mu(y)^2 y^{-lam} dy (lam may be any real here).
+
+    y_hi = inf gives the total, bessel_sq_moment_log, which needs
+    0 < lam < 2 mu + 1.
+    """
+    if math.isnan(y_hi):
+        raise ValueError("y_hi must not be NaN")
     if y_hi <= 0:
         return _NEG_INF
-    t0 = mu + 4.0 * mu ** (1.0 / 3.0) + 6.0
-    if y_hi <= t0:
-        f = LogIntegrand(log_f=lambda y: _bessel_sq_log(mu, y, lam),
-                         r_lo=0.0, r_hi=y_hi)
-        return integrate_log_panels(f, rel_tol=rel_tol).log_total
-    log_a = _bessel_region_a_log(mu, lam, t0, rel_tol)
-    return _logsumexp([log_a, _composite_block_log(mu, lam, t0, y_hi)])
+    if math.isinf(y_hi):
+        return bessel_sq_moment_log(mu, lam, rel_tol=rel_tol)
+    return _bessel_square(mu, lam, rel_tol).log_prefix(y_hi, rel_tol)

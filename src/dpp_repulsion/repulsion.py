@@ -125,7 +125,12 @@ def _bessel_log_total(spec: KernelSpec, rel_tol: float) -> float:
 
 def log_eta_ball_ratio(spec: KernelSpec, R: float,
                        rel_tol: float = PRODUCTION_REL_TOL) -> float:
-    """log of E[eta_n(B_n(sqrt(n) R))] / E[eta_n(R^n)] = log P(|X_n| <= sqrt(n) R)."""
+    """log of E[eta_n(B_n(sqrt(n) R))] / E[eta_n(R^n)] = log P(|X_n| <= sqrt(n) R).
+
+    R = inf gives 0.0 (ratio 1); a NaN R raises ValueError.
+    """
+    if math.isnan(R):
+        raise ValueError("R must not be NaN")
     if R < 0:
         raise ValueError("R must be >= 0")
     if R == 0.0:

@@ -5,6 +5,8 @@ import pytest
 from pytest import approx
 
 from dpp_repulsion.cli import main
+from dpp_repulsion.kernels import Family, KernelSpec
+from dpp_repulsion.oracle import sample_radius
 
 GAUSS = ["--family", "LaguerreGauss", "--n", "12", "--rho", "0", "--m", "1",
          "--alpha", "0.5"]
@@ -145,6 +147,21 @@ class TestSampleCmd:
         assert run([*args, "--out", str(f1)], capsys)[0] == 0
         assert run([*args, "--out", str(f2)], capsys)[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_csv_rows_and_json_radii(self, tmp_path, capsys):
+        args = ["sample", *GAUSS, "--samples", "64", "--seed", "5"]
+        csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+        assert run([*args, "--out", str(csv_out)], capsys)[0] == 0
+        assert run([*args, "--format", "json", "--out", str(json_out)], capsys)[0] == 0
+        radii = sample_radius(KernelSpec(Family.LAGUERRE_GAUSS, n=12, rho=0.0, m=1,
+                                         alpha=0.5), 64, 5)
+        # one 17-significant-digit row per radius after the config line
+        head, _ = csv_out.read_text().split("\n", 1)
+        rows = "".join(f"{format(float(r), '.17g')}\n" for r in radii)
+        assert csv_out.read_bytes() == f"{head}\nradius\n{rows}".encode()
+        data = json.loads(json_out.read_text())
+        assert (data["seed"], data["samples"]) == (5, 64)
+        assert data["radii"] == [float(r) for r in radii]
 
 
 class TestRoundTrip:

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy import integrate
 from scipy import special as sp
 
+from dpp_repulsion import quadrature, repulsion
+from dpp_repulsion.examples import example_spec
+from dpp_repulsion.kernels import Family
 from dpp_repulsion.quadrature import (
     InfiniteMassError,
     LogIntegrand,
@@ -203,3 +207,66 @@ class TestBesselSquared:
         assert all(a <= b + 1e-12 for a, b in zip(prefixes, prefixes[1:]))
         assert prefixes[-1] <= total + 1e-9
         assert prefixes[-1] == approx(total, abs=2e-3)  # slow algebraic tail
+
+    @given(st.floats(min_value=1.0, max_value=100.0), st.floats(min_value=0.02, max_value=0.9),
+           st.integers(min_value=0, max_value=60),
+           st.lists(st.floats(min_value=-3.5, max_value=3.5), min_size=1, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_monotone_across_t0_and_panel_edges(self, mu, frac, k, offsets):
+        lam = frac * (2.0 * mu + 1.0)
+        t0 = mu + 4.0 * mu ** (1.0 / 3.0) + 6.0
+        anchors = (t0, t0 + k * math.pi)
+        ys = sorted({a + o for a in anchors for o in [*offsets, -1e-9, 0.0, 1e-9]})
+        vals = [bessel_sq_prefix_log(mu, lam, y) for y in ys if y > 0]
+        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (10.0, 2.0), (50.5, 3.0)])
+    def test_prefix_reaches_total(self, mu, lam):
+        total = bessel_sq_moment_log(mu, lam, rel_tol=1e-9)
+        assert bessel_sq_prefix_log(mu, lam, math.inf, rel_tol=1e-9) == total
+        y = 1e4  # the tail past y is y^{-lam} / (lam pi) up to O(1/y) corrections
+        want = math.log(math.exp(total) - y ** -lam / (lam * math.pi))
+        got = bessel_sq_prefix_log(mu, lam, y, rel_tol=1e-9)
+        assert got < total
+        assert got == approx(want, abs=1e-7)
+
+    def test_prefix_with_mode_at_origin(self):
+        # lam = 2 mu: the integrand is largest at y = 0
+        want, _ = integrate.quad(lambda y: (sp.jv(1.0, y) / y) ** 2 if y > 0 else 0.25,
+                                 0.0, 3.0, epsabs=0.0, epsrel=1e-12)
+        assert bessel_sq_prefix_log(1.0, 2.0, 3.0) == approx(math.log(want), abs=1e-9)
+
+    @staticmethod
+    def _bessel_curve_grid(spec, points=50):
+        mu, lam, s = repulsion._bessel_y_scale(spec)
+        t0 = mu + 4.0 * mu ** (1.0 / 3.0) + 6.0
+        # y = sqrt(n) R / s from deep below the turning point to five times it
+        return [float(y) * s / math.sqrt(spec.n) for y in np.linspace(0.3, 5.0 * t0, points)]
+
+    @staticmethod
+    def _clear_caches():
+        quadrature._bessel_square.cache_clear()
+        repulsion._bessel_log_total.cache_clear()
+
+    @pytest.mark.parametrize("fam", [Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL],
+                             ids=lambda f: f.value)
+    def test_warm_curve_equals_cold_values(self, fam):
+        spec = example_spec(fam, n=10)
+        grid = self._bessel_curve_grid(spec)
+        self._clear_caches()
+        curve = repulsion.build_eta_report(spec, grid).ratio_curve
+        for R, ratio in curve:
+            self._clear_caches()
+            cold = repulsion.log_eta_ball_ratio(spec, R)
+            assert math.log(ratio) == approx(cold, abs=1e-9)
+
+    def test_curve_integrates_region_a_once(self, monkeypatch):
+        calls = []
+        run = quadrature.integrate_log_panels
+        monkeypatch.setattr(quadrature, "integrate_log_panels",
+                            lambda *a, **k: calls.append(a) or run(*a, **k))
+        spec = example_spec(Family.INDICATOR_SPECTRAL, n=40)
+        self._clear_caches()
+        repulsion.build_eta_report(spec, self._bessel_curve_grid(spec))
+        assert quadrature._bessel_square.cache_info().misses == 1
+        assert len(calls) == 1

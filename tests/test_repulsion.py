@@ -120,6 +120,28 @@ class TestBallRatio:
         v1, v2 = eta_ball_ratio(spec, 0.5), eta_ball_ratio(spec, 5.0)
         assert 0.0 < v1 < v2 < 1.0
 
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    def test_nan_radius_rejected(self, fam):
+        spec = example_spec(fam, n=10)
+        with pytest.raises(ValueError, match="NaN"):
+            log_eta_ball_ratio(spec, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            eta_ball_ratio(spec, math.nan)
+
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    def test_infinite_radius_holds_all_mass(self, fam):
+        spec = example_spec(fam, n=10)
+        assert log_eta_ball_ratio(spec, math.inf) == 0.0
+        assert eta_ball_ratio(spec, math.inf) == 1.0
+
+    @pytest.mark.parametrize("fam", [Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL],
+                             ids=lambda f: f.value)
+    def test_oscillatory_ratio_in_one_dimension(self, fam):
+        # at n = 1 the density J_mu(y)^2 y^{-2 mu} peaks at y = 0
+        spec = example_spec(fam, n=1)
+        vals = [eta_ball_ratio(spec, R) for R in (0.05, 0.3, 1.0, 3.0)]
+        assert all(0.0 < a <= b < 1.0 for a, b in zip(vals, vals[1:]))
+
 
 class TestMoments:
     def test_cauchy_second_moment_reference_value(self):
