@@ -213,9 +213,7 @@ def cmd_eta(cfg: ExperimentConfig) -> int:
         "log_total": report.log_total,
         "ratio_curve": [{"R": r, "ratio": v} for r, v in report.ratio_curve],
     }
-    lines = [f"# log_total = {_fmt(report.log_total)}", "R,ratio"]
-    lines += [f"{_fmt(r)},{_fmt(v)}" for r, v in report.ratio_curve]
-    _emit(cfg, payload, lines)
+    _emit(cfg, payload, report.to_csv().splitlines())
     print(f"eta total mass = {_fmt(math.exp(report.log_total))}")
     return EXIT_OK
 

@@ -139,12 +139,11 @@ def cartesian_mc_integral(spec: KernelSpec, R: float, count: int,
                       samples=count, seed=seed)
 
 
-def empirical_rate(spec: KernelSpec, R: float, n_list, seed: int = 0,
+def empirical_rate(spec: KernelSpec, R: float, n_list,
                    quantity: str = "eta_ball") -> list:
     """Rows (n, -(1/n) log value) for convergence plots against the limit rate.
 
-    Quadrature only; the seed parameter is unused here and kept for a uniform
-    front-end signature.
+    Quadrature only, no sampling.
     """
     if quantity not in ("eta_ball", "eta_boolean_ratio"):
         raise ValueError(f"unknown quantity {quantity!r}")

@@ -2,9 +2,13 @@
 
 Radial integrands of the form r^{n-1} f(r)^2 with n up to ~1e3 span
 thousands of e-folds, so every integrand is a *log*-integrand: a callable
-returning log of a non-negative value (-inf at zeros).  Panels use a nested
-Gauss7/Kronrod15 rule evaluated after shifting by the panel maximum;
-infinite upper limits go through the variable change u = r/(1+r).
+returning log of a non-negative value (-inf at zeros).  One vectorized
+nested Gauss7/Kronrod15 evaluator, `_k15_log`, serves every panel: the
+adaptive PanelSet, the CDF cells and the oscillatory pi grid.  It takes
+arrays of panel edges, evaluates the log-integrand once over all their
+nodes, shifts each panel by its maximum, and returns the log value and the
+log |K15 - G7| error per panel.  Infinite upper limits go through the
+variable change u = r/(1+r).
 
 The oscillatory J_mu(y)^2 y^{-lam} integrals of the Bessel-type kernels get
 a dedicated path.  Region A, [0, t0] through the turning point, is one
@@ -83,16 +87,11 @@ class InfiniteMassError(QuadratureError):
 
 @dataclass(frozen=True)
 class LogIntegrand:
-    """log of a non-negative integrand, vectorized over the radius array.
-
-    `breakpoints` are radii worth using as initial panel boundaries
-    (oscillation periods, kinks); they are hints, not requirements.
-    """
+    """log of a non-negative integrand, vectorized over the radius array."""
 
     log_f: Callable[[np.ndarray], np.ndarray]
     r_lo: float = 0.0
     r_hi: float = math.inf
-    breakpoints: tuple = ()
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self.log_f(r)
@@ -117,6 +116,31 @@ def _logsumexp(a: np.ndarray) -> float:
     if m == _NEG_INF or not np.isfinite(m):
         return float(m) if a.size else _NEG_INF
     return float(m + math.log(np.sum(np.exp(a - m))))
+
+
+def _k15_log(g, lo, hi):
+    """log K15 value and log |K15 - G7| error of log-integrand g on each [lo_i, hi_i].
+
+    The module's one Gauss7/Kronrod15 rule: g is called once on the nodes
+    of all panels, and each panel is shifted by its own maximum before the
+    weights apply.  A panel where g is -inf everywhere has value and error
+    -inf; a +inf value of g means the integral diverges.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    vals = g((mid[:, None] + half[:, None] * _KX).ravel()).reshape(len(lo), len(_KX))
+    m = np.max(vals, axis=1)
+    if m.max(initial=_NEG_INF) == math.inf:
+        u = mid[np.argmax(m)]
+        raise InfiniteMassError(f"log-integrand is +inf near u = {u:.6g}; integral diverges")
+    live = m > _NEG_INF
+    e = np.exp(vals - np.where(live, m, 0.0)[:, None])
+    k15 = e @ _KW
+    with np.errstate(divide="ignore"):
+        log_val = np.where(live, m + np.log(k15 * half), _NEG_INF)
+        log_err = np.where(live, m + np.log(np.abs(k15 - e @ _GW) * half), _NEG_INF)
+    return log_val, log_err
 
 
 class _Transform:
@@ -168,8 +192,7 @@ class PanelSet:
     prefix needs at *its own* relative accuracy.
     """
 
-    def __init__(self, integrand, transform, config, g):
-        self.integrand = integrand
+    def __init__(self, transform, config, g):
         self.transform = transform
         self.config = config
         self._g = g
@@ -180,35 +203,19 @@ class PanelSet:
 
     # -- panel evaluation ------------------------------------------------
 
-    def _eval_panel(self, lo: float, hi: float, depth: int) -> _Panel:
-        key = (lo, hi)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return _Panel(lo, hi, hit[0], hit[1], depth)
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        vals = self._g(mid + half * _KX)
-        m = float(np.max(vals))
-        if m == math.inf:
-            raise InfiniteMassError(
-                f"log-integrand is +inf near u = {mid:.6g}; integral diverges")
-        if m == _NEG_INF:
-            panel = _Panel(lo, hi, _NEG_INF, _NEG_INF, depth)
-        else:
-            e = np.exp(vals - m)
-            k15 = float(np.dot(e, _KW))
-            g7 = float(np.dot(e, _GW))
-            log_val = m + math.log(k15 * half) if k15 > 0 else _NEG_INF
-            diff = abs(k15 - g7)
-            log_err = m + math.log(diff * half) if diff > 0 else _NEG_INF
-            panel = _Panel(lo, hi, log_val, log_err, depth)
-        self._cache[key] = (panel.log_val, panel.log_err)
-        return panel
+    def _panels(self, edges: list, depth: int) -> list:
+        """A _Panel per (lo, hi) in edges; one K15 call covers the uncached ones."""
+        miss = [key for key in edges if key not in self._cache]
+        if miss:
+            lo, hi = zip(*miss)
+            log_val, log_err = _k15_log(self._g, lo, hi)
+            self._cache.update(zip(miss, zip(log_val.tolist(), log_err.tolist())))
+        return [_Panel(lo, hi, *self._cache[(lo, hi)], depth) for lo, hi in edges]
 
     def _adapt(self, boundaries: Sequence[float], rel_tol: float):
         bounds = sorted(set(float(b) for b in boundaries))
-        panels = [self._eval_panel(lo, hi, 0)
-                  for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        panels = self._panels([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+                               if hi > lo], 0)
         if not panels:
             return _NEG_INF, _NEG_INF, panels
         heap = [(-p.log_err, i) for i, p in enumerate(panels)]
@@ -236,8 +243,7 @@ class PanelSet:
                     f"[{p.lo}, {p.hi}]",
                     log_partial=log_total, log_error_bound=log_err)
             mid = 0.5 * (p.lo + p.hi)
-            left = self._eval_panel(p.lo, mid, p.depth + 1)
-            right = self._eval_panel(mid, p.hi, p.depth + 1)
+            left, right = self._panels([(p.lo, mid), (mid, p.hi)], p.depth + 1)
             panels[idx] = left
             panels.append(right)
             heapq.heappush(heap, (-left.log_err, idx))
@@ -264,7 +270,7 @@ class PanelSet:
         return log_total
 
 
-def _scan_seed(g, transform, breakpoints, config):
+def _scan_seed(g, transform, config):
     """Locate the integrand maximum and seed boundaries clustered around it.
 
     Returns (boundaries, u_mode, g_mode, g_scan_max); g_scan_max is the
@@ -273,13 +279,7 @@ def _scan_seed(g, transform, breakpoints, config):
     """
     u_lo, u_hi = transform.u_lo, transform.u_hi
     span = u_hi - u_lo
-    interior = u_lo + span * (np.arange(1, config.scan_points) / config.scan_points)
-    us = [interior]
-    for b in breakpoints:
-        ub = transform.u_of_r(b)
-        if u_lo < ub < u_hi:
-            us.append([ub])
-    u_scan = np.unique(np.concatenate([np.asarray(x, dtype=float) for x in us]))
+    u_scan = u_lo + span * (np.arange(1, config.scan_points) / config.scan_points)
     vals = g(u_scan)
     i_best = int(np.argmax(vals))
     g_max = float(vals[i_best])
@@ -305,10 +305,11 @@ def _scan_seed(g, transform, breakpoints, config):
             fd = float(g(np.array([d]))[0])
     u_mode = 0.5 * (a + b)
     g_mode = max(g_max, fc, fd)
-    # local width from a second difference; fall back to the scan spacing
+    # local width from a second difference, its stencil kept inside the
+    # domain; fall back to the scan spacing
     h = max(span / (8.0 * config.scan_points), 1e-13)
-    gm, g0, gp = (float(g(np.array([x]))[0])
-                  for x in (u_mode - h, u_mode, u_mode + h))
+    u_c = min(max(u_mode, u_lo + h), u_hi - h)
+    gm, g0, gp = (float(g(np.array([x]))[0]) for x in (u_c - h, u_c, u_c + h))
     d2 = (gm - 2.0 * g0 + gp) / (h * h)
     width = 1.0 / math.sqrt(-d2) if (np.isfinite(d2) and d2 < 0) else span / config.scan_points
     width = min(max(width, 1e-13), span)
@@ -317,10 +318,6 @@ def _scan_seed(g, transform, breakpoints, config):
         w = width * (2.0 ** j)
         bounds.add(min(max(u_mode - w, u_lo), u_hi))
         bounds.add(min(max(u_mode + w, u_lo), u_hi))
-    for b_r in breakpoints:
-        ub = transform.u_of_r(b_r)
-        if u_lo < ub < u_hi:
-            bounds.add(ub)
     # a light uniform scaffold so no region is a single giant panel
     for frac in np.linspace(0.0, 1.0, 17):
         bounds.add(u_lo + span * frac)
@@ -344,8 +341,8 @@ def _prepare_panelset(f: LogIntegrand, rel_tol, config):
             vals = np.asarray(f(r), dtype=float) + transform.log_jacobian(safe_u)
         return np.where(np.isnan(vals), _NEG_INF, vals)
 
-    ps = PanelSet(f, transform, config, g)
-    bounds, u_mode, g_mode, g_scan_max = _scan_seed(g, transform, f.breakpoints, config)
+    ps = PanelSet(transform, config, g)
+    bounds, u_mode, g_mode, g_scan_max = _scan_seed(g, transform, config)
     ps.u_mode, ps.g_mode, ps.g_scan_max = u_mode, g_mode, g_scan_max
     if not transform.finite:
         # growth test: a log-integrand climbing past the scan maximum toward
@@ -443,6 +440,8 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8,
         lo_u, hi_u = u_cut_hi, u_max
         for _ in range(200):
             mid = 0.5 * (lo_u + hi_u)
+            if mid == lo_u or mid == hi_u:  # the bracket is one ulp wide
+                break
             if float(g(np.array([mid]))[0]) > g_mode - 760.0:
                 lo_u = mid
             else:
@@ -469,35 +468,26 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8,
         parts.append(np.array([hi]))
     u_nodes = np.unique(np.concatenate(parts + [edges[(edges >= u_cut_lo) & (edges <= u_cut_hi)]]))
 
-    # per-cell K15 with bounded bisection refinement against a uniform budget
+    # per-cell K15 against a uniform error budget: cells over budget are
+    # bisected, all of one level in one K15 call, at most 24 levels deep
     log_budget = math.log(rel_tol) + ps.log_total - math.log(max(len(u_nodes), 2))
-
-    def cell_log(lo, hi, depth=0):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        vals = g(mid + half * _KX)
-        m = float(np.max(vals))
-        if m == _NEG_INF:
-            return _NEG_INF
-        e = np.exp(vals - m)
-        k15 = float(np.dot(e, _KW))
-        diff = abs(k15 - float(np.dot(e, _GW)))
-        log_err = m + math.log(diff * half) if diff > 0 else _NEG_INF
-        if log_err > log_budget and depth < 24:
-            mid_pt = 0.5 * (lo + hi)
-            return _logsumexp([cell_log(lo, mid_pt, depth + 1),
-                               cell_log(mid_pt, hi, depth + 1)])
-        return m + math.log(k15 * half) if k15 > 0 else _NEG_INF
-
-    incs = np.array([cell_log(lo, hi) for lo, hi in zip(u_nodes[:-1], u_nodes[1:])])
-    log_mass = np.full(len(u_nodes), _NEG_INF)
-    acc = _NEG_INF
-    for i, inc in enumerate(incs):
-        acc = _logsumexp([acc, inc])
-        log_mass[i + 1] = acc
+    lo, hi = u_nodes[:-1], u_nodes[1:]
+    cell = np.arange(len(lo))
+    incs = np.full(len(lo), _NEG_INF)
+    for depth in range(25):
+        log_val, log_err = _k15_log(g, lo, hi)
+        split = (log_err > log_budget) & (depth < 24)
+        np.logaddexp.at(incs, cell[~split], log_val[~split])
+        if not split.any():
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate([lo[split], mid])
+        hi = np.concatenate([mid, hi[split]])
+        cell = np.tile(cell[split], 2)
+    log_mass = np.logaddexp.accumulate(np.concatenate([[_NEG_INF], incs]))
     nodes_r = tr.r_of_u(u_nodes)
     return RadialCdf(nodes=np.asarray(nodes_r, dtype=float),
-                     log_mass=log_mass, log_total=float(acc))
+                     log_mass=log_mass, log_total=float(log_mass[-1]))
 
 
 def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
@@ -517,10 +507,8 @@ def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _bessel_sq_log(mu: float, y: np.ndarray, lam: float) -> np.ndarray:
-    """log of J_mu(y)^2 y^{-lam}, safe down to y = 0 and -inf below it."""
+    """log of J_mu(y)^2 y^{-lam} for y >= 0, safe down to y = 0."""
     y = np.asarray(y, dtype=float)
-    if y.min(initial=0.0) < 0.0:  # a mode scan's probe past y = 0
-        return np.where(y < 0.0, _NEG_INF, _bessel_sq_log(mu, np.maximum(y, 0.0), lam))
     log_ratio, _ = ln_bessel_j_ratio(mu, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         logy = np.where(y > 0, np.log(y), _NEG_INF)
@@ -545,30 +533,15 @@ def _bessel_sq_tail_log(mu: float, lam: float, Y: float) -> float:
     return math.log(val)
 
 
-def _bessel_panels_log(mu: float, lam: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """log K15 integral of J_mu^2 y^{-lam} over each panel [lo_i, hi_i], vectorized.
-
-    The one panel rule of the oscillatory path: past the turning point J^2
-    has period at least pi, so a pi-wide panel spans one oscillation.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    ys = (mid[:, None] + half[:, None] * _KX[None, :]).ravel()
-    vals = _bessel_sq_log(mu, ys, lam).reshape(len(lo), len(_KX))
-    m = np.max(vals, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = m + np.log(np.exp(vals - m[:, None]) @ _KW * half)
-    return np.where(m > _NEG_INF, out, _NEG_INF)
-
-
 class _BesselSquare:
     """Prefixes of int_0^inf J_mu(y)^2 y^{-lam} dy for one (mu, lam, rel_tol).
 
     Region A, [0, t0] through the turning point, is one adaptive PanelSet.
-    Above t0 the panels form a fixed pi grid anchored at t0; `cum[k]` is the
-    log mass of [t0, t0 + k pi].  `cum` grows on demand by rebinding a longer
-    array, never in place, so a cached instance stays safe to share.
+    Above t0 the panels form a fixed pi grid anchored at t0: past the turning
+    point J^2 has period at least pi, so a pi-wide panel spans one
+    oscillation.  `cum[k]` is the log mass of [t0, t0 + k pi].  `cum` grows
+    on demand by rebinding a longer array, never in place, so a cached
+    instance stays safe to share.  `log_total` memoises bessel_sq_moment_log.
     """
 
     def __init__(self, mu: float, lam: float, rel_tol: float):
@@ -577,15 +550,24 @@ class _BesselSquare:
         f = LogIntegrand(log_f=lambda y: _bessel_sq_log(mu, y, lam), r_lo=0.0, r_hi=self.t0)
         self.region_a = integrate_log_panels(f, rel_tol=rel_tol)
         self.cum = np.array([_NEG_INF])
+        self.log_total: Optional[float] = None
 
     def edge(self, k):
         """Left edge of grid panel k (k may be an integer array)."""
         return self.t0 + math.pi * k
 
+    def mass_log(self, lo, hi) -> np.ndarray:
+        """log K15 mass of each panel [lo_i, hi_i].
+
+        _bessel_sq_log is looked up at call time, so a rebound module global
+        is what runs.
+        """
+        return _k15_log(lambda y: _bessel_sq_log(self.mu, y, self.lam), lo, hi)[0]
+
     def panels_log(self, k_lo: int, k_hi: int) -> np.ndarray:
         """log mass of each grid panel [t0 + k pi, t0 + (k + 1) pi], k_lo <= k < k_hi."""
         edges = self.edge(np.arange(k_lo, k_hi + 1))
-        return _bessel_panels_log(self.mu, self.lam, edges[:-1], edges[1:])
+        return self.mass_log(edges[:-1], edges[1:])
 
     def log_mass_to_edge(self, k: int) -> float:
         """log mass of [t0, t0 + k pi]; grows `cum` at least twofold when short."""
@@ -604,7 +586,7 @@ class _BesselSquare:
             k -= 1
         elif self.edge(k + 1) <= y_hi:
             k += 1
-        partial = _bessel_panels_log(self.mu, self.lam, [self.edge(k)], [y_hi])[0]
+        partial = self.mass_log([self.edge(k)], [y_hi])[0]
         return _logsumexp([self.region_a.log_total, self.log_mass_to_edge(k), partial])
 
 
@@ -619,10 +601,14 @@ def bessel_sq_moment_log(mu: float, lam: float, rel_tol: float = 1e-9) -> float:
     Region A plus blocks of the pi grid, each block twice as wide as the last,
     until the value (with the analytic tail attached) is stable to a fraction
     of rel_tol.  The blocks are summed, not kept: only prefixes grow `cum`.
+    The result is memoised on the cached _BesselSquare, so specs that share
+    (mu, lam, rel_tol) pay for it once.
     """
     if not (0.0 < lam < 2.0 * mu + 1.0):
         raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
     sq = _bessel_square(mu, lam, rel_tol)
+    if sq.log_total is not None:
+        return sq.log_total
     width = math.ceil(max(64.0 * math.pi, 2.0 * mu) / math.pi)  # in panels
     k, log_b, prev = 0, _NEG_INF, None
     for _ in range(16):
@@ -630,6 +616,7 @@ def bessel_sq_moment_log(mu: float, lam: float, rel_tol: float = 1e-9) -> float:
         k += width
         est = _logsumexp([sq.region_a.log_total, log_b, _bessel_sq_tail_log(mu, lam, sq.edge(k))])
         if prev is not None and abs(est - prev) <= 0.3 * rel_tol:
+            sq.log_total = est
             return est
         prev = est
         width *= 2

@@ -117,12 +117,6 @@ def _bessel_y_scale(spec: KernelSpec) -> tuple[float, float, float]:
     return 0.5 * spec.n, 1.0, 1.0 / (2.0 * math.pi * r_n)
 
 
-@lru_cache(maxsize=64)
-def _bessel_log_total(spec: KernelSpec, rel_tol: float) -> float:
-    mu, lam, _ = _bessel_y_scale(spec)
-    return bessel_sq_moment_log(mu, lam, rel_tol=rel_tol)
-
-
 def log_eta_ball_ratio(spec: KernelSpec, R: float,
                        rel_tol: float = PRODUCTION_REL_TOL) -> float:
     """log of E[eta_n(B_n(sqrt(n) R))] / E[eta_n(R^n)] = log P(|X_n| <= sqrt(n) R).
@@ -144,7 +138,7 @@ def log_eta_ball_ratio(spec: KernelSpec, R: float,
         kn._require_valid(spec)
         mu, lam, s = _bessel_y_scale(spec)
         log_num = bessel_sq_prefix_log(mu, lam, r_cut / s, rel_tol=rel_tol)
-        log_den = _bessel_log_total(spec, rel_tol)
+        log_den = bessel_sq_moment_log(mu, lam, rel_tol=rel_tol)
         return min(log_num - log_den, 0.0)
     kn._require_valid(spec)
     ps = _density_panels(spec, rel_tol)

@@ -37,6 +37,39 @@ BESSEL_SQ_REFS = [
 ]
 
 
+def _k15_scalar_log(g, lo, hi):
+    """One panel's K15 log value and log |K15 - G7| error via 1-D np.dot."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    vals = g(mid + half * quadrature._KX)
+    m = float(np.max(vals))
+    e = np.exp(vals - m)
+    k15 = float(np.dot(e, quadrature._KW))
+    diff = abs(k15 - float(np.dot(e, quadrature._GW)))
+    return m + math.log(k15 * half), (m + math.log(diff * half) if diff > 0 else -math.inf)
+
+
+class TestK15:
+    @pytest.mark.parametrize("g,edges", [
+        (lambda r: 11.0 * np.log(r) - 8.0 * r * r, np.linspace(0.05, 3.0, 40)),
+        (lambda y: quadrature._bessel_sq_log(26.0, y, 3.0), 40.0 + math.pi * np.arange(41)),
+    ], ids=["smooth", "bessel_sq"])
+    def test_matches_scalar_panel_rule(self, g, edges):
+        log_val, log_err = quadrature._k15_log(g, edges[:-1], edges[1:])
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            want_val, want_err = _k15_scalar_log(g, lo, hi)
+            assert log_val[i] == approx(want_val, abs=1e-14)
+            # |K15 - G7| cancels, so compare it relative to the panel value
+            assert math.exp(log_err[i] - want_val) == approx(math.exp(want_err - want_val),
+                                                             abs=1e-14)
+
+    def test_zero_panel_and_divergence(self):
+        log_val, log_err = quadrature._k15_log(lambda u: np.full(u.shape, -np.inf),
+                                               [0.0, 1.0], [1.0, 2.0])
+        assert np.all(log_val == -np.inf) and np.all(log_err == -np.inf)
+        with pytest.raises(InfiniteMassError):
+            quadrature._k15_log(lambda u: np.where(u > 1.5, np.inf, 0.0), [0.0, 1.0], [1.0, 2.0])
+
+
 class TestIntegrateLog:
     def test_unit_integrand(self):
         got = integrate_log(lambda r: np.zeros_like(r), 0.0, 1.0, rel_tol=1e-10)
@@ -99,6 +132,15 @@ class TestIntegrateLog:
         assert math.isfinite(err.value.log_error_bound)
         assert math.isfinite(err.value.log_partial)
 
+    def test_mode_at_domain_edge_stays_inside_domain(self):
+        # the mode sits at r = 0, so the curvature stencil must not probe r < 0
+        def log_f(r):
+            if np.any((r < 0.0) | (r > 1.0)):
+                raise ValueError("outside [0, 1]")
+            return -5.0 * r
+        got = integrate_log(LogIntegrand(log_f, 0.0, 1.0))
+        assert got.log_magnitude == approx(math.log(-math.expm1(-5.0) / 5.0), abs=1e-13)
+
     def test_prefix_matches_incomplete_gamma_deep_tail(self):
         n, alpha = 600, 0.3
         f = LogIntegrand(lambda r: (n - 1) * np.log(np.maximum(r, 1e-300))
@@ -144,6 +186,37 @@ class TestCdf:
                          r_lo=0.0, r_hi=math.inf)
         cdf = build_cdf(f, rel_tol=1e-8)
         assert cdf.cdf(0.5) == approx(0.0, abs=1e-13)
+
+    def test_refined_cells_match_recursive_bisection(self):
+        # cdf_nodes=16 leaves cells too coarse for cos(30 r), so some bisect
+        f = LogIntegrand(lambda r: np.cos(30.0 * r), 0.0, 1.0)
+        cfg = QuadratureConfig(cdf_nodes=16)
+        cdf = build_cdf(f, rel_tol=1e-10, config=cfg)
+        log_total = integrate_log_panels(f, rel_tol=1e-10, config=cfg).log_total
+        log_budget = math.log(1e-10) + log_total - math.log(len(cdf.nodes))
+        split = []
+
+        def cell_log(lo, hi, depth=0):
+            # the recursive per-cell refinement build_cdf used to run
+            log_val, log_err = _k15_scalar_log(f, lo, hi)
+            if log_err > log_budget and depth < 24:
+                split.append((lo, hi))
+                mid = 0.5 * (lo + hi)
+                return np.logaddexp(cell_log(lo, mid, depth + 1), cell_log(mid, hi, depth + 1))
+            return log_val
+
+        incs = [cell_log(lo, hi) for lo, hi in zip(cdf.nodes[:-1], cdf.nodes[1:])]
+        want = np.logaddexp.accumulate([-np.inf, *incs])
+        assert split
+        assert cdf.log_mass[0] == -np.inf
+        assert cdf.log_mass[1:] == approx(want[1:], abs=1e-12)
+
+    def test_integrand_calls_bounded(self):
+        # cells are evaluated in one call per bisection level, not one per cell
+        f, *_ = self.gaussian_density()
+        calls = []
+        build_cdf(LogIntegrand(lambda r: calls.append(1) or f(r), f.r_lo, f.r_hi), rel_tol=1e-10)
+        assert len(calls) <= 150
 
     def test_infinite_mass_detected(self):
         f = LogIntegrand(lambda r: np.zeros_like(r), 0.0, math.inf)
@@ -193,6 +266,13 @@ class TestBesselSquared:
     def test_full_integral_against_frozen_closed_form(self, mu, lam, ref):
         got = bessel_sq_moment_log(mu, lam, rel_tol=1e-9)
         assert got == approx(ref, abs=5e-9)
+
+    def test_total_memoised_on_cached_square(self, monkeypatch):
+        total = bessel_sq_moment_log(7.0, 1.0, rel_tol=1e-9)
+        assert quadrature._bessel_square(7.0, 1.0, 1e-9).log_total == total
+        monkeypatch.setattr(quadrature._BesselSquare, "panels_log",
+                            lambda *a: pytest.fail("total integrated twice"))
+        assert bessel_sq_moment_log(7.0, 1.0, rel_tol=1e-9) == total
 
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
@@ -246,7 +326,6 @@ class TestBesselSquared:
     @staticmethod
     def _clear_caches():
         quadrature._bessel_square.cache_clear()
-        repulsion._bessel_log_total.cache_clear()
 
     @pytest.mark.parametrize("fam", [Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL],
                              ids=lambda f: f.value)
