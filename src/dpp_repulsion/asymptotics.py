@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .kernels import Family, KernelSpec, UnsupportedFamilyError, validate
 from .kernels import _laguerre_double_sum_log  # exact f(n, m) for the table
-from .special import ln_gamma
+from .special import _fmt, ln_gamma
 
 __all__ = [
     "RateCurve",
@@ -163,17 +163,10 @@ class RateCurve:
     empirical: Optional[tuple] = None  # ((n, -(1/n) log value), ...) or None
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["R", "analytic_rate"])
-        for R, v in self.grid:
-            w.writerow([f"{R:.17g}", f"{v:.17g}"])
+        lines = ["R,analytic_rate"] + [f"{_fmt(R)},{_fmt(v)}" for R, v in self.grid]
         if self.empirical:
-            w.writerow([])
-            w.writerow(["n", "empirical_rate"])
-            for n, v in self.empirical:
-                w.writerow([n, f"{v:.17g}"])
-        return out.getvalue()
+            lines += ["n,empirical_rate"] + [f"{n},{_fmt(v)}" for n, v in self.empirical]
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

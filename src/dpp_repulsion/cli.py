@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -31,6 +32,7 @@ from .kernels import (
 )
 from .quadrature import QuadratureError
 from .repulsion import MomentDivergesError
+from .special import _fmt
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -44,17 +46,19 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number may carry an exponent ("-5e-05", as the resolved
+        # config renders a small rho), so it is a flag value, not an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
-# 17-significant-digit JSON/CSV rendering
+# JSON rendering with 17-significant-digit floats
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def _render_json(obj, indent=0) -> str:
     pad = " " * indent
@@ -257,11 +261,9 @@ def cmd_rate(cfg: ExperimentConfig) -> int:
     curve = asymptotics.RateCurve(quantity=cfg.quantity, grid=grid, empirical=empirical)
     payload = {"quantity": cfg.quantity,
                "grid": [{"R": r, "analytic_rate": v} for r, v in grid]}
-    lines = ["R,analytic_rate"] + [f"{_fmt(r)},{_fmt(v)}" for r, v in grid]
     if empirical:
         payload["empirical"] = [{"n": n, "rate": v} for n, v in empirical]
-        lines += ["n,empirical_rate"] + [f"{n},{_fmt(v)}" for n, v in empirical]
-    _emit(cfg, payload, lines)
+    _emit(cfg, payload, curve.to_csv().splitlines())
     return EXIT_OK
 
 
@@ -274,8 +276,7 @@ def cmd_table(cfg: ExperimentConfig) -> int:
     table = asymptotics.summary_table(specs)
     payload = {"columns": list(table.columns),
                "rows": [list(r) for r in table.rows]}
-    lines = table.to_csv().rstrip("\n").split("\n")
-    _emit(cfg, payload, lines)
+    _emit(cfg, payload, table.to_csv().splitlines())
     print(table.to_markdown())
     return EXIT_OK
 

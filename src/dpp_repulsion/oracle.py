@@ -7,7 +7,8 @@ so results are bit-reproducible from (spec, count, seed) no matter how the
 work is chunked.  Reduction order is fixed.
 
 This module never consults the closed forms in `kernels`/`repulsion` for its
-own estimates; it shares only kernel evaluation and the numeric CDF.
+own estimates; it shares only kernel evaluation, the numeric CDF and the
+mode finder.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import Family, KernelSpec, UnsupportedFamilyError, log_kernel_radial_array
-from .quadrature import inverse_cdf
+from .quadrature import find_mode, inverse_cdf
 from . import repulsion
 
 __all__ = [
@@ -71,42 +72,34 @@ def mc_ball_ratio(spec: KernelSpec, R: float, count: int, seed: int) -> McEstima
 
 
 def _gaussian_proposal_scale(spec: KernelSpec) -> float:
-    """Proposal scale s with the |x|-mode of N(0, s^2 I_n) at the target mode."""
+    """Proposal scale s with the |x|-mode of N(0, s^2 I_n) at the target mode.
+
+    The mode of the radial log-density is found by the quadrature's mode
+    finder in u = r / (1 + r) over (0, 1), without a Jacobian, so it is the
+    mode in r.  Sharing it costs the estimate no independence: importance
+    sampling is unbiased for any proposal scale.
+    """
     dens = repulsion.radial_density(spec)
-    # golden-section on the log-density (unimodal for the supported families)
-    lo, hi = 1e-12, 1.0
-    while float(dens(np.array([hi]))[0]) > float(dens(np.array([hi / 2.0]))[0]) and hi < 1e8:
-        hi *= 4.0
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = (float(dens(np.array([x]))[0]) for x in (c, d))
-    for _ in range(200):
-        if (b - a) < 1e-12 * max(1.0, b):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = float(dens(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = float(dens(np.array([d]))[0])
-    r_mode = 0.5 * (a + b)
-    return r_mode / math.sqrt(max(spec.n - 1, 1))
+    u_mode, _, _ = find_mode(lambda u: dens(u / (1.0 - u)), 0.0, 1.0)
+    return u_mode / (1.0 - u_mode) / math.sqrt(max(spec.n - 1, 1))
 
 
 def cartesian_mc_integral(spec: KernelSpec, R: float, count: int,
                           seed: int) -> McEstimate:
-    """Importance-sampled int_{B_n(sqrt(n) R)} K(x)^2 dx / e^{n rho}, n <= 8.
+    """Importance-sampled int_{B_n(sqrt(n) R)} K(x)^2 dx / e^{n rho}, 2 <= n <= 8.
 
     The proposal is an isotropic Gaussian whose mode radius matches the
     radial density mode; a direct n-dimensional check of the radial
-    reduction, so it never touches the radial quadrature itself.
+    reduction, so it shares the quadrature's mode finder but none of its
+    integration.
     """
     n = spec.n
     if n > 8:
         raise UnsupportedFamilyError("cartesian_mc_integral is limited to n <= 8 (cost)")
+    if n < 2:
+        raise UnsupportedFamilyError(
+            "cartesian_mc_integral needs n >= 2: at n = 1 the radial density peaks "
+            "at r = 0 and the Gaussian proposal collapses")
     if spec.family == Family.INDICATOR_SPECTRAL:
         raise UnsupportedFamilyError(
             "IndicatorSpectral excluded: no tail control for the position-kernel "

@@ -10,6 +10,12 @@ nodes, shifts each panel by its maximum, and returns the log value and the
 log |K15 - G7| error per panel.  Infinite upper limits go through the
 variable change u = r/(1+r).
 
+Panels seed around the integrand's peak, located by `find_mode`: nested
+grid scans, each a single vectorized call on interior points of the
+current bracket, so the integrand is never probed one point at a time nor
+outside its domain.  The Monte Carlo oracle uses the same finder for its
+proposal scale.
+
 The oscillatory J_mu(y)^2 y^{-lam} integrals of the Bessel-type kernels get
 a dedicated path.  Region A, [0, t0] through the turning point, is one
 adaptive PanelSet, built once per (mu, lam, rel_tol) and shared by the
@@ -34,13 +40,13 @@ from .special import LogValue, ln_bessel_j_ratio
 
 __all__ = [
     "LogIntegrand",
-    "QuadratureConfig",
     "QuadratureError",
     "InfiniteMassError",
     "RadialCdf",
     "PanelSet",
     "integrate_log",
     "integrate_log_panels",
+    "find_mode",
     "build_cdf",
     "inverse_cdf",
     "bessel_sq_moment_log",
@@ -48,6 +54,12 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+
+# Limits of the adaptive scheme, the mode scan and the CDF grid
+MAX_DEPTH = 60
+MAX_PANELS = 60000
+SCAN_POINTS = 257
+CDF_NODES = 4096
 
 # Kronrod-15 nodes on [-1, 1] with the embedded Gauss-7 weights (zero at
 # Kronrod-only nodes).  Standard tabulated values.
@@ -95,17 +107,6 @@ class LogIntegrand:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self.log_f(r)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs of the adaptive scheme; defaults follow the production setup."""
-
-    rel_tol: float = 1e-8
-    max_depth: int = 60
-    max_panels: int = 60000
-    scan_points: int = 257
-    cdf_nodes: int = 4096
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -192,9 +193,9 @@ class PanelSet:
     prefix needs at *its own* relative accuracy.
     """
 
-    def __init__(self, transform, config, g):
+    def __init__(self, transform, rel_tol, g):
         self.transform = transform
-        self.config = config
+        self.rel_tol = rel_tol
         self._g = g
         self._cache: dict = {}
         self.panels: list = []
@@ -228,18 +229,18 @@ class PanelSet:
                 break
             if log_total > _NEG_INF and log_err - log_total <= log_tol:
                 break
-            if len(panels) >= self.config.max_panels:
+            if len(panels) >= MAX_PANELS:
                 raise QuadratureError(
-                    f"panel budget {self.config.max_panels} exhausted",
+                    f"panel budget {MAX_PANELS} exhausted",
                     log_partial=log_total, log_error_bound=log_err)
             neg_err, idx = heapq.heappop(heap)
             p = panels[idx]
             if -neg_err != p.log_err:  # stale heap entry
                 heapq.heappush(heap, (-p.log_err, idx))
                 continue
-            if p.depth >= self.config.max_depth:
+            if p.depth >= MAX_DEPTH:
                 raise QuadratureError(
-                    f"max depth {self.config.max_depth} reached on "
+                    f"max depth {MAX_DEPTH} reached on "
                     f"[{p.lo}, {p.hi}]",
                     log_partial=log_total, log_error_bound=log_err)
             mid = 0.5 * (p.lo + p.hi)
@@ -255,7 +256,7 @@ class PanelSet:
 
     def log_prefix(self, r_hi: float, rel_tol: Optional[float] = None) -> float:
         """log integral over [r_lo, r_hi], accurate relative to the prefix."""
-        rel_tol = self.config.rel_tol if rel_tol is None else rel_tol
+        rel_tol = self.rel_tol if rel_tol is None else rel_tol
         u_q = self.transform.u_of_r(r_hi)
         if u_q <= self.transform.u_lo:
             return _NEG_INF
@@ -270,48 +271,49 @@ class PanelSet:
         return log_total
 
 
-def _scan_seed(g, transform, config):
+def find_mode(g, lo: float, hi: float):
+    """Maximum of the vectorized function g on the open interval (lo, hi).
+
+    Nested grid scans: the first round evaluates g on SCAN_POINTS - 1
+    interior points of (lo, hi), each further round on as many interior
+    points of the two cells around the previous round's best point, until
+    that bracket is narrower than 1e-14 max(1, |hi|).  g is never called on
+    lo or hi.  Returns (x_mode, g_mode, g_scan_max); g_scan_max is the first
+    round's maximum.
+    """
+    frac = np.arange(1, SCAN_POINTS) / SCAN_POINTS
+    x_mode, g_mode, g_scan_max = None, _NEG_INF, None
+    while True:
+        x = lo + (hi - lo) * frac
+        vals = g(x)
+        i = int(np.argmax(vals))
+        if g_scan_max is None:
+            x_mode, g_mode, g_scan_max = float(x[i]), float(vals[i]), float(vals[i])
+        elif vals[i] > g_mode:
+            x_mode, g_mode = float(x[i]), float(vals[i])
+        lo = float(x[i - 1]) if i > 0 else lo
+        hi = float(x[i + 1]) if i < len(x) - 1 else hi
+        if hi - lo < 1e-14 * max(1.0, abs(hi)):
+            return x_mode, g_mode, g_scan_max
+
+
+def _scan_seed(g, transform):
     """Locate the integrand maximum and seed boundaries clustered around it.
 
-    Returns (boundaries, u_mode, g_mode, g_scan_max); g_scan_max is the
-    pre-refinement scan maximum, the yardstick of the growth test (the
-    golden-section refinement would happily climb a divergence at u -> 1).
+    Returns (boundaries, u_mode, g_mode, g_scan_max); g_scan_max is the first
+    scan's maximum, the yardstick of the growth test (a refined search would
+    happily climb a divergence at u -> 1).
     """
     u_lo, u_hi = transform.u_lo, transform.u_hi
     span = u_hi - u_lo
-    u_scan = u_lo + span * (np.arange(1, config.scan_points) / config.scan_points)
-    vals = g(u_scan)
-    i_best = int(np.argmax(vals))
-    g_max = float(vals[i_best])
-    lo_b = u_scan[i_best - 1] if i_best > 0 else u_lo
-    hi_b = u_scan[i_best + 1] if i_best < len(u_scan) - 1 else u_hi
-    # golden-section refinement of the maximum
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo_b), float(hi_b)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = float(g(np.array([c]))[0])
-    fd = float(g(np.array([d]))[0])
-    for _ in range(60):
-        if b - a < 1e-14 * max(1.0, abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = float(g(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = float(g(np.array([d]))[0])
-    u_mode = 0.5 * (a + b)
-    g_mode = max(g_max, fc, fd)
+    u_mode, g_mode, g_max = find_mode(g, u_lo, u_hi)
     # local width from a second difference, its stencil kept inside the
     # domain; fall back to the scan spacing
-    h = max(span / (8.0 * config.scan_points), 1e-13)
+    h = max(span / (8.0 * SCAN_POINTS), 1e-13)
     u_c = min(max(u_mode, u_lo + h), u_hi - h)
-    gm, g0, gp = (float(g(np.array([x]))[0]) for x in (u_c - h, u_c, u_c + h))
+    gm, g0, gp = g(np.array([u_c - h, u_c, u_c + h])).tolist()
     d2 = (gm - 2.0 * g0 + gp) / (h * h)
-    width = 1.0 / math.sqrt(-d2) if (np.isfinite(d2) and d2 < 0) else span / config.scan_points
+    width = 1.0 / math.sqrt(-d2) if (np.isfinite(d2) and d2 < 0) else span / SCAN_POINTS
     width = min(max(width, 1e-13), span)
     bounds = {u_lo, u_hi, u_mode}
     for j in range(14):
@@ -324,12 +326,9 @@ def _scan_seed(g, transform, config):
     return sorted(bounds), u_mode, g_mode, g_max
 
 
-def _prepare_panelset(f: LogIntegrand, rel_tol, config):
-    """Transform, wrap, and scan the integrand; no integration yet."""
-    config = config or QuadratureConfig()
-    if rel_tol is not None:
-        config = replace(config, rel_tol=rel_tol)
-    if not (1e-14 < config.rel_tol < 1e-2):
+def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
+    """Adaptive run over the integrand's whole domain; returns the PanelSet."""
+    if not (1e-14 < rel_tol < 1e-2):
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
     transform = _Transform(f.r_lo, f.r_hi)
 
@@ -341,30 +340,22 @@ def _prepare_panelset(f: LogIntegrand, rel_tol, config):
             vals = np.asarray(f(r), dtype=float) + transform.log_jacobian(safe_u)
         return np.where(np.isnan(vals), _NEG_INF, vals)
 
-    ps = PanelSet(transform, config, g)
-    bounds, u_mode, g_mode, g_scan_max = _scan_seed(g, transform, config)
-    ps.u_mode, ps.g_mode, ps.g_scan_max = u_mode, g_mode, g_scan_max
+    ps = PanelSet(transform, rel_tol, g)
+    bounds, ps.u_mode, ps.g_mode, g_scan_max = _scan_seed(g, transform)
     if not transform.finite:
         # growth test: a log-integrand climbing past the scan maximum toward
         # u = 1 means the r-integral diverges
-        for uk in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
-            if uk > transform.u_lo and float(g(np.array([uk]))[0]) > g_scan_max + 5.0:
-                raise InfiniteMassError(
-                    "integrand grows toward r = inf; total mass looks infinite")
-    return ps, bounds
-
-
-def integrate_log_panels(f: LogIntegrand, rel_tol: Optional[float] = None,
-                         config: Optional[QuadratureConfig] = None) -> PanelSet:
-    """Adaptive run over the integrand's whole domain; returns the PanelSet."""
-    ps, bounds = _prepare_panelset(f, rel_tol, config)
-    ps.log_total, ps.log_err, ps.panels = ps._adapt(bounds, ps.config.rel_tol)
+        uk = np.array([1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+        uk = uk[uk > transform.u_lo]
+        if uk.size and np.any(g(uk) > g_scan_max + 5.0):
+            raise InfiniteMassError(
+                "integrand grows toward r = inf; total mass looks infinite")
+    ps.log_total, ps.log_err, ps.panels = ps._adapt(bounds, rel_tol)
     return ps
 
 
 def integrate_log(f, a: float = None, b: float = None,
-                  rel_tol: float = 1e-10,
-                  config: Optional[QuadratureConfig] = None) -> LogValue:
+                  rel_tol: float = 1e-10) -> LogValue:
     """log of int_a^b exp(f(r)) dr as a LogValue (sign 0 for a zero integral).
 
     `f` may be a LogIntegrand or a plain vectorized callable; a and b
@@ -379,7 +370,7 @@ def integrate_log(f, a: float = None, b: float = None,
                         r_hi=b if b is not None else f.r_hi)
     if not f.r_lo < f.r_hi:
         raise ValueError(f"need a < b, got [{f.r_lo}, {f.r_hi}]")
-    ps = integrate_log_panels(f, rel_tol=rel_tol, config=config)
+    ps = integrate_log_panels(f, rel_tol=rel_tol)
     if ps.log_total == _NEG_INF:
         return LogValue.zero()
     return LogValue.from_log(ps.log_total, 1)
@@ -405,15 +396,13 @@ class RadialCdf:
         return np.interp(r, self.nodes, F)
 
 
-def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8,
-              config: Optional[QuadratureConfig] = None) -> RadialCdf:
+def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
     """CDF of exp(f) on a geometric-plus-linear grid centered on the mode.
 
     Raises InfiniteMassError when the growth test fails (integrand mass
     looks infinite) and QuadratureError for a zero-mass integrand.
     """
-    config = config or QuadratureConfig()
-    ps = integrate_log_panels(f, rel_tol=rel_tol, config=config)
+    ps = integrate_log_panels(f, rel_tol=rel_tol)
     if ps.log_total == _NEG_INF:
         raise QuadratureError("total mass is zero; no CDF")
 
@@ -456,7 +445,7 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8,
         u_band_hi = float(edges[sel_band].max())
     else:
         u_band_lo, u_band_hi = u_cut_lo, u_cut_hi
-    n_nodes = config.cdf_nodes
+    n_nodes = CDF_NODES
     parts = [np.linspace(u_band_lo, u_band_hi, n_nodes // 2)]
     if u_cut_lo < u_band_lo:
         lo = max(u_cut_lo, tr.u_lo)

@@ -42,7 +42,7 @@ from .quadrature import (
     build_cdf,
     integrate_log_panels,
 )
-from .special import ln_gamma
+from .special import _fmt, ln_gamma
 
 __all__ = [
     "EtaReport",
@@ -343,10 +343,6 @@ def boolean_degree_ratio(spec: KernelSpec, R: float,
 # ---------------------------------------------------------------------------
 # EtaReport
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
 
 @dataclass(frozen=True)
 class EtaReport:

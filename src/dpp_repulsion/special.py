@@ -30,6 +30,12 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
+def _fmt(x: float) -> str:
+    """x with 17 significant digits, enough to round-trip a double; the
+    package's one number rendering for CSV and JSON output."""
+    return format(float(x), ".17g")
+
+
 @dataclass(frozen=True)
 class LogValue:
     """A real number v stored as (log|v|, sign(v)).

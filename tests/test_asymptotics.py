@@ -253,3 +253,8 @@ class TestRateCurve:
                           empirical=((100, 1.6), (200, 1.55)))
         text = curve.to_csv()
         assert "R,analytic_rate" in text and "n,empirical_rate" in text
+
+    def test_csv_layout_is_the_rate_command_layout(self):
+        curve = RateCurve(quantity="eta_ball", grid=((0.1, 1.5),), empirical=((100, 1.6),))
+        assert curve.to_csv() == ("R,analytic_rate\n0.10000000000000001,1.5\n"
+                                  "n,empirical_rate\n100,1.6000000000000001\n")

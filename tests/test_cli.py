@@ -46,6 +46,16 @@ class TestCheck:
     def test_missing_subcommand_exit_64(self, capsys):
         assert run([], capsys)[0] == 64
 
+    @pytest.mark.parametrize("rho", ["-5e-05", "-1e-3"])
+    def test_negative_rho_in_scientific_notation(self, rho, capsys):
+        base = ["check", "--family", "LaguerreGauss", "--n", "12", "--m", "1",
+                "--alpha", "0.5"]
+        code, out, _ = run([*base, "--rho", rho], capsys)
+        code_eq, out_eq, _ = run([*base, f"--rho={rho}"], capsys)
+        assert code == code_eq == 0
+        assert out == out_eq
+        assert f"'rho': {float(rho)!r}" in out
+
 
 class TestEta:
     def test_monotone_csv(self, tmp_path, capsys):
@@ -122,6 +132,12 @@ class TestTableCmd:
         assert lines[1].startswith("family,")
         assert len(lines) == 8  # config + header + six families
         assert "| LaguerreGauss |" in stdout
+
+    def test_line_endings_are_lf(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert run(["table", "--out", str(out)], capsys)[0] == 0
+        data = out.read_bytes()
+        assert b"\r" not in data and data.count(b"\n") == 8
 
 
 class TestMomentsCmd:

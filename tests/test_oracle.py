@@ -6,8 +6,9 @@ from pytest import approx
 from scipy import special as sp
 
 from dpp_repulsion.examples import example_spec
-from dpp_repulsion.kernels import Family, KernelSpec, UnsupportedFamilyError
+from dpp_repulsion.kernels import Family, KernelSpec, UnsupportedFamilyError, effective_alpha
 from dpp_repulsion.oracle import (
+    _gaussian_proposal_scale,
     cartesian_mc_integral,
     empirical_rate,
     mc_ball_ratio,
@@ -94,6 +95,20 @@ class TestCartesianMc:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedFamilyError):
             cartesian_mc_integral(gauss_spec(n=9), 0.3, 1000, seed=1)
+
+    @pytest.mark.parametrize("fam", [Family.POWER_EXPONENTIAL, Family.LAGUERRE_GAUSS,
+                                     Family.CAUCHY], ids=lambda f: f.value)
+    def test_dimension_one_refused(self, fam):
+        # at n = 1 the radial density peaks at r = 0 and the proposal collapses
+        with pytest.raises(UnsupportedFamilyError):
+            cartesian_mc_integral(example_spec(fam, n=1), 0.5, 1000, seed=1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_proposal_scale_matches_gaussian_mode(self, n):
+        # r^{n-1} exp(-2 pi^2 r^2 / a_n^2) peaks at sqrt(n - 1) a_n / (2 pi)
+        spec = example_spec(Family.POWER_EXPONENTIAL, n=n)
+        want = effective_alpha(spec) / (2.0 * math.pi)
+        assert _gaussian_proposal_scale(spec) == approx(want, rel=1e-7)
 
     def test_indicator_refused(self):
         with pytest.raises(UnsupportedFamilyError):

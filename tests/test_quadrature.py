@@ -14,7 +14,6 @@ from dpp_repulsion.kernels import Family
 from dpp_repulsion.quadrature import (
     InfiniteMassError,
     LogIntegrand,
-    QuadratureConfig,
     QuadratureError,
     bessel_sq_moment_log,
     bessel_sq_prefix_log,
@@ -124,11 +123,12 @@ class TestIntegrateLog:
         with pytest.raises(ValueError):
             integrate_log(lambda r: np.zeros_like(r), 1.0, 1.0, rel_tol=1e-8)
 
-    def test_nonconvergence_carries_partial(self):
-        cfg = QuadratureConfig(rel_tol=1e-13, max_depth=0, scan_points=8)
+    def test_nonconvergence_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
+        monkeypatch.setattr(quadrature, "SCAN_POINTS", 8)
         f = LogIntegrand(lambda r: np.cos(40.0 * r) - r, 0.0, 1.0)
         with pytest.raises(QuadratureError) as err:
-            integrate_log_panels(f, config=cfg)
+            integrate_log_panels(f, rel_tol=1e-13)
         assert math.isfinite(err.value.log_error_bound)
         assert math.isfinite(err.value.log_partial)
 
@@ -187,12 +187,12 @@ class TestCdf:
         cdf = build_cdf(f, rel_tol=1e-8)
         assert cdf.cdf(0.5) == approx(0.0, abs=1e-13)
 
-    def test_refined_cells_match_recursive_bisection(self):
+    def test_refined_cells_match_recursive_bisection(self, monkeypatch):
         # cdf_nodes=16 leaves cells too coarse for cos(30 r), so some bisect
         f = LogIntegrand(lambda r: np.cos(30.0 * r), 0.0, 1.0)
-        cfg = QuadratureConfig(cdf_nodes=16)
-        cdf = build_cdf(f, rel_tol=1e-10, config=cfg)
-        log_total = integrate_log_panels(f, rel_tol=1e-10, config=cfg).log_total
+        monkeypatch.setattr(quadrature, "CDF_NODES", 16)
+        cdf = build_cdf(f, rel_tol=1e-10)
+        log_total = integrate_log_panels(f, rel_tol=1e-10).log_total
         log_budget = math.log(1e-10) + log_total - math.log(len(cdf.nodes))
         split = []
 
@@ -217,6 +217,15 @@ class TestCdf:
         calls = []
         build_cdf(LogIntegrand(lambda r: calls.append(1) or f(r), f.r_lo, f.r_hi), rel_tol=1e-10)
         assert len(calls) <= 150
+
+    def test_panels_from_few_vectorized_calls(self):
+        # the mode search scans grids: no golden-section loop of single points
+        f, *_ = self.gaussian_density()
+        sizes = []
+        integrate_log_panels(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r),
+                                          f.r_lo, f.r_hi), rel_tol=1e-10)
+        assert len(sizes) <= 12
+        assert min(sizes) > 1
 
     def test_infinite_mass_detected(self):
         f = LogIntegrand(lambda r: np.zeros_like(r), 0.0, math.inf)
