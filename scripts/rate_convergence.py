@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Finite-n convergence of -(1/n) log E[eta_n(B_n(sqrt(n) R))] toward the
 analytic two-branch limit for Laguerre-Gauss kernels, and the matching
-Boolean-model degree rate.  Writes CSV next to this script unless --out is
-given."""
+Boolean-model degree rate.  Writes the CSV to stdout, or to --out when
+given, and the summary lines to stderr."""
 
 import argparse
 import csv
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from dpp_repulsion.asymptotics import boolean_rate, laguerre_eta_rate
@@ -23,8 +24,7 @@ def main(argv=None):
     ap.add_argument("--R-frac", type=float, default=0.5,
                     help="R as a fraction of the reach sqrt(m) alpha / 2")
     ap.add_argument("--n-list", default="50,100,200,400,600")
-    ap.add_argument("--out", type=Path,
-                    default=Path(__file__).with_name("rate_convergence.csv"))
+    ap.add_argument("--out", type=Path, help="CSV file (default: stdout)")
     args = ap.parse_args(argv)
 
     r_star = math.sqrt(args.m) * args.alpha / 2.0
@@ -38,16 +38,17 @@ def main(argv=None):
     eta_limit = laguerre_eta_rate(R, args.m, args.alpha, args.rho)
     bool_limit = boolean_rate(R, args.m, args.alpha)
 
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["n", "eta_rate", "eta_rate_limit", "boolean_rate",
                     "boolean_rate_limit"])
         for (n, ev), (_, bv) in zip(eta_rows, bool_rows):
             w.writerow([n, f"{ev:.17g}", f"{eta_limit:.17g}",
                         f"{bv:.17g}", f"{bool_limit:.17g}"])
-    print(f"R = {R:.6g} (reach {r_star:.6g}); wrote {args.out}")
+    print(f"R = {R:.6g} (reach {r_star:.6g})" + (f"; wrote {args.out}" if args.out else ""),
+          file=sys.stderr)
     for (n, ev) in eta_rows:
-        print(f"  n={n:5d}  rate {ev:.6f}  gap {abs(ev - eta_limit):.6f}")
+        print(f"  n={n:5d}  rate {ev:.6f}  gap {abs(ev - eta_limit):.6f}", file=sys.stderr)
     return 0
 
 

@@ -49,8 +49,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a negative number may carry an exponent ("-5e-05", as the resolved
-        # config renders a small rho), so it is a flag value, not an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # config renders a small rho) or be "-inf", so it is a flag value, not
+        # an option; the spec then rejects a non-finite one
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 import numpy as np
@@ -98,7 +99,21 @@ class KernelSpec:
     c: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
+        try:
+            object.__setattr__(self, "family", Family(self.family))
+        except ValueError:
+            raise InvalidSpecError(f"unknown family {self.family!r}") from None
+        for name in ("n", "m") if self.m is not None else ("n",):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not (isinstance(val, numbers.Integral)
+                                             or isinstance(val, float) and val.is_integer()):
+                raise InvalidSpecError(f"{name} must be an integer, got {val!r}")
+            object.__setattr__(self, name, int(val))
+        for name in ("rho", "alpha", "nu", "sigma", "c"):
+            val = getattr(self, name)
+            if val is not None and (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                                    or not math.isfinite(val)):
+                raise InvalidSpecError(f"{name} must be a finite number, got {val!r}")
         if self.n < 1:
             raise InvalidSpecError(f"dimension n must be >= 1, got {self.n}")
         if self.alpha_rule not in ("fixed", "scaled"):
@@ -277,6 +292,11 @@ def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray
             from scipy.special import kve
             zp = z[pos]
             k = kve(nu, zp)
+            # kve is NaN past z ~ 1e9, where two terms of its asymptotic
+            # series are exact; the per-point fallback below would be slow
+            far = np.isnan(k) & (zp > 1.0)
+            zf = zp[far]
+            k[far] = np.sqrt(np.pi / (2.0 * zf)) * (1.0 + (4.0 * nu * nu - 1.0) / (8.0 * zf))
             lnk = np.where(k > 0, np.log(np.where(k > 0, k, 1.0)) - zp, _NEG_INF)
             if np.any(~np.isfinite(k)):  # kve overflow corner: tiny z, use limit form
                 from .special import bessel_k
@@ -473,12 +493,7 @@ def spec_from_dict(d: dict) -> KernelSpec:
         raise InvalidSpecError(f"unknown KernelSpec fields: {sorted(unknown)}")
     if "family" not in d or "n" not in d:
         raise InvalidSpecError("KernelSpec JSON requires 'family' and 'n'")
-    try:
-        fam = Family(d["family"])
-    except ValueError:
-        raise InvalidSpecError(f"unknown family {d['family']!r}") from None
-    kwargs = {k: d[k] for k in _JSON_FIELDS if k in d and k != "family"}
-    return KernelSpec(family=fam, **kwargs)
+    return KernelSpec(**{k: d[k] for k in _JSON_FIELDS if k in d})
 
 
 def spec_from_json(text: str) -> KernelSpec:

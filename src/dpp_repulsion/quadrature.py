@@ -10,6 +10,14 @@ nodes, shifts each panel by its maximum, and returns the log value and the
 log |K15 - G7| error per panel.  Infinite upper limits go through the
 variable change u = r/(1+r).
 
+One refinement loop, `_refine`, does all adaptive bisection: the
+full-domain PanelSet, every prefix and the CDF cells.  Each round checks
+that the summed error is within rel_tol of the total and otherwise splits,
+in one K15 call, every panel whose error is at or above the mean.  A
+PanelSet never changes once built; a prefix is a binary search for the cut
+panel, one K15 call on its left part and a refinement of the panels below
+the cut.
+
 Panels seed around the integrand's peak, located by `find_mode`: nested
 grid scans, each a single vectorized call on interior points of the
 current bracket, so the integrand is never probed one point at a time nor
@@ -28,11 +36,10 @@ analytic tail built from the smooth large-argument mean of J^2 (envelope
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -175,84 +182,70 @@ class _Transform:
         return -2.0 * np.log1p(-np.asarray(u, dtype=float))
 
 
-@dataclass
-class _Panel:
-    lo: float
-    hi: float
-    log_val: float
-    log_err: float
-    depth: int
+def _k15_panels(g, lo, hi, depth):
+    """The panel arrays (lo, hi, log value, log error, depth) of K15 on each [lo_i, hi_i]."""
+    return (lo, hi, *_k15_log(g, lo, hi), depth)
+
+
+def _refine(g, panels, rel_tol):
+    """Bisect panels until their summed error is within rel_tol of their sum.
+
+    The module's one adaptive loop, on the panel arrays of `_k15_panels`.
+    Each round that misses the tolerance splits every panel whose error is
+    at or above the mean panel error (so the worst one always splits), all
+    in one K15 call: the left half takes the panel's place, the right half
+    is appended.  The input arrays are not modified.  Returns (panels,
+    log_total, log_err_total).
+    """
+    log_tol = math.log(rel_tol)
+    while True:
+        lo, hi, log_val, log_err, depth = panels
+        log_total, log_err_total = _logsumexp(log_val), _logsumexp(log_err)
+        if log_err_total == _NEG_INF or (
+                log_total > _NEG_INF and log_err_total - log_total <= log_tol):
+            return panels, log_total, log_err_total
+        i = np.flatnonzero(log_err >= log_err_total - math.log(len(log_err)))
+        if len(log_err) + len(i) > MAX_PANELS:
+            raise QuadratureError(f"panel budget {MAX_PANELS} exhausted",
+                                  log_partial=log_total, log_error_bound=log_err_total)
+        j = i[np.argmax(depth[i])]
+        if depth[j] >= MAX_DEPTH:
+            raise QuadratureError(f"max depth {MAX_DEPTH} reached on [{lo[j]}, {hi[j]}]",
+                                  log_partial=log_total, log_error_bound=log_err_total)
+        mid = 0.5 * (lo[i] + hi[i])
+        halves = _k15_panels(g, np.concatenate([lo[i], mid]), np.concatenate([mid, hi[i]]),
+                             np.tile(depth[i] + 1, 2))
+        k = len(i)
+        panels = tuple(np.concatenate([p, h[k:]]) for p, h in zip(panels, halves))
+        for p, h in zip(panels, halves):
+            p[i] = h[:k]
 
 
 class PanelSet:
     """Adaptive decomposition of one radial integral, reusable for prefixes.
 
-    The full-domain run fixes a panel decomposition; prefix integrals over
-    [r_lo, r] reuse those panels below the cut (identical values, so the
-    shared error cancels in ratios) and only re-resolve the region that the
-    prefix needs at *its own* relative accuracy.
+    The full-domain run fixes the panels in u as arrays sorted by `lo`:
+    edges `lo` and `hi`, K15 log values `log_vals`, log errors `log_errs`
+    and bisection depths `depths`.  They are read-only, so a cached PanelSet
+    is safe to share.  A prefix over [r_lo, r] binary-searches the panel
+    holding the cut, keeps the panels below it with their stored values (so
+    the shared error cancels in ratios), adds the cut panel's left part and
+    refines those panels to the prefix's *own* relative accuracy.
     """
 
-    def __init__(self, transform, rel_tol, g):
-        self.transform = transform
-        self.rel_tol = rel_tol
-        self._g = g
-        self._cache: dict = {}
-        self.panels: list = []
-        self.log_total = _NEG_INF
-        self.log_err = _NEG_INF
+    def __init__(self, transform, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
+        self.transform, self.rel_tol, self.g = transform, rel_tol, g
+        self.u_mode, self.g_mode = u_mode, g_mode
+        order = np.argsort(panels[0])
+        self.lo, self.hi, self.log_vals, self.log_errs, self.depths = (p[order] for p in panels)
+        for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths):
+            p.flags.writeable = False
+        self.log_total, self.log_err = log_total, log_err
 
-    # -- panel evaluation ------------------------------------------------
-
-    def _panels(self, edges: list, depth: int) -> list:
-        """A _Panel per (lo, hi) in edges; one K15 call covers the uncached ones."""
-        miss = [key for key in edges if key not in self._cache]
-        if miss:
-            lo, hi = zip(*miss)
-            log_val, log_err = _k15_log(self._g, lo, hi)
-            self._cache.update(zip(miss, zip(log_val.tolist(), log_err.tolist())))
-        return [_Panel(lo, hi, *self._cache[(lo, hi)], depth) for lo, hi in edges]
-
-    def _adapt(self, boundaries: Sequence[float], rel_tol: float):
-        bounds = sorted(set(float(b) for b in boundaries))
-        panels = self._panels([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-                               if hi > lo], 0)
-        if not panels:
-            return _NEG_INF, _NEG_INF, panels
-        heap = [(-p.log_err, i) for i, p in enumerate(panels)]
-        heapq.heapify(heap)
-        log_tol = math.log(rel_tol)
-        while True:
-            log_total = _logsumexp([p.log_val for p in panels])
-            log_err = _logsumexp([p.log_err for p in panels])
-            if log_err == _NEG_INF:
-                break
-            if log_total > _NEG_INF and log_err - log_total <= log_tol:
-                break
-            if len(panels) >= MAX_PANELS:
-                raise QuadratureError(
-                    f"panel budget {MAX_PANELS} exhausted",
-                    log_partial=log_total, log_error_bound=log_err)
-            neg_err, idx = heapq.heappop(heap)
-            p = panels[idx]
-            if -neg_err != p.log_err:  # stale heap entry
-                heapq.heappush(heap, (-p.log_err, idx))
-                continue
-            if p.depth >= MAX_DEPTH:
-                raise QuadratureError(
-                    f"max depth {MAX_DEPTH} reached on "
-                    f"[{p.lo}, {p.hi}]",
-                    log_partial=log_total, log_error_bound=log_err)
-            mid = 0.5 * (p.lo + p.hi)
-            left, right = self._panels([(p.lo, mid), (mid, p.hi)], p.depth + 1)
-            panels[idx] = left
-            panels.append(right)
-            heapq.heappush(heap, (-left.log_err, idx))
-            heapq.heappush(heap, (-right.log_err, len(panels) - 1))
-        panels.sort(key=lambda p: p.lo)
-        return log_total, log_err, panels
-
-    # -- public queries ----------------------------------------------------
+    @property
+    def panels(self) -> np.ndarray:
+        """The panels as rows [lo, hi] in u."""
+        return np.column_stack([self.lo, self.hi])
 
     def log_prefix(self, r_hi: float, rel_tol: Optional[float] = None) -> float:
         """log integral over [r_lo, r_hi], accurate relative to the prefix."""
@@ -261,14 +254,12 @@ class PanelSet:
         if u_q <= self.transform.u_lo:
             return _NEG_INF
         u_q = min(u_q, self.transform.u_hi)
-        bounds = [self.transform.u_lo, u_q]
-        for p in self.panels:
-            if p.hi <= u_q:
-                bounds.append(p.hi)
-            if p.lo < u_q:
-                bounds.append(p.lo)
-        log_total, _, _ = self._adapt(bounds, rel_tol)
-        return log_total
+        k = int(np.searchsorted(self.hi, u_q, side="right"))  # panels below the cut
+        panels = tuple(p[:k] for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths))
+        if k < len(self.lo) and self.lo[k] < u_q:
+            cut = _k15_panels(self.g, self.lo[k:k + 1], np.array([u_q]), self.depths[k:k + 1])
+            panels = tuple(np.concatenate(pc) for pc in zip(panels, cut))
+        return _refine(self.g, panels, rel_tol)[1]
 
 
 def find_mode(g, lo: float, hi: float):
@@ -340,8 +331,7 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
             vals = np.asarray(f(r), dtype=float) + transform.log_jacobian(safe_u)
         return np.where(np.isnan(vals), _NEG_INF, vals)
 
-    ps = PanelSet(transform, rel_tol, g)
-    bounds, ps.u_mode, ps.g_mode, g_scan_max = _scan_seed(g, transform)
+    bounds, u_mode, g_mode, g_scan_max = _scan_seed(g, transform)
     if not transform.finite:
         # growth test: a log-integrand climbing past the scan maximum toward
         # u = 1 means the r-integral diverges
@@ -350,8 +340,9 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
         if uk.size and np.any(g(uk) > g_scan_max + 5.0):
             raise InfiniteMassError(
                 "integrand grows toward r = inf; total mass looks infinite")
-    ps.log_total, ps.log_err, ps.panels = ps._adapt(bounds, rel_tol)
-    return ps
+    edges = np.array(bounds)
+    panels = _k15_panels(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
+    return PanelSet(transform, rel_tol, g, u_mode, g_mode, *_refine(g, panels, rel_tol))
 
 
 def integrate_log(f, a: float = None, b: float = None,
@@ -399,18 +390,21 @@ class RadialCdf:
 def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
     """CDF of exp(f) on a geometric-plus-linear grid centered on the mode.
 
+    The grid cells are refined together by `_refine`, so their summed error
+    is within rel_tol of the mass and F is within rel_tol at every node.
     Raises InfiniteMassError when the growth test fails (integrand mass
-    looks infinite) and QuadratureError for a zero-mass integrand.
+    looks infinite) and QuadratureError for a zero-mass integrand or cells
+    that do not converge.
     """
     ps = integrate_log_panels(f, rel_tol=rel_tol)
     if ps.log_total == _NEG_INF:
         raise QuadratureError("total mass is zero; no CDF")
 
     tr = ps.transform
-    g = ps._g
+    g = ps.g
     u_mode, g_mode = ps.u_mode, ps.g_mode
     u_max = tr.u_hi - 1e-16 if not tr.finite else tr.u_hi
-    edges = np.array([p.lo for p in ps.panels] + [ps.panels[-1].hi])
+    edges = np.append(ps.lo, ps.hi[-1])
     edge_vals = g(np.clip(edges, tr.u_lo + 1e-300, u_max))
 
     def outermost(side):
@@ -424,20 +418,12 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
         return float(keep.max()) if keep.size else float(edges[-1])
 
     u_cut_lo, u_cut_hi = outermost(-1), min(outermost(+1), u_max)
-    if float(g(np.array([u_cut_hi]))[0]) > g_mode - 740.0 and u_cut_hi < u_max:
-        # heavy tail: push the cut out by bisection until 760 e-folds down
-        lo_u, hi_u = u_cut_hi, u_max
-        for _ in range(200):
-            mid = 0.5 * (lo_u + hi_u)
-            if mid == lo_u or mid == hi_u:  # the bracket is one ulp wide
-                break
-            if float(g(np.array([mid]))[0]) > g_mode - 760.0:
-                lo_u = mid
-            else:
-                hi_u = mid
-            if hi_u - lo_u < 1e-17:
-                break
-        u_cut_hi = hi_u
+    if u_cut_hi < u_max and edge_vals[np.searchsorted(edges, u_cut_hi)] > g_mode - 740.0:
+        # heavy tail: move the cut out to the first point 760 e-folds down on
+        # a grid closing geometrically on u_max
+        u_tail = u_max - (u_max - u_cut_hi) * np.geomspace(1.0, 1e-16, SCAN_POINTS)
+        down = np.flatnonzero(g(u_tail) <= g_mode - 760.0)
+        u_cut_hi = float(u_tail[down[0]]) if down.size else u_max
     # linear band: within ~40 e-folds of the mode
     sel_band = edge_vals > g_mode - 40.0
     if np.any(sel_band):
@@ -457,22 +443,11 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
         parts.append(np.array([hi]))
     u_nodes = np.unique(np.concatenate(parts + [edges[(edges >= u_cut_lo) & (edges <= u_cut_hi)]]))
 
-    # per-cell K15 against a uniform error budget: cells over budget are
-    # bisected, all of one level in one K15 call, at most 24 levels deep
-    log_budget = math.log(rel_tol) + ps.log_total - math.log(max(len(u_nodes), 2))
-    lo, hi = u_nodes[:-1], u_nodes[1:]
-    cell = np.arange(len(lo))
-    incs = np.full(len(lo), _NEG_INF)
-    for depth in range(25):
-        log_val, log_err = _k15_log(g, lo, hi)
-        split = (log_err > log_budget) & (depth < 24)
-        np.logaddexp.at(incs, cell[~split], log_val[~split])
-        if not split.any():
-            break
-        mid = 0.5 * (lo[split] + hi[split])
-        lo = np.concatenate([lo[split], mid])
-        hi = np.concatenate([mid, hi[split]])
-        cell = np.tile(cell[split], 2)
+    # the cells refine as one set of panels; each leaf adds to its cell
+    cells = _k15_panels(g, u_nodes[:-1], u_nodes[1:], np.zeros(len(u_nodes) - 1, dtype=int))
+    (leaf_lo, _, leaf_vals, _, _), _, _ = _refine(g, cells, rel_tol)
+    incs = np.full(len(u_nodes) - 1, _NEG_INF)
+    np.logaddexp.at(incs, np.searchsorted(u_nodes, leaf_lo, side="right") - 1, leaf_vals)
     log_mass = np.logaddexp.accumulate(np.concatenate([[_NEG_INF], incs]))
     nodes_r = tr.r_of_u(u_nodes)
     return RadialCdf(nodes=np.asarray(nodes_r, dtype=float),

@@ -14,7 +14,6 @@ up to the rho Vol normalization; no separate alias is provided.)
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -351,14 +350,6 @@ class EtaReport:
     spec: KernelSpec
     log_total: float
     ratio_curve: tuple
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "spec": kn.spec_to_dict(self.spec),
-            "log_total": float(self.log_total),
-            "ratio_curve": [{"R": float(r), "ratio": float(v)}
-                            for r, v in self.ratio_curve],
-        }, indent=2)
 
     def to_csv(self) -> str:
         lines = [f"# log_total = {_fmt(self.log_total)}", "R,ratio"]

@@ -18,8 +18,6 @@ __all__ = [
     "LogValue",
     "ln_gamma",
     "laguerre",
-    "laguerre_log",
-    "bessel_j",
     "bessel_k",
     "ln_bessel_j_ratio",
     "ln_ball_volume",
@@ -165,27 +163,6 @@ def laguerre(m: int, beta: float, x) -> float:
     for k in range(1, m):
         prev, cur = cur, ((2 * k + 1 + beta - x) * cur - (k + beta) * prev) / (k + 1)
     return cur if cur.ndim else float(cur)
-
-
-def laguerre_log(m: int, beta: float, x: float) -> LogValue:
-    """L_m^beta(x) as a LogValue; falls back to log-domain recurrence on overflow."""
-    v = laguerre(m, beta, float(x))
-    if math.isfinite(v):
-        return LogValue.from_float(v)
-    prev = LogValue.from_float(1.0)
-    cur = LogValue.from_float(1.0 + beta - x)
-    for k in range(1, m):
-        a = LogValue.from_float((2 * k + 1 + beta - x) / (k + 1))
-        b = LogValue.from_float((k + beta) / (k + 1))
-        prev, cur = cur, a * cur - b * prev
-    return cur if m > 0 else prev
-
-
-def bessel_j(order: float, x: float) -> float:
-    """Bessel J_order(x) for order >= 0, x >= 0."""
-    if order < 0 or x < 0:
-        raise ValueError("bessel_j requires order >= 0 and x >= 0")
-    return float(sp.jv(order, x))
 
 
 def bessel_k(order: float, x: float) -> LogValue:

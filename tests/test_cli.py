@@ -30,6 +30,14 @@ class TestCheck:
         assert code == 2
         assert "violation" in out
 
+    @pytest.mark.parametrize("flag", [["--sigma", "nan"], ["--rho", "-inf"],
+                                      ["--alpha", "-Infinity"]])
+    def test_non_finite_parameter_exit_two(self, flag, capsys):
+        code, _, err = run(["check", "--family", "BesselType", "--n", "10",
+                            "--sigma", "1", "--alpha", "0.3", *flag], capsys)
+        assert code == 2
+        assert "must be a finite number" in err
+
     def test_malformed_json_exit_64(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -32,7 +32,7 @@ from dpp_repulsion.kernels import (
     validate,
 )
 from dpp_repulsion.quadrature import LogIntegrand, integrate_log
-from dpp_repulsion.special import bessel_j, ln_gamma
+from dpp_repulsion.special import ln_gamma
 
 
 def gauss_spec(n=10, rho=0.0, alpha=0.5):
@@ -110,6 +110,35 @@ class TestValidate:
                                    alpha=0.9 * bound)).ok
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize("kwargs", [
+        dict(family=Family.LAGUERRE_GAUSS, n=10, m=2.5, alpha=0.3),
+        dict(family=Family.LAGUERRE_GAUSS, n=10, m=True, alpha=0.3),
+        dict(family=Family.LAGUERRE_GAUSS, n=2.5, m=2, alpha=0.3),
+        dict(family=Family.LAGUERRE_GAUSS, n=True, m=2, alpha=0.3),
+        dict(family=Family.LAGUERRE_GAUSS, n=None, m=2, alpha=0.3),
+        dict(family=Family.LAGUERRE_GAUSS, n=10, m=2, alpha=math.nan),
+        dict(family=Family.BESSEL_TYPE, n=10, sigma=math.nan, alpha=0.3),
+        dict(family=Family.BESSEL_TYPE, n=10, sigma=math.inf, alpha=0.3),
+        dict(family=Family.CAUCHY, n=10, rho=-math.inf, nu=1.0, alpha=0.1),
+        dict(family=Family.CAUCHY, n=10, rho=math.nan, nu=1.0, alpha=0.1),
+        dict(family=Family.CAUCHY, n=10, nu=math.inf, alpha=0.1),
+        dict(family=Family.WHITTLE_MATERN, n=10, nu=1.0, alpha=-math.inf),
+        dict(family=Family.INDICATOR_SPECTRAL, n=10, c=math.nan),
+        dict(family=Family.INDICATOR_SPECTRAL, n=10, c="0.5"),
+        dict(family="Ginibre", n=10),
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_input_rejected(self, kwargs):
+        with pytest.raises(InvalidSpecError):
+            KernelSpec(**kwargs)
+
+    def test_integral_values_become_ints(self):
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=np.int64(10), m=2.0, alpha=0.3)
+        assert spec == KernelSpec(Family.LAGUERRE_GAUSS, n=10, m=2, alpha=0.3)
+        assert type(spec.n) is int and type(spec.m) is int
+        assert json.loads(json.dumps(spec_to_dict(spec)))["n"] == 10
+
+
 class TestEffectiveAlpha:
     def test_powerexp_scaled(self):
         spec = KernelSpec(Family.POWER_EXPONENTIAL, n=16, rho=0.0, nu=2.0,
@@ -176,7 +205,23 @@ class TestKernelRadial:
         logmag, sign = log_kernel_radial_array(spec, rs)
         flips = rs[np.where(np.diff(np.sign(sign)) != 0)[0]]
         for r_flip in flips[:4]:
-            assert abs(bessel_j(mu, scale * r_flip)) < 1e-2
+            assert abs(sp.jv(mu, scale * r_flip)) < 1e-2
+
+    def test_whittle_matern_far_tail(self, monkeypatch):
+        # scipy's kve is NaN past z ~ 1e9; the asymptotic form needs no per-point fallback
+        import mpmath as mp
+
+        from dpp_repulsion import special
+        monkeypatch.setattr(special, "bessel_k", None)
+        nu, alpha = 1.5, 0.02
+        spec = KernelSpec(Family.WHITTLE_MATERN, n=3, rho=0.0, nu=nu, alpha=alpha)
+        rs = np.array([3e7, 1e10, 1e14])
+        got, sign = log_kernel_radial_array(spec, rs)
+        with mp.workdps(30):
+            want = [float((1.0 - nu) * mp.log(2) - mp.loggamma(nu) + nu * mp.log(r / alpha)
+                          + mp.log(mp.besselk(nu, r / alpha))) for r in rs]
+        assert got == approx(want, rel=1e-14)
+        assert np.all(sign == 1)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -153,6 +153,18 @@ class TestIntegrateLog:
             assert ps.log_prefix(rq, rel_tol=1e-10) == approx(want, rel=1e-9, abs=1e-8)
 
 
+    def test_prefixes_leave_cached_panels_unchanged(self):
+        spec = example_spec(Family.CAUCHY, n=50)
+        ps = repulsion._density_panels(spec, repulsion.PRODUCTION_REL_TOL)
+        before = {k: v.copy() for k, v in vars(ps).items() if isinstance(v, np.ndarray)}
+        assert set(before) >= {"lo", "hi", "log_vals", "log_errs", "depths"}
+        for R in np.linspace(0.002, 1.5, 2000):
+            repulsion.log_eta_ball_ratio(spec, float(R))
+        assert repulsion._density_panels(spec, repulsion.PRODUCTION_REL_TOL) is ps
+        for k, v in before.items():
+            np.testing.assert_array_equal(getattr(ps, k), v)
+
+
 class TestCdf:
     @staticmethod
     def gaussian_density(n=12, alpha=0.5):
@@ -226,6 +238,32 @@ class TestCdf:
                                           f.r_lo, f.r_hi), rel_tol=1e-10)
         assert len(sizes) <= 12
         assert min(sizes) > 1
+
+    @pytest.mark.parametrize("fam", [Family.LAGUERRE_GAUSS, Family.POWER_EXPONENTIAL,
+                                     Family.WHITTLE_MATERN, Family.CAUCHY],
+                             ids=lambda f: f.value)
+    def test_cdf_from_few_vectorized_calls(self, fam):
+        # the heavy-tail cut scans one grid: no bisection of single points
+        f = repulsion.radial_density(example_spec(fam, n=50))
+        sizes = []
+        build_cdf(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r), f.r_lo, f.r_hi),
+                  rel_tol=repulsion.PRODUCTION_REL_TOL)
+        assert len(sizes) <= 15
+        assert min(sizes) > 1
+
+    def test_unconverged_cells_raise(self, monkeypatch):
+        # cells that never meet the tolerance raise instead of stopping at a depth cap
+        rng = np.random.default_rng(0)
+        noisy = []
+        f = LogIntegrand(lambda r: -r + (1e-3 * rng.standard_normal(np.shape(r)) if noisy else 0.0),
+                         0.0, 1.0)
+        run = quadrature.integrate_log_panels
+        monkeypatch.setattr(quadrature, "integrate_log_panels",
+                            lambda *a, **k: (run(*a, **k), noisy.append(1))[0])
+        with pytest.raises(QuadratureError) as err:
+            build_cdf(f, rel_tol=1e-8)
+        assert math.isfinite(err.value.log_partial)
+        assert math.isfinite(err.value.log_error_bound)
 
     def test_infinite_mass_detected(self):
         f = LogIntegrand(lambda r: np.zeros_like(r), 0.0, math.inf)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -285,9 +284,6 @@ class TestEtaReport:
         report = build_eta_report(spec, np.linspace(0.05, 0.6, 8))
         ratios = [v for _, v in report.ratio_curve]
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
-        data = json.loads(report.to_json())
-        assert data["spec"]["family"] == "LaguerreGauss"
-        assert len(data["ratio_curve"]) == 8
         lines = report.to_csv().strip().split("\n")
         assert lines[1] == "R,ratio"
         assert len(lines) == 10
