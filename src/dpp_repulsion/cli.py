@@ -24,6 +24,7 @@ from .kernels import (
     Family,
     InvalidSpecError,
     KernelSpec,
+    NoPositionKernelError,
     UnsupportedFamilyError,
     max_param,
     spec_from_dict,
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_SPEC
     except (UnsupportedFamilyError, MomentDivergesError) as exc:
         print(f"unsupported for this family: {exc}", file=sys.stderr)
-        if "position kernel" in str(exc) or "Chebyshev" in str(exc):
+        if isinstance(exc, NoPositionKernelError):
             print("hint: exact moments remain available via the `moments` command "
                   "(concentration via Chebyshev)", file=sys.stderr)
         return EXIT_UNSUPPORTED

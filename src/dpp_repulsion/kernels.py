@@ -3,8 +3,8 @@
 A `KernelSpec` pins one family instance at one dimension n with intensity
 e^{n rho}.  The module knows, per family: the existence bound on the scale
 parameter, radial kernel values (signed log), the radial Fourier transform
-where available, the reduced-Palm kernel, and the closed-form squared
-L2 norm that drives every repulsion quantity.
+where available, and the closed-form squared L2 norm that drives every
+repulsion quantity.
 
 Fourier convention: ordinary frequency, unitary, i.e.
 K_hat(xi) = int K(x) exp(-2 pi i x.xi) dx.  All family formulas are
@@ -36,6 +36,7 @@ __all__ = [
     "KernelSpec",
     "InvalidSpecError",
     "UnsupportedFamilyError",
+    "NoPositionKernelError",
     "ValidationReport",
     "intensity_log",
     "max_param",
@@ -45,7 +46,6 @@ __all__ = [
     "kernel_radial",
     "log_kernel_radial_array",
     "spectral_radial",
-    "palm_kernel",
     "squared_norm_log",
     "spec_to_dict",
     "spec_from_dict",
@@ -70,6 +70,10 @@ class InvalidSpecError(ValueError):
 
 class UnsupportedFamilyError(ValueError):
     """The requested operation has no exact route for this family."""
+
+
+class NoPositionKernelError(UnsupportedFamilyError):
+    """The family has no closed-form position kernel; exact moments remain."""
 
 
 _FIELDS_BY_FAMILY = {
@@ -241,7 +245,7 @@ def _require_valid(spec: KernelSpec):
 
 
 # ---------------------------------------------------------------------------
-# Radial kernel, spectral side, Palm kernel
+# Radial kernel and spectral side
 # ---------------------------------------------------------------------------
 
 _POSITION_FAMILIES = (Family.LAGUERRE_GAUSS, Family.BESSEL_TYPE,
@@ -262,7 +266,7 @@ def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
     if not kernel_radial_supported(spec):
-        raise UnsupportedFamilyError(
+        raise NoPositionKernelError(
             f"{fam.value} (nu={spec.nu}) has no closed-form position kernel; "
             "use the spectral side")
     nrho = n * rho
@@ -348,26 +352,6 @@ def spectral_radial(spec: KernelSpec, xi: float) -> float:
     raise UnsupportedFamilyError(
         f"spectral form implemented for PowerExponential, IndicatorSpectral, "
         f"LaguerreGauss(m=1); got {fam.value}")
-
-
-def palm_kernel(spec: KernelSpec, x_dist: float, y_dist: float,
-                xy_dist: float) -> LogValue:
-    """Reduced-Palm kernel K(x-y) - K(x) K(y) / K(0), signed log.
-
-    The three arguments are |x|, |y|, |x-y|; they must form a feasible
-    triangle with the origin.
-    """
-    for d in (x_dist, y_dist, xy_dist):
-        if d < 0:
-            raise ValueError("distances must be >= 0")
-    if not (abs(x_dist - y_dist) - 1e-12 <= xy_dist <= x_dist + y_dist + 1e-12):
-        raise ValueError(
-            f"infeasible distance triple |x|={x_dist}, |y|={y_dist}, |x-y|={xy_dist}")
-    k_xy = kernel_radial(spec, xy_dist)
-    k_x = kernel_radial(spec, x_dist)
-    k_y = kernel_radial(spec, y_dist)
-    k_0 = kernel_radial(spec, 0.0)
-    return k_xy - (k_x * k_y) / k_0
 
 
 # ---------------------------------------------------------------------------

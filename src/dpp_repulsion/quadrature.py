@@ -25,25 +25,24 @@ outside its domain.  The Monte Carlo oracle uses the same finder for its
 proposal scale.
 
 The oscillatory J_mu(y)^2 y^{-lam} integrals of the Bessel-type kernels get
-a dedicated path.  Region A, [0, t0] through the turning point, is one
-adaptive PanelSet, built once per (mu, lam, rel_tol) and shared by the
-prefixes and the total.  Above t0 the panels form a fixed grid of pi-wide
-K15 panels anchored at t0: prefixes read its cumulative log-mass plus one
-partial panel, the total sums doubling blocks of it and attaches an
-analytic tail built from the smooth large-argument mean of J^2 (envelope
-1/(pi y)).
+a dedicated path.  Their total over [0, inf) is the Weber-Schafheitlin
+closed form (DLMF 10.22.57), so only prefixes are integrated.  Region A,
+[0, t0] through the turning point, is one adaptive PanelSet, built once per
+(mu, lam, rel_tol).  Above t0 the panels form a fixed grid of pi-wide K15
+panels anchored at t0: prefixes read its cumulative log-mass plus one
+partial panel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .special import LogValue, ln_bessel_j_ratio
+from .special import ln_bessel_j_ratio, ln_gamma
 
 __all__ = [
     "LogIntegrand",
@@ -51,7 +50,6 @@ __all__ = [
     "InfiniteMassError",
     "RadialCdf",
     "PanelSet",
-    "integrate_log",
     "integrate_log_panels",
     "find_mode",
     "build_cdf",
@@ -321,6 +319,8 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
     """Adaptive run over the integrand's whole domain; returns the PanelSet."""
     if not (1e-14 < rel_tol < 1e-2):
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
+    if not f.r_lo < f.r_hi:
+        raise ValueError(f"need r_lo < r_hi, got [{f.r_lo}, {f.r_hi}]")
     transform = _Transform(f.r_lo, f.r_hi)
 
     def g(u):
@@ -343,28 +343,6 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
     edges = np.array(bounds)
     panels = _k15_panels(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
     return PanelSet(transform, rel_tol, g, u_mode, g_mode, *_refine(g, panels, rel_tol))
-
-
-def integrate_log(f, a: float = None, b: float = None,
-                  rel_tol: float = 1e-10) -> LogValue:
-    """log of int_a^b exp(f(r)) dr as a LogValue (sign 0 for a zero integral).
-
-    `f` may be a LogIntegrand or a plain vectorized callable; a and b
-    default to the integrand's domain, b may be +inf.
-    """
-    if not isinstance(f, LogIntegrand):
-        f = LogIntegrand(log_f=f, r_lo=a if a is not None else 0.0,
-                         r_hi=b if b is not None else math.inf)
-    else:
-        if a is not None or b is not None:
-            f = replace(f, r_lo=a if a is not None else f.r_lo,
-                        r_hi=b if b is not None else f.r_hi)
-    if not f.r_lo < f.r_hi:
-        raise ValueError(f"need a < b, got [{f.r_lo}, {f.r_hi}]")
-    ps = integrate_log_panels(f, rel_tol=rel_tol)
-    if ps.log_total == _NEG_INF:
-        return LogValue.zero()
-    return LogValue.from_log(ps.log_total, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +460,6 @@ def _bessel_sq_log(mu: float, y: np.ndarray, lam: float) -> np.ndarray:
     return np.where(np.isnan(out), _NEG_INF, out)
 
 
-def _bessel_sq_tail_log(mu: float, lam: float, Y: float) -> float:
-    """Analytic log tail int_Y^inf J_mu^2 y^{-lam} dy, valid for Y >> mu."""
-    mt = 4.0 * mu * mu
-    omega = Y - mu * math.pi / 2.0 - math.pi / 4.0
-    s2, c2 = math.sin(2 * omega), math.cos(2 * omega)
-    ym = Y ** (-lam)
-    val = (ym / lam + (mt - 1.0) / (8.0 * (lam + 2.0)) * ym / (Y * Y)
-           - 0.5 * s2 * ym / Y
-           + 0.25 * (lam + 1.0) * c2 * ym / (Y * Y)
-           - (mt - 1.0) / 8.0 * c2 * ym / (Y * Y)) / math.pi
-    if val <= 0.0:  # corrections can only flip the sign when Y is too small
-        val = ym / (lam * math.pi)
-    return math.log(val)
-
-
 class _BesselSquare:
     """Prefixes of int_0^inf J_mu(y)^2 y^{-lam} dy for one (mu, lam, rel_tol).
 
@@ -505,7 +468,8 @@ class _BesselSquare:
     point J^2 has period at least pi, so a pi-wide panel spans one
     oscillation.  `cum[k]` is the log mass of [t0, t0 + k pi].  `cum` grows
     on demand by rebinding a longer array, never in place, so a cached
-    instance stays safe to share.  `log_total` memoises bessel_sq_moment_log.
+    instance stays safe to share.  The total is bessel_sq_moment_log's
+    closed form, not a sum of this grid.
     """
 
     def __init__(self, mu: float, lam: float, rel_tol: float):
@@ -514,7 +478,6 @@ class _BesselSquare:
         f = LogIntegrand(log_f=lambda y: _bessel_sq_log(mu, y, lam), r_lo=0.0, r_hi=self.t0)
         self.region_a = integrate_log_panels(f, rel_tol=rel_tol)
         self.cum = np.array([_NEG_INF])
-        self.log_total: Optional[float] = None
 
     def edge(self, k):
         """Left edge of grid panel k (k may be an integer array)."""
@@ -528,16 +491,12 @@ class _BesselSquare:
         """
         return _k15_log(lambda y: _bessel_sq_log(self.mu, y, self.lam), lo, hi)[0]
 
-    def panels_log(self, k_lo: int, k_hi: int) -> np.ndarray:
-        """log mass of each grid panel [t0 + k pi, t0 + (k + 1) pi], k_lo <= k < k_hi."""
-        edges = self.edge(np.arange(k_lo, k_hi + 1))
-        return self.mass_log(edges[:-1], edges[1:])
-
     def log_mass_to_edge(self, k: int) -> float:
         """log mass of [t0, t0 + k pi]; grows `cum` at least twofold when short."""
         cum = self.cum
         if k >= len(cum):
-            logs = self.panels_log(len(cum) - 1, max(k, 2 * (len(cum) - 1)))
+            edges = self.edge(np.arange(len(cum) - 1, max(k, 2 * (len(cum) - 1)) + 1))
+            logs = self.mass_log(edges[:-1], edges[1:])
             cum = np.concatenate([cum, np.logaddexp.accumulate(np.append(cum[-1], logs))[1:]])
             self.cum = cum
         return float(cum[k])
@@ -559,33 +518,17 @@ def _bessel_square(mu: float, lam: float, rel_tol: float) -> _BesselSquare:
     return _BesselSquare(mu, lam, rel_tol)
 
 
-def bessel_sq_moment_log(mu: float, lam: float, rel_tol: float = 1e-9) -> float:
+def bessel_sq_moment_log(mu: float, lam: float) -> float:
     """log of int_0^inf J_mu(y)^2 y^{-lam} dy for 0 < lam < 2 mu + 1.
 
-    Region A plus blocks of the pi grid, each block twice as wide as the last,
-    until the value (with the analytic tail attached) is stable to a fraction
-    of rel_tol.  The blocks are summed, not kept: only prefixes grow `cum`.
-    The result is memoised on the cached _BesselSquare, so specs that share
-    (mu, lam, rel_tol) pay for it once.
+    The Weber-Schafheitlin closed form (DLMF 10.22.57 with nu = mu):
+    Gamma(lam) Gamma(mu + (1 - lam)/2)
+    / (2^lam Gamma((lam + 1)/2)^2 Gamma(mu + (lam + 1)/2)).
     """
     if not (0.0 < lam < 2.0 * mu + 1.0):
         raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
-    sq = _bessel_square(mu, lam, rel_tol)
-    if sq.log_total is not None:
-        return sq.log_total
-    width = math.ceil(max(64.0 * math.pi, 2.0 * mu) / math.pi)  # in panels
-    k, log_b, prev = 0, _NEG_INF, None
-    for _ in range(16):
-        log_b = _logsumexp(np.append(sq.panels_log(k, k + width), log_b))
-        k += width
-        est = _logsumexp([sq.region_a.log_total, log_b, _bessel_sq_tail_log(mu, lam, sq.edge(k))])
-        if prev is not None and abs(est - prev) <= 0.3 * rel_tol:
-            sq.log_total = est
-            return est
-        prev = est
-        width *= 2
-    raise QuadratureError("oscillatory tail did not stabilize",
-                          log_partial=prev if prev is not None else _NEG_INF)
+    return (ln_gamma(lam) + ln_gamma(mu + 0.5 * (1.0 - lam)) - lam * math.log(2.0)
+            - 2.0 * ln_gamma(0.5 * (lam + 1.0)) - ln_gamma(mu + 0.5 * (lam + 1.0)))
 
 
 def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float,
@@ -600,5 +543,5 @@ def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float,
     if y_hi <= 0:
         return _NEG_INF
     if math.isinf(y_hi):
-        return bessel_sq_moment_log(mu, lam, rel_tol=rel_tol)
+        return bessel_sq_moment_log(mu, lam)
     return _bessel_square(mu, lam, rel_tol).log_prefix(y_hi, rel_tol)

@@ -25,6 +25,7 @@ from . import kernels as kn
 from .kernels import (
     Family,
     KernelSpec,
+    NoPositionKernelError,
     UnsupportedFamilyError,
     effective_alpha,
     indicator_radius,
@@ -85,7 +86,7 @@ def radial_density(spec: KernelSpec) -> LogIntegrand:
     """log of the unnormalized radial density r^{n-1} K_n(r)^2."""
     n = spec.n
     if not kn.kernel_radial_supported(spec):
-        raise UnsupportedFamilyError(
+        raise NoPositionKernelError(
             f"{spec.family.value} with nu={spec.nu} has no position kernel; "
             "its concentration is certified via exact moments plus Chebyshev")
 
@@ -137,7 +138,7 @@ def log_eta_ball_ratio(spec: KernelSpec, R: float,
         kn._require_valid(spec)
         mu, lam, s = _bessel_y_scale(spec)
         log_num = bessel_sq_prefix_log(mu, lam, r_cut / s, rel_tol=rel_tol)
-        log_den = bessel_sq_moment_log(mu, lam, rel_tol=rel_tol)
+        log_den = bessel_sq_moment_log(mu, lam)
         return min(log_num - log_den, 0.0)
     kn._require_valid(spec)
     ps = _density_panels(spec, rel_tol)
@@ -242,7 +243,12 @@ def radial_moment(spec: KernelSpec, k: int) -> float:
 
 def radial_moment_quadrature(spec: KernelSpec, k: int,
                              rel_tol: float = CHECK_REL_TOL) -> float:
-    """E[|X_n|^k] by direct radial quadrature; the verification route."""
+    """E[|X_n|^k] by direct radial quadrature; the verification route.
+
+    The oscillatory families (Bessel-type, indicator-spectral) have no
+    quadrature here: their J^2 y^{-lam} totals are closed forms, and the
+    tests check those against quadrature prefixes plus an asymptotic tail.
+    """
     kn._require_valid(spec)
     if k == 0:
         return 1.0
@@ -252,8 +258,7 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
         if not 0.0 < lam_k:
             raise MomentDivergesError(f"quadrature moment diverges for k={k}")
         return math.exp(k * math.log(s)
-                        + bessel_sq_moment_log(mu, lam_k, rel_tol=max(rel_tol, 1e-9))
-                        - bessel_sq_moment_log(mu, lam, rel_tol=max(rel_tol, 1e-9)))
+                        + bessel_sq_moment_log(mu, lam_k) - bessel_sq_moment_log(mu, lam))
     dens = radial_density(spec)
 
     def weighted(r):

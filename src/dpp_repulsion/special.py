@@ -71,42 +71,6 @@ class LogValue:
     def __float__(self) -> float:
         return self.value()
 
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude + other.log_magnitude, s)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude - other.log_magnitude, self.sign * other.sign)
-
-    def __neg__(self) -> "LogValue":
-        if self.sign == 0:
-            return self
-        return LogValue(self.log_magnitude, -self.sign)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        a, b = self, other
-        if b.log_magnitude > a.log_magnitude:
-            a, b = b, a
-        d = b.log_magnitude - a.log_magnitude  # <= 0
-        if a.sign == b.sign:
-            return LogValue(a.log_magnitude + math.log1p(math.exp(d)), a.sign)
-        if d == 0.0:
-            return LogValue.zero()
-        return LogValue(a.log_magnitude + math.log1p(-math.exp(d)), a.sign)
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        return self + (-other)
-
 
 def log_sum_signed(log_mags, signs) -> LogValue:
     """Sum of signed log-domain terms, shift-compensated.

@@ -29,7 +29,7 @@ from dpp_repulsion.kernels import (
     validate,
 )
 from dpp_repulsion.oracle import cartesian_mc_integral, mc_ball_ratio, sample_radius
-from dpp_repulsion.quadrature import LogIntegrand, integrate_log
+from dpp_repulsion.quadrature import LogIntegrand, integrate_log_panels
 from dpp_repulsion.repulsion import (
     eta_ball_ratio,
     eta_total_log,
@@ -126,7 +126,8 @@ def test_criterion_04_power_exponential_consistency():
             return lr + 2.0 * (log_amp - (a_n * r) ** 1.5)
 
         got = (surface_log(n)
-               + integrate_log(LogIntegrand(log_f, 0.0, math.inf), rel_tol=1e-10).log_magnitude)
+               + integrate_log_panels(LogIntegrand(log_f, 0.0, math.inf),
+                                      rel_tol=1e-10).log_total)
         want = squared_norm_log(spec)
         worst_b = max(worst_b, abs(got - want) / max(abs(want), 1.0))
     ok &= worst_b < 1e-8

@@ -23,7 +23,6 @@ from dpp_repulsion.kernels import (
     kernel_radial,
     log_kernel_radial_array,
     max_param,
-    palm_kernel,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
@@ -31,7 +30,7 @@ from dpp_repulsion.kernels import (
     squared_norm_log,
     validate,
 )
-from dpp_repulsion.quadrature import LogIntegrand, integrate_log
+from dpp_repulsion.quadrature import LogIntegrand, integrate_log_panels
 from dpp_repulsion.special import ln_gamma
 
 
@@ -286,40 +285,10 @@ class TestSpectralRadial:
                 return out + 2.0 * (log_amp - (a_n * r) ** 1.4)
 
             got = (surface_log(n)
-                   + integrate_log(LogIntegrand(log_f, 0.0, math.inf),
-                                   rel_tol=1e-10).log_magnitude)
+                   + integrate_log_panels(LogIntegrand(log_f, 0.0, math.inf),
+                                          rel_tol=1e-10).log_total)
             want = squared_norm_log(spec)
             assert got == approx(want, rel=1e-8, abs=1e-8)
-
-
-class TestPalmKernel:
-    def test_point_at_origin_removed(self):
-        spec = gauss_spec()
-        out = palm_kernel(spec, 0.0, 1.3, 1.3)
-        assert out.sign == 0
-
-    def test_far_pair_recovers_kernel(self):
-        spec = gauss_spec()
-        far = 80.0
-        out = palm_kernel(spec, far, far, 0.7)
-        want = kernel_radial(spec, 0.7)
-        assert out.sign == want.sign
-        assert out.log_magnitude == approx(want.log_magnitude, rel=1e-12)
-
-    def test_generic_triple_against_determinant(self):
-        spec = gauss_spec(n=2, alpha=0.5)
-        x = np.array([0.3, 0.1])
-        y = np.array([-0.2, 0.45])
-        dx, dy = np.linalg.norm(x), np.linalg.norm(y)
-        dxy = np.linalg.norm(x - y)
-        k = lambda r: float(kernel_radial(spec, float(r)))
-        det = np.linalg.det(np.array([[k(dxy), k(dx)], [k(dy), k(0.0)]])) / k(0.0)
-        got = palm_kernel(spec, dx, dy, dxy)
-        assert float(got) == approx(det, rel=1e-10)
-
-    def test_infeasible_triple(self):
-        with pytest.raises(ValueError):
-            palm_kernel(gauss_spec(), 1.0, 1.0, 5.0)
 
 
 class TestSquaredNorm:

@@ -8,6 +8,7 @@ from pytest import approx
 from scipy import integrate
 from scipy import special as sp
 
+from conftest import bessel_sq_total_log
 from dpp_repulsion import quadrature, repulsion
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import Family
@@ -18,7 +19,6 @@ from dpp_repulsion.quadrature import (
     bessel_sq_moment_log,
     bessel_sq_prefix_log,
     build_cdf,
-    integrate_log,
     integrate_log_panels,
     inverse_cdf,
 )
@@ -71,9 +71,9 @@ class TestK15:
 
 class TestIntegrateLog:
     def test_unit_integrand(self):
-        got = integrate_log(lambda r: np.zeros_like(r), 0.0, 1.0, rel_tol=1e-10)
-        assert got.sign == 1
-        assert got.log_magnitude == approx(0.0, abs=1e-12)
+        got = integrate_log_panels(LogIntegrand(lambda r: np.zeros_like(r), 0.0, 1.0),
+                                   rel_tol=1e-10).log_total
+        assert got == approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (2.0, 3.0), (0.25, 7.5)])
     def test_gaussian_with_power_weight(self, a, b):
@@ -81,15 +81,15 @@ class TestIntegrateLog:
         f = LogIntegrand(lambda r: -a * r * r + b * np.log(np.maximum(r, 1e-300)),
                          r_lo=0.0, r_hi=math.inf)
         want = math.log(0.5) - 0.5 * (b + 1.0) * math.log(a) + ln_gamma(0.5 * (b + 1.0))
-        got = integrate_log(f, rel_tol=1e-11)
-        assert got.log_magnitude == approx(want, rel=1e-10, abs=1e-10)
+        got = integrate_log_panels(f, rel_tol=1e-11).log_total
+        assert got == approx(want, rel=1e-10, abs=1e-10)
 
     def test_sharply_peaked_high_dimension(self):
         n, alpha = 600, 0.3
         f = LogIntegrand(lambda r: (n - 1) * np.log(np.maximum(r, 1e-300))
                          - 2.0 * r * r / alpha**2, 0.0, math.inf)
         want = math.log(0.5) - 0.5 * n * math.log(2.0 / alpha**2) + ln_gamma(0.5 * n)
-        assert integrate_log(f, rel_tol=1e-11).log_magnitude == approx(want, rel=1e-10)
+        assert integrate_log_panels(f, rel_tol=1e-11).log_total == approx(want, rel=1e-10)
 
     def test_bessel_k_weighted_closed_form(self):
         # int_0^inf r^k K_nu(r/alpha)^2 dr for k > 2 nu - 1
@@ -105,23 +105,23 @@ class TestIntegrateLog:
             want = ((k - 2.0) * math.log(2.0) + (k + 1.0) * math.log(alpha)
                     - ln_gamma(k + 1.0) + ln_gamma(0.5 * (1 + k) + nu)
                     + 2.0 * ln_gamma(0.5 * (k + 1.0)) + ln_gamma(0.5 * (1 + k) - nu))
-            got = integrate_log(LogIntegrand(log_f, 0.0, math.inf), rel_tol=1e-10)
-            assert got.log_magnitude == approx(want, rel=1e-9)
+            got = integrate_log_panels(LogIntegrand(log_f, 0.0, math.inf), rel_tol=1e-10)
+            assert got.log_total == approx(want, rel=1e-9)
 
     @given(st.floats(min_value=-500.0, max_value=500.0))
     @settings(max_examples=40, deadline=None)
     def test_shift_invariance(self, shift):
         f0 = LogIntegrand(lambda r: -3.0 * (r - 1.0) ** 2, 0.0, math.inf)
         f1 = LogIntegrand(lambda r: -3.0 * (r - 1.0) ** 2 + shift, 0.0, math.inf)
-        a = integrate_log(f0, rel_tol=1e-10).log_magnitude
-        b = integrate_log(f1, rel_tol=1e-10).log_magnitude
+        a = integrate_log_panels(f0, rel_tol=1e-10).log_total
+        b = integrate_log_panels(f1, rel_tol=1e-10).log_total
         assert b - a == approx(shift, rel=1e-12, abs=1e-9)
 
     def test_rel_tol_domain(self):
         with pytest.raises(ValueError):
-            integrate_log(lambda r: np.zeros_like(r), 0.0, 1.0, rel_tol=0.5)
+            integrate_log_panels(LogIntegrand(lambda r: np.zeros_like(r), 0.0, 1.0), rel_tol=0.5)
         with pytest.raises(ValueError):
-            integrate_log(lambda r: np.zeros_like(r), 1.0, 1.0, rel_tol=1e-8)
+            integrate_log_panels(LogIntegrand(lambda r: np.zeros_like(r), 1.0, 1.0), rel_tol=1e-8)
 
     def test_nonconvergence_carries_partial(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
@@ -138,8 +138,8 @@ class TestIntegrateLog:
             if np.any((r < 0.0) | (r > 1.0)):
                 raise ValueError("outside [0, 1]")
             return -5.0 * r
-        got = integrate_log(LogIntegrand(log_f, 0.0, 1.0))
-        assert got.log_magnitude == approx(math.log(-math.expm1(-5.0) / 5.0), abs=1e-13)
+        got = integrate_log_panels(LogIntegrand(log_f, 0.0, 1.0), rel_tol=1e-10).log_total
+        assert got == approx(math.log(-math.expm1(-5.0) / 5.0), abs=1e-13)
 
     def test_prefix_matches_incomplete_gamma_deep_tail(self):
         n, alpha = 600, 0.3
@@ -311,15 +311,24 @@ TestCdf._CDF_CACHE = build_cdf(TestCdf.gaussian_density()[0], rel_tol=1e-10)
 class TestBesselSquared:
     @pytest.mark.parametrize("mu,lam,ref", BESSEL_SQ_REFS)
     def test_full_integral_against_frozen_closed_form(self, mu, lam, ref):
-        got = bessel_sq_moment_log(mu, lam, rel_tol=1e-9)
+        got = bessel_sq_moment_log(mu, lam)
         assert got == approx(ref, abs=5e-9)
 
-    def test_total_memoised_on_cached_square(self, monkeypatch):
-        total = bessel_sq_moment_log(7.0, 1.0, rel_tol=1e-9)
-        assert quadrature._bessel_square(7.0, 1.0, 1e-9).log_total == total
-        monkeypatch.setattr(quadrature._BesselSquare, "panels_log",
-                            lambda *a: pytest.fail("total integrated twice"))
-        assert bessel_sq_moment_log(7.0, 1.0, rel_tol=1e-9) == total
+    @pytest.mark.parametrize("mu,lam", [(100.0, 150.0), (60.0, 100.0)])
+    def test_closed_form_at_large_lam_matches_quadrature(self, mu, lam):
+        # Y^{-lam} underflows here, so a tail built on it took log(0)
+        want = bessel_sq_total_log(mu, lam)
+        assert abs(bessel_sq_moment_log(mu, lam) - want) <= 1e-8 * max(abs(want), 1.0)
+
+    @given(st.floats(min_value=1.0, max_value=100.0), st.floats(min_value=0.02, max_value=0.9),
+           st.lists(st.floats(min_value=0.0, max_value=8.0), min_size=1, max_size=5))
+    @settings(max_examples=10, deadline=None)
+    def test_total_bounds_every_prefix(self, mu, frac, ts):
+        lam = frac * (2.0 * mu + 1.0)
+        total = bessel_sq_moment_log(mu, lam)
+        assert math.isfinite(total)
+        for t in ts:
+            assert bessel_sq_prefix_log(mu, lam, t * mu) <= total + 1e-9
 
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
@@ -329,7 +338,7 @@ class TestBesselSquared:
 
     def test_prefix_grows_to_total(self):
         mu, lam = 10.0, 2.0
-        total = bessel_sq_moment_log(mu, lam, rel_tol=1e-9)
+        total = bessel_sq_moment_log(mu, lam)
         prefixes = [bessel_sq_prefix_log(mu, lam, y) for y in (5.0, 20.0, 200.0, 4000.0)]
         assert all(a <= b + 1e-12 for a, b in zip(prefixes, prefixes[1:]))
         assert prefixes[-1] <= total + 1e-9
@@ -349,7 +358,7 @@ class TestBesselSquared:
 
     @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (10.0, 2.0), (50.5, 3.0)])
     def test_prefix_reaches_total(self, mu, lam):
-        total = bessel_sq_moment_log(mu, lam, rel_tol=1e-9)
+        total = bessel_sq_moment_log(mu, lam)
         assert bessel_sq_prefix_log(mu, lam, math.inf, rel_tol=1e-9) == total
         y = 1e4  # the tail past y is y^{-lam} / (lam pi) up to O(1/y) corrections
         want = math.log(math.exp(total) - y ** -lam / (lam * math.pi))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,17 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy import special as sp
 
+from dpp_repulsion import repulsion
 from dpp_repulsion.examples import example_spec
-from dpp_repulsion.kernels import Family, KernelSpec, UnsupportedFamilyError, effective_alpha
+from dpp_repulsion.kernels import (
+    Family,
+    KernelSpec,
+    NoPositionKernelError,
+    UnsupportedFamilyError,
+    effective_alpha,
+    kernel_radial,
+    max_param,
+)
 from dpp_repulsion.repulsion import (
     MomentDivergesError,
     boolean_degree_ratio,
@@ -103,6 +113,15 @@ class TestBallRatio:
         with pytest.raises(UnsupportedFamilyError, match="Chebyshev"):
             eta_ball_ratio(spec, 0.2)
 
+    def test_missing_position_kernel_is_typed(self):
+        # the CLI keys its "exact moments remain available" hint on this type
+        spec = KernelSpec(Family.POWER_EXPONENTIAL, n=10, rho=0.0, nu=3.0,
+                          alpha=0.5, alpha_rule="scaled")
+        with pytest.raises(NoPositionKernelError):
+            repulsion.radial_density(spec)
+        with pytest.raises(NoPositionKernelError):
+            kernel_radial(spec, 1.0)
+
     def test_bessel_large_n_refused(self):
         spec = example_spec(Family.BESSEL_TYPE, n=250)
         with pytest.raises(UnsupportedFamilyError):
@@ -140,6 +159,50 @@ class TestBallRatio:
         spec = example_spec(fam, n=1)
         vals = [eta_ball_ratio(spec, R) for R in (0.05, 0.3, 1.0, 3.0)]
         assert all(0.0 < a <= b < 1.0 for a, b in zip(vals, vals[1:]))
+
+
+class TestOscillatoryRatio:
+    # BesselType specs whose J^2 total once took log(0): its analytic tail
+    # Y^{-lam}, lam = sigma + 1, underflowed to 0
+    LARGE_SIGMA = [
+        KernelSpec(Family.BESSEL_TYPE, n=21, sigma=180.8, alpha=0.289),
+        KernelSpec(Family.BESSEL_TYPE, n=10, sigma=120.0, alpha=0.4),
+        KernelSpec(Family.BESSEL_TYPE, n=10, sigma=200.0, alpha=0.4),
+    ]
+
+    @staticmethod
+    def turning_radius(spec):
+        """R at which sqrt(n) R reaches the J_mu turning point y = mu."""
+        mu, _, s = repulsion._bessel_y_scale(spec)
+        return mu * s / math.sqrt(spec.n)
+
+    @pytest.mark.parametrize("spec", LARGE_SIGMA, ids=lambda s: f"n{s.n}-sigma{s.sigma}")
+    def test_large_sigma_ratio_monotone(self, spec):
+        r_turn = self.turning_radius(spec)
+        vals = [log_eta_ball_ratio(spec, float(t) * r_turn) for t in np.linspace(0.02, 3.0, 20)]
+        assert all(v <= 0.0 for v in vals)
+        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        assert vals[0] < -1.0 and vals[-1] > -1e-6
+
+    @pytest.mark.parametrize("spec", LARGE_SIGMA, ids=lambda s: f"n{s.n}-sigma{s.sigma}")
+    def test_large_sigma_moment(self, spec):
+        assert radial_moment_quadrature(spec, 1) == approx(radial_moment(spec, 1), rel=1e-7)
+
+    @given(st.floats(min_value=1.0, max_value=100.0), st.floats(min_value=0.02, max_value=0.9),
+           st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=2, max_size=6))
+    @settings(max_examples=10, deadline=None)
+    def test_ratio_in_unit_interval_and_monotone(self, mu, frac, ts):
+        # specs whose J_mu^2 y^{-lam} density has (mu, lam) near the drawn pair
+        lam = frac * (2.0 * mu + 1.0)
+        bessel = KernelSpec(Family.BESSEL_TYPE, n=max(1, round(2.0 * mu + 1.0 - lam)),
+                            sigma=max(lam - 1.0, 0.0), alpha=1.0)
+        bessel = replace(bessel, alpha=0.5 * max_param(bessel))
+        indicator = KernelSpec(Family.INDICATOR_SPECTRAL, n=max(1, round(2.0 * mu)), c=0.5)
+        for spec in (bessel, indicator):
+            r_turn = self.turning_radius(spec)
+            vals = [eta_ball_ratio(spec, t * r_turn) for t in sorted(ts)]
+            assert all(0.0 <= v <= 1.0 for v in vals)
+            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 class TestMoments:
