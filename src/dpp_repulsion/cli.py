@@ -301,7 +301,8 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         payload["radii"] = radii.tolist()
         lines = []
     else:
-        lines = ["radius", *map(_fmt, radii)]
+        # one %-format renders every radius exactly as _fmt does
+        lines = ["radius", "\n".join(["%.17g"] * len(radii)) % tuple(radii.tolist())]
     _emit(cfg, payload, lines)
     return EXIT_OK
 

@@ -2,8 +2,12 @@
 
 Everything here is pure and reentrant.  Values that can over/underflow a
 double are carried as `LogValue` (signed log magnitude).  Gamma ratios are
-always formed as differences of log-gammas; a raw Gamma is never
-materialized above the float64 range.
+always formed as differences of log-gammas (`math.lgamma`); a raw Gamma is
+never materialized above the float64 range.
+
+Importing this module loads numpy only.  scipy is imported inside the two
+functions that need it, at their first call: `jv` by the large-argument
+branch of `ln_bessel_j_ratio`, `kve` by `bessel_k`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 __all__ = [
     "LogValue",
@@ -61,16 +64,6 @@ class LogValue:
             return LogValue.zero()
         return LogValue(float(log_magnitude), 1 if sign > 0 else -1)
 
-    def value(self) -> float:
-        """The represented number as a float; may over/underflow."""
-        if self.sign == 0:
-            return 0.0
-        v = math.exp(self.log_magnitude) if self.log_magnitude < 709.0 else math.inf
-        return v if self.sign > 0 else -v
-
-    def __float__(self) -> float:
-        return self.value()
-
 
 def log_sum_signed(log_mags, signs) -> LogValue:
     """Sum of signed log-domain terms, shift-compensated.
@@ -101,7 +94,10 @@ def ln_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if not x > 0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return float(sp.gammaln(x))
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # x above ~2.6e305: log Gamma(x) exceeds a double
+        return math.inf
 
 
 def ln_binom(a: float, k: int) -> float:
@@ -133,9 +129,10 @@ def bessel_k(order: float, x: float) -> LogValue:
     """Modified Bessel K_order(x) in log form (always positive, ~e^{-x} decay)."""
     if not x > 0:
         raise ValueError("bessel_k requires x > 0")
-    kve = float(sp.kve(abs(order), x))
-    if math.isfinite(kve) and kve > 0.0:
-        return LogValue(math.log(kve) - x, 1)
+    from scipy.special import kve
+    k = float(kve(abs(order), x))
+    if math.isfinite(k) and k > 0.0:
+        return LogValue(math.log(k) - x, 1)
     # kve overflows for tiny x at large order; mpmath covers the corner.
     import mpmath as mp
 
@@ -183,7 +180,8 @@ def ln_bessel_j_ratio(order: float, y) -> tuple[np.ndarray, np.ndarray]:
     big = ~small
     if np.any(big):
         yb = y[big]
-        jb = sp.jv(order, yb)
+        from scipy.special import jv
+        jb = jv(order, yb)
         with np.errstate(divide="ignore"):
             log_out[big] = np.log(np.abs(jb)) - order * np.log(yb)
         sign_out[big] = np.sign(jb).astype(int)

@@ -1,12 +1,18 @@
+import importlib.util
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from pytest import approx
 
+from dpp_repulsion import oracle
 from dpp_repulsion.cli import main
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
+from dpp_repulsion.special import _fmt
 
 GAUSS = ["--family", "LaguerreGauss", "--n", "12", "--rho", "0", "--m", "1",
          "--alpha", "0.5"]
@@ -187,6 +193,19 @@ class TestSampleCmd:
         assert (data["seed"], data["samples"]) == (5, 64)
         assert data["radii"] == [float(r) for r in radii]
 
+    def test_csv_rendering_matches_fmt_per_radius(self, tmp_path, capsys, monkeypatch):
+        # the one-format rendering against _fmt, radius by radius, on 0,
+        # subnormals, 17-digit fractions and values at or above 1e16
+        radii = np.array([0.0, 5e-324, 1.1e-308, 1e-5, 0.1, 1.0 / 3.0, 123456.0,
+                          9007199254740993.0, 1e16, 12345678901234567.0,
+                          1.7976931348623157e308])
+        monkeypatch.setattr(oracle, "sample_radius", lambda spec, count, seed: radii)
+        out = tmp_path / "r.csv"
+        assert run(["sample", *GAUSS, "--samples", str(len(radii)), "--out", str(out)],
+                   capsys)[0] == 0
+        rows = out.read_text().split("\n")[2:]
+        assert rows == [*map(_fmt, radii), ""]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -214,3 +233,21 @@ class TestRoundTrip:
         val = row.split(",")[1]
         # round-trips exactly through text
         assert format(float(val), ".17g") == val
+
+
+class TestReadmeCommands:
+    def test_cli_cpu_script_runs_the_readme_commands(self):
+        # the CI step times scripts/cli_cpu.py's commands, so they must stay
+        # the README's command-line examples (then two oscillatory eta runs)
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
+        cli_cpu = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cli_cpu)
+        block = (root / "README.md").read_text().split("```sh\ndpp-repulsion ", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        readme = [re.sub(r"--out (\S+)", r"--out {out}/\1", " ".join(line.split()[1:]))
+                  for line in ("dpp-repulsion " + block).splitlines()]
+        commands = [" ".join(command.split()) for _, command in cli_cpu.COMMANDS]
+        assert commands[:len(readme)] == readme
+        assert [c.split()[:3] for c in commands[len(readme):]] == [
+            ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"]]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy import special as sp
 
+from conftest import bessel_sq_total_log
 from dpp_repulsion import repulsion
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import (
@@ -242,6 +243,18 @@ class TestMoments:
         got = radial_moment(spec, k)
         ref = radial_moment_quadrature(spec, k)
         assert got == approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [2.5, 4.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bessel_moment_vs_quadrature_totals(self, k, sigma):
+        # the closed-form totals against quadrature prefixes plus the
+        # asymptotic tail (conftest), with lam - k >= 1.5
+        spec = replace(example_spec(Family.BESSEL_TYPE, n=10), sigma=sigma)
+        mu, lam = 0.5 * (sigma + spec.n), sigma + 1.0
+        s = spec.alpha / math.sqrt(2.0 * (sigma + spec.n))
+        ref = math.exp(k * math.log(s) + bessel_sq_total_log(mu, lam - k)
+                       - bessel_sq_total_log(mu, lam))
+        assert radial_moment_quadrature(spec, k) == approx(ref, rel=1e-6)
 
     def test_bessel_admissibility(self):
         spec = example_spec(Family.BESSEL_TYPE, n=10)  # sigma = 2

@@ -44,10 +44,20 @@ class TestLnGamma:
     def test_frozen_references(self, x, ref):
         assert ln_gamma(x) == approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, -math.inf, math.nan])
     def test_domain(self, x):
         with pytest.raises(ValueError):
             ln_gamma(x)
+
+    def test_matches_scipy_gammaln(self):
+        # the log-gamma is math.lgamma; scipy's gammaln is the oracle
+        x = np.concatenate([np.geomspace(1e-3, 1e4, 4001), np.arange(1, 41) * 0.5])
+        ref = sp.gammaln(x)
+        got = np.array([ln_gamma(v) for v in x])
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref)))
+
+    def test_overflow_is_inf(self):
+        assert ln_gamma(1e306) == math.inf and ln_gamma(math.inf) == math.inf
 
     @given(st.floats(min_value=1e-3, max_value=1e5))
     @settings(max_examples=200, deadline=None)
