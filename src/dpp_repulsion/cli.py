@@ -126,6 +126,8 @@ class ExperimentConfig:
         cfg._apply_flags(args)
         if cfg.format not in ("csv", "json"):
             raise UsageError(f"format must be csv|json, got {cfg.format!r}")
+        if not cfg.samples >= 1:
+            raise UsageError(f"samples must be >= 1, got {cfg.samples!r}")
         return cfg
 
     def _apply_flags(self, args):

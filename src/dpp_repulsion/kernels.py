@@ -22,13 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from .special import (
-    LogValue,
     laguerre,
     ln_ball_volume,
     ln_bessel_j_ratio,
+    ln_bessel_k,
     ln_binom,
     ln_gamma,
-    log_sum_signed,
 )
 
 __all__ = [
@@ -293,21 +292,9 @@ def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray
         sign = np.ones(r.shape, dtype=int)
         pos = z > 0
         if np.any(pos):
-            from scipy.special import kve
             zp = z[pos]
-            k = kve(nu, zp)
-            # kve is NaN past z ~ 1e9, where two terms of its asymptotic
-            # series are exact; the per-point fallback below would be slow
-            far = np.isnan(k) & (zp > 1.0)
-            zf = zp[far]
-            k[far] = np.sqrt(np.pi / (2.0 * zf)) * (1.0 + (4.0 * nu * nu - 1.0) / (8.0 * zf))
-            lnk = np.where(k > 0, np.log(np.where(k > 0, k, 1.0)) - zp, _NEG_INF)
-            if np.any(~np.isfinite(k)):  # kve overflow corner: tiny z, use limit form
-                from .special import bessel_k
-                bad = ~np.isfinite(k)
-                lnk[bad] = [bessel_k(nu, float(zz)).log_magnitude for zz in zp[bad]]
             logmag[pos] = (nrho + (1.0 - nu) * math.log(2.0) - ln_gamma(nu)
-                           + nu * np.log(zp) + lnk)
+                           + nu * np.log(zp) + ln_bessel_k(nu, zp))
         return logmag, sign
     if fam == Family.BESSEL_TYPE:
         s, alpha = spec.sigma, spec.alpha
@@ -325,12 +312,12 @@ def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray
     return logmag, sign
 
 
-def kernel_radial(spec: KernelSpec, r: float) -> LogValue:
-    """Signed log of K_n at |x| = r."""
+def kernel_radial(spec: KernelSpec, r: float) -> tuple[float, int]:
+    """(log|K_n|, sign) at |x| = r."""
     if r < 0:
         raise ValueError("radius must be >= 0")
     logmag, sign = log_kernel_radial_array(spec, np.array([float(r)]))
-    return LogValue.from_log(float(logmag[0]), int(sign[0]))
+    return float(logmag[0]), int(sign[0])
 
 
 def spectral_radial(spec: KernelSpec, xi: float) -> float:
@@ -361,8 +348,9 @@ def spectral_radial(spec: KernelSpec, xi: float) -> float:
 def _laguerre_double_sum_log_shifted(n: int, m: int, shift: Fraction) -> float:
     """log of S = sum_{k,j<m} (-1)^{k+j} b_k b_j G(n/2+w+k+j) / (2^{k+j} k! j! G(n/2+w)),
     b_k = binom(m-1+n/2, m-1-k), w = shift (rational, w = 0 for the norm, k/2 for
-    moments).  Signed log accumulation with compensated summation; falls back to
-    exact rationals when the alternating sum cancels by more than 1e6.
+    moments).  The terms are shifted by their peak and the even and odd ones
+    summed apart with `math.fsum`; falls back to exact rationals when the
+    alternating sum cancels by more than 1e6.
     """
     halfn = 0.5 * n
     base = halfn + float(shift)
@@ -375,11 +363,14 @@ def _laguerre_double_sum_log_shifted(n: int, m: int, shift: Fraction) -> float:
             logs.append(log_b[k] + log_b[j] + lg
                         - s * math.log(2.0) - ln_gamma(k + 1.0) - ln_gamma(j + 1.0))
             signs.append(1 if s % 2 == 0 else -1)
-    total = log_sum_signed(logs, signs)
     peak = max(logs)
-    if total.sign <= 0 or peak - total.log_magnitude > 6.0 * math.log(10.0):
+    scaled = np.exp(np.array(logs) - peak)
+    signs = np.array(signs)
+    tot = math.fsum(scaled[signs > 0]) - math.fsum(scaled[signs < 0])
+    total = peak + math.log(tot) if tot > 0.0 else _NEG_INF
+    if peak - total > 6.0 * math.log(10.0):
         return _laguerre_double_sum_log_exact(n, m, shift)
-    return total.log_magnitude
+    return total
 
 
 def _laguerre_double_sum_log(n: int, m: int) -> float:

@@ -357,12 +357,15 @@ class RadialCdf:
     log_mass: np.ndarray
     log_total: float
 
+    def levels(self) -> np.ndarray:
+        """Normalized CDF at the nodes: monotone, exactly 1 at the last node."""
+        F = np.maximum.accumulate(np.exp(np.minimum(self.log_mass - self.log_total, 0.0)))
+        F[-1] = 1.0
+        return F
+
     def cdf(self, r) -> np.ndarray:
         """Normalized CDF, linear interpolation between grid nodes."""
-        F = np.exp(np.minimum(self.log_mass - self.log_total, 0.0))
-        F = np.maximum.accumulate(F)
-        F[-1] = 1.0
-        return np.interp(r, self.nodes, F)
+        return np.interp(r, self.nodes, self.levels())
 
 
 def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
@@ -437,10 +440,7 @@ def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u > 1)):
         raise ValueError("u must lie in [0, 1]")
-    F = np.exp(np.minimum(c.log_mass - c.log_total, 0.0))
-    F = np.maximum.accumulate(F)
-    F[-1] = 1.0
-    out = np.interp(u, F, c.nodes)
+    out = np.interp(u, c.levels(), c.nodes)
     return out if out.ndim else float(out)
 
 

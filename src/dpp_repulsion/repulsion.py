@@ -42,7 +42,7 @@ from .quadrature import (
     build_cdf,
     integrate_log_panels,
 )
-from .special import _fmt, ln_gamma
+from .special import _fmt, ln_ball_volume, ln_gamma
 
 __all__ = [
     "EtaReport",
@@ -280,11 +280,11 @@ def pair_correlation(spec: KernelSpec, r: float) -> float:
     """g(r) = 1 - (K(r)/K(0))^2, in [0, 1]; g(0) = 0 when K(0) equals the intensity."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    k_r = kernel_radial(spec, r)
-    k_0 = kernel_radial(spec, 0.0)
-    if k_r.sign == 0:
+    log_k_r, sign_r = kernel_radial(spec, r)
+    log_k_0, _ = kernel_radial(spec, 0.0)
+    if sign_r == 0 or log_k_r == _NEG_INF:
         return 1.0
-    g = -math.expm1(2.0 * (k_r.log_magnitude - k_0.log_magnitude))
+    g = -math.expm1(2.0 * (log_k_r - log_k_0))
     return min(max(g, 0.0), 1.0)
 
 
@@ -309,9 +309,7 @@ def nn_bounds(spec: KernelSpec, R: float) -> NnBounds:
     if not R > 0:
         raise ValueError("R must be > 0")
     n = spec.n
-    log_e_hi = intensity_log(spec) + (0.5 * n * math.log(math.pi)
-                                      + n * math.log(math.sqrt(n) * R)
-                                      - ln_gamma(0.5 * n + 1.0))
+    log_e_hi = intensity_log(spec) + ln_ball_volume(n, math.sqrt(n) * R)
     e_hi = math.exp(log_e_hi) if log_e_hi < 709.0 else math.inf
     if log_e_hi <= 0.0:
         e_lo = 0.0
@@ -333,9 +331,7 @@ def log_boolean_degree_ratio(spec: KernelSpec, R: float,
         raise ValueError("R must be > 0")
     n = spec.n
     log_eta_ball = eta_total_log(spec) + log_eta_ball_ratio(spec, R, rel_tol=rel_tol)
-    log_phi_ball = intensity_log(spec) + (0.5 * n * math.log(math.pi)
-                                          + n * math.log(math.sqrt(n) * R)
-                                          - ln_gamma(0.5 * n + 1.0))
+    log_phi_ball = intensity_log(spec) + ln_ball_volume(n, math.sqrt(n) * R)
     return min(log_eta_ball - log_phi_ball, 0.0)
 
 

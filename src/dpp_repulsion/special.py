@@ -1,31 +1,30 @@
 """Scalar special functions, stable at arguments of order n ~ 1e3.
 
 Everything here is pure and reentrant.  Values that can over/underflow a
-double are carried as `LogValue` (signed log magnitude).  Gamma ratios are
-always formed as differences of log-gammas (`math.lgamma`); a raw Gamma is
-never materialized above the float64 range.
+double are returned as logs, signed ones as a (log magnitude, sign) pair of
+arrays.  Gamma ratios are always formed as differences of log-gammas
+(`math.lgamma`); a raw Gamma is never materialized above the float64 range.
 
 Importing this module loads numpy only.  scipy is imported inside the two
 functions that need it, at their first call: `jv` by the large-argument
-branch of `ln_bessel_j_ratio`, `kve` by `bessel_k`.
+branch of `ln_bessel_j_ratio`, `kve` by `ln_bessel_k`.  No function here
+needs arbitrary precision: `ln_bessel_k` covers the corner where `kve`
+overflows with a recurrence in logs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LogValue",
     "ln_gamma",
     "laguerre",
-    "bessel_k",
+    "ln_bessel_k",
     "ln_bessel_j_ratio",
     "ln_ball_volume",
     "ln_binom",
-    "log_sum_signed",
 ]
 
 _NEG_INF = float("-inf")
@@ -35,59 +34,6 @@ def _fmt(x: float) -> str:
     """x with 17 significant digits, enough to round-trip a double; the
     package's one number rendering for CSV and JSON output."""
     return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number v stored as (log|v|, sign(v)).
-
-    sign == 0 iff v == 0, in which case log_magnitude is meaningless (kept
-    at -inf by the constructors here).
-    """
-
-    log_magnitude: float
-    sign: int
-
-    @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(_NEG_INF, 0)
-
-    @staticmethod
-    def from_float(v: float) -> "LogValue":
-        if v == 0.0:
-            return LogValue.zero()
-        return LogValue(math.log(abs(v)), 1 if v > 0 else -1)
-
-    @staticmethod
-    def from_log(log_magnitude: float, sign: int = 1) -> "LogValue":
-        if sign == 0 or log_magnitude == _NEG_INF:
-            return LogValue.zero()
-        return LogValue(float(log_magnitude), 1 if sign > 0 else -1)
-
-
-def log_sum_signed(log_mags, signs) -> LogValue:
-    """Sum of signed log-domain terms, shift-compensated.
-
-    Shifts by the running maximum before exponentiating, accumulates the
-    positive and negative parts separately and cancels once at the end.
-    """
-    log_mags = np.asarray(log_mags, dtype=float)
-    signs = np.asarray(signs)
-    live = signs != 0
-    if not np.any(live):
-        return LogValue.zero()
-    log_mags = log_mags[live]
-    signs = signs[live]
-    m = float(np.max(log_mags))
-    if m == _NEG_INF:
-        return LogValue.zero()
-    scaled = np.exp(log_mags - m)
-    pos = float(math.fsum(scaled[signs > 0]))
-    neg = float(math.fsum(scaled[signs < 0]))
-    tot = pos - neg
-    if tot == 0.0:
-        return LogValue.zero()
-    return LogValue(m + math.log(abs(tot)), 1 if tot > 0 else -1)
 
 
 def ln_gamma(x: float) -> float:
@@ -125,19 +71,62 @@ def laguerre(m: int, beta: float, x) -> float:
     return cur if cur.ndim else float(cur)
 
 
-def bessel_k(order: float, x: float) -> LogValue:
-    """Modified Bessel K_order(x) in log form (always positive, ~e^{-x} decay)."""
-    if not x > 0:
-        raise ValueError("bessel_k requires x > 0")
-    from scipy.special import kve
-    k = float(kve(abs(order), x))
-    if math.isfinite(k) and k > 0.0:
-        return LogValue(math.log(k) - x, 1)
-    # kve overflows for tiny x at large order; mpmath covers the corner.
-    import mpmath as mp
+def _ln_bessel_k_small_x(order: float, ln_x: np.ndarray) -> np.ndarray:
+    """log K_order(x) for 0 <= order <= 1 from its leading small-x terms in
+    t = x/2 (DLMF 10.27.4 with 10.25.2); exact to rounding once x^2 is below
+    the double epsilon, where the next terms no longer count."""
+    ln_t = ln_x - math.log(2.0)
+    if order == 0.0:
+        return np.log(-ln_t - np.euler_gamma)
+    out = ln_gamma(order) - math.log(2.0) - order * ln_t
+    if order < 1.0:  # the Gamma(-v) t^v term; Gamma(-v)/Gamma(v) = -Gamma(1-v)/Gamma(1+v)
+        ln_ratio = ln_gamma(1.0 - order) - ln_gamma(1.0 + order)
+        out += np.log1p(-np.exp(ln_ratio + 2.0 * order * ln_t))
+    return out
 
-    with mp.workdps(30):
-        return LogValue(float(mp.log(mp.besselk(abs(order), x))), 1)
+
+def ln_bessel_k(order: float, x) -> np.ndarray:
+    """log K_order(x), vectorized over x > 0; finite at every such x.
+
+    log kve(order, x) - x where scipy's `kve` is finite; the two-term
+    large-x form (DLMF 10.40.2) where `kve` is NaN (x past ~1e9).  Where
+    `kve` overflows (tiny x at large order), the upward recurrence
+    K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu (DLMF 10.29.1), stable for K, runs
+    in logs over floor(order) steps from orders 1 - f and f, f the
+    fractional part of the order; below x ~ 3e-308, where `kve` overflows at
+    every order, the two seeds come from their small-x forms.
+    """
+    from scipy.special import kve
+
+    nu = abs(float(order))
+    if nu < 1e-150:  # kve is NaN at subnormal orders; K is even in the order, so K = K_0 here
+        nu = 0.0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(x > 0):
+        raise ValueError("ln_bessel_k requires x > 0")
+    k = kve(nu, x)
+    far = np.isnan(k) & (x > 1.0)
+    xf = x[far]
+    k[far] = np.sqrt(np.pi / (2.0 * xf)) * (1.0 + (4.0 * nu * nu - 1.0) / (8.0 * xf))
+    out = np.log(k) - x
+    over = ~np.isfinite(out)
+    if np.any(over):
+        xo = x[over]
+        ln_x = np.log(xo)
+        f = nu - math.floor(nu)
+        seeds = []
+        for seed_order in (1.0 - f, f):  # K_{f-1} = K_{1-f}, then K_f
+            ln_k = np.log(kve(seed_order, xo)) - xo
+            tiny = ~np.isfinite(ln_k)
+            ln_k[tiny] = _ln_bessel_k_small_x(seed_order, ln_x[tiny])
+            seeds.append(ln_k)
+        prev, cur = seeds
+        for step in range(math.floor(nu)):
+            mu = f + step
+            ln_2mu_x = math.log(2.0 * mu) - ln_x if mu else _NEG_INF  # K_1 = K_{-1}
+            prev, cur = cur, np.logaddexp(prev, ln_2mu_x + cur)
+        out[over] = cur
+    return out
 
 
 def ln_bessel_j_ratio(order: float, y) -> tuple[np.ndarray, np.ndarray]:

@@ -171,6 +171,13 @@ class TestMomentsCmd:
 
 
 class TestSampleCmd:
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_sample_count_below_one_exit_64(self, count, capsys):
+        code, out, err = run(["sample", *GAUSS, "--samples", count], capsys)
+        assert code == 64
+        assert f"usage error: samples must be >= 1, got {count}" in err
+        assert "Traceback" not in err and out == ""
+
     def test_fixed_seed_identical_files(self, tmp_path, capsys):
         args = ["sample", *GAUSS, "--samples", "64", "--seed", "5"]
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

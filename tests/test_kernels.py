@@ -165,14 +165,14 @@ class TestKernelRadial:
 
     @pytest.mark.parametrize("spec", STANDARD, ids=lambda s: s.family.value)
     def test_value_at_zero_is_intensity(self, spec):
-        k0 = kernel_radial(spec, 0.0)
-        assert k0.sign == 1
-        assert k0.log_magnitude == approx(spec.n * spec.rho, abs=1e-12)
+        log_k0, sign = kernel_radial(spec, 0.0)
+        assert sign == 1
+        assert log_k0 == approx(spec.n * spec.rho, abs=1e-12)
 
     @pytest.mark.parametrize("spec", STANDARD[2:], ids=lambda s: s.family.value)
     def test_limit_from_above(self, spec):
         # WhittleMatern and BesselType reach e^{n rho} only as a limit
-        vals = [kernel_radial(spec, r).log_magnitude
+        vals = [kernel_radial(spec, r)[0]
                 for r in (1e-2, 1e-3, 1e-4, 1e-5)]
         errs = [abs(v - spec.n * spec.rho) for v in vals]
         assert all(a >= b - 1e-14 for a, b in zip(errs, errs[1:]))
@@ -180,14 +180,13 @@ class TestKernelRadial:
 
     def test_indicator_zero_value_carries_sqrt_c(self):
         spec = KernelSpec(Family.INDICATOR_SPECTRAL, n=6, rho=0.25, c=0.49)
-        k0 = kernel_radial(spec, 0.0)
-        assert k0.log_magnitude == approx(6 * 0.25 + 0.5 * math.log(0.49), rel=1e-10)
+        assert kernel_radial(spec, 0.0)[0] == approx(6 * 0.25 + 0.5 * math.log(0.49), rel=1e-10)
 
     def test_cauchy_at_alpha(self):
         spec = KernelSpec(Family.CAUCHY, n=9, rho=0.1, nu=2.0, alpha=0.8,
                           alpha_rule="fixed")
         want = 9 * 0.1 - (2.0 + 4.5) * math.log(2.0)
-        assert kernel_radial(spec, 0.8).log_magnitude == approx(want, rel=1e-12)
+        assert kernel_radial(spec, 0.8)[0] == approx(want, rel=1e-12)
 
     def test_powerexp_nu3_unsupported(self):
         spec = KernelSpec(Family.POWER_EXPONENTIAL, n=6, rho=0.0, nu=3.0,
@@ -206,12 +205,10 @@ class TestKernelRadial:
         for r_flip in flips[:4]:
             assert abs(sp.jv(mu, scale * r_flip)) < 1e-2
 
-    def test_whittle_matern_far_tail(self, monkeypatch):
-        # scipy's kve is NaN past z ~ 1e9; the asymptotic form needs no per-point fallback
+    def test_whittle_matern_far_tail(self):
+        # scipy's kve is NaN past z ~ 1e9, where ln_bessel_k takes the asymptotic form
         import mpmath as mp
 
-        from dpp_repulsion import special
-        monkeypatch.setattr(special, "bessel_k", None)
         nu, alpha = 1.5, 0.02
         spec = KernelSpec(Family.WHITTLE_MATERN, n=3, rho=0.0, nu=nu, alpha=alpha)
         rs = np.array([3e7, 1e10, 1e14])
@@ -221,6 +218,15 @@ class TestKernelRadial:
                           + mp.log(mp.besselk(nu, r / alpha))) for r in rs]
         assert got == approx(want, rel=1e-14)
         assert np.all(sign == 1)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.0, 8.0, 300.0])
+    def test_whittle_matern_below_smallest_normal(self, nu):
+        # kve overflows at every order below z ~ 3e-308; the kernel still tends to
+        # e^{n rho}, up to the rounding of nu ln z and ln K_nu(z), which cancel
+        spec = KernelSpec(Family.WHITTLE_MATERN, n=3, rho=0.2, nu=nu, alpha=0.01)
+        got, sign = log_kernel_radial_array(spec, np.array([1e-320, 1e-310, 1e-300]))
+        assert np.all(np.isfinite(got)) and np.all(sign == 1)
+        assert got == approx(np.full(3, 3 * 0.2), abs=1e-15 * max(100.0, 740.0 * nu))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

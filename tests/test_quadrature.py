@@ -22,7 +22,7 @@ from dpp_repulsion.quadrature import (
     integrate_log_panels,
     inverse_cdf,
 )
-from dpp_repulsion.special import bessel_k, ln_gamma
+from dpp_repulsion.special import ln_bessel_k, ln_gamma
 
 # ln of int_0^inf J_mu(y)^2 y^{-lam} dy, frozen 40-digit values
 BESSEL_SQ_REFS = [
@@ -98,9 +98,7 @@ class TestIntegrateLog:
             def log_f(r, k=k):
                 out = np.full(r.shape, -np.inf)
                 pos = r > 0
-                lk = np.array([bessel_k(nu, float(x) / alpha).log_magnitude
-                               for x in r[pos]])
-                out[pos] = k * np.log(r[pos]) + 2.0 * lk
+                out[pos] = k * np.log(r[pos]) + 2.0 * ln_bessel_k(nu, r[pos] / alpha)
                 return out
             want = ((k - 2.0) * math.log(2.0) + (k + 1.0) * math.log(alpha)
                     - ln_gamma(k + 1.0) + ln_gamma(0.5 * (1 + k) + nu)
