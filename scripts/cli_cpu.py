@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end CPU time of the README command-line examples, plus `eta` on
 both oscillatory families (a BesselType spec at sigma = 180.8 and an
-IndicatorSpectral spec).
+IndicatorSpectral spec) and LaguerreGauss `moments` at m = 60.
 
 Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
@@ -39,6 +39,8 @@ COMMANDS = [
                        " --R-grid 0.05:1.5:30 --out {out}/eta_bessel.csv"),
     ("eta IndicatorSpectral", "eta --family IndicatorSpectral --n 40 --c 0.5"
                               " --R-grid 0.05:3:30 --out {out}/eta_indicator.csv"),
+    ("moments LaguerreGauss", "moments --family LaguerreGauss --n 100 --m 60 --alpha 0.065"
+                              " --k 2,4"),
 ]
 
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

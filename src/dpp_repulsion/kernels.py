@@ -18,7 +18,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 
 from .special import (
@@ -247,15 +248,10 @@ def _require_valid(spec: KernelSpec):
 # Radial kernel and spectral side
 # ---------------------------------------------------------------------------
 
-_POSITION_FAMILIES = (Family.LAGUERRE_GAUSS, Family.BESSEL_TYPE,
-                      Family.WHITTLE_MATERN, Family.CAUCHY,
-                      Family.INDICATOR_SPECTRAL, Family.POWER_EXPONENTIAL)
-
-
 def kernel_radial_supported(spec: KernelSpec) -> bool:
-    if spec.family == Family.POWER_EXPONENTIAL:
-        return spec.nu == 2.0  # Gaussian spectrum has a closed position kernel
-    return spec.family in _POSITION_FAMILIES
+    # of the PowerExponential spectra only the Gaussian one (nu = 2) has a
+    # closed position kernel
+    return spec.family != Family.POWER_EXPONENTIAL or spec.nu == 2.0
 
 
 def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray]:
@@ -345,67 +341,39 @@ def spectral_radial(spec: KernelSpec, xi: float) -> float:
 # Squared L2 norms (closed forms)
 # ---------------------------------------------------------------------------
 
-def _laguerre_double_sum_log_shifted(n: int, m: int, shift: Fraction) -> float:
-    """log of S = sum_{k,j<m} (-1)^{k+j} b_k b_j G(n/2+w+k+j) / (2^{k+j} k! j! G(n/2+w)),
-    b_k = binom(m-1+n/2, m-1-k), w = shift (rational, w = 0 for the norm, k/2 for
-    moments).  The terms are shifted by their peak and the even and odd ones
-    summed apart with `math.fsum`; falls back to exact rationals when the
-    alternating sum cancels by more than 1e6.
+def _laguerre_double_sum_log(n: int, m: int, shift: float = 0.0) -> float:
+    """log of S = sum_{k,j<m} (-1)^{k+j} b_k b_j G(h+k+j) / (2^{k+j} k! j! G(h)),
+    b_k = binom(m-1+n/2, m-1-k), h = n/2 + shift (shift = 0 for the norm, k/2
+    for the k-th radial moment), summed as a sum of squares.
+
+    S = E[L_{m-1}^{(n/2)}(X/2)^2] for X ~ Gamma(h, 1).  The Laguerre
+    multiplication theorem at lambda = 1/2 and the connection formula
+    (DLMF 18.18) expand L_{m-1}^{(n/2)}(X/2) in the L_j^{(h-1)}(X), which are
+    orthogonal under that law with squared norms binom(j+h-1, j):
+
+        S = 4^{1-m} sum_{j<m} binom(j+h-1, j) c_j^2,
+        c_j = sum_{r=0}^{m-1-j} B_r binom(m-1+n/2, m-1-j-r),
+        B_0 = 1,  B_r = B_{r-1} (r - shift) / r.
+
+    Every outer term is >= 0 and c_{m-1} = 1, so S > 0.  The log binomials are
+    running sums of log ratios; each c_j is shifted by its largest binomial
+    and S by its largest term.
     """
-    halfn = 0.5 * n
-    base = halfn + float(shift)
-    log_b = [ln_binom(m - 1 + halfn, m - 1 - k) for k in range(m)]
-    logs, signs = [], []
-    for k in range(m):
-        for j in range(m):
-            s = k + j
-            lg = ln_gamma(base + s) - ln_gamma(base)
-            logs.append(log_b[k] + log_b[j] + lg
-                        - s * math.log(2.0) - ln_gamma(k + 1.0) - ln_gamma(j + 1.0))
-            signs.append(1 if s % 2 == 0 else -1)
+    halfn, h = 0.5 * n, 0.5 * n + shift
+    log_b = list(accumulate((math.log((m - 1 + halfn - i) / (i + 1)) for i in range(m - 1)),
+                            initial=0.0))
+    log_norm = list(accumulate((math.log((h + i) / (i + 1)) for i in range(m - 1)),
+                               initial=0.0))
+    peaks = list(accumulate(log_b, max))
+    big_b = list(accumulate(range(1, m), lambda b, r: b * (r - shift) / r, initial=1.0))
+    logs = []
+    for j in range(m):
+        top = m - 1 - j
+        c = math.fsum(big_b[r] * math.exp(log_b[top - r] - peaks[top]) for r in range(top + 1))
+        if c:
+            logs.append(log_norm[j] + 2.0 * (peaks[top] + math.log(abs(c))))
     peak = max(logs)
-    scaled = np.exp(np.array(logs) - peak)
-    signs = np.array(signs)
-    tot = math.fsum(scaled[signs > 0]) - math.fsum(scaled[signs < 0])
-    total = peak + math.log(tot) if tot > 0.0 else _NEG_INF
-    if peak - total > 6.0 * math.log(10.0):
-        return _laguerre_double_sum_log_exact(n, m, shift)
-    return total
-
-
-def _laguerre_double_sum_log(n: int, m: int) -> float:
-    return _laguerre_double_sum_log_shifted(n, m, Fraction(0))
-
-
-def _laguerre_double_sum_log_exact(n: int, m: int, shift: Fraction = Fraction(0)) -> float:
-    halfn = Fraction(n, 2)
-    base = halfn + shift
-
-    def binom_frac(k):
-        # C(m-1+n/2, m-1-k), a rational since n/2 is
-        num, den = Fraction(1), Fraction(1)
-        for i in range(m - 1 - k):
-            num *= (m - 1 + halfn - i)
-            den *= (i + 1)
-        return num / den
-
-    def gamma_ratio(s):
-        out = Fraction(1)
-        for i in range(s):
-            out *= (base + i)
-        return out
-
-    bs = [binom_frac(k) for k in range(m)]
-    total = Fraction(0)
-    for k in range(m):
-        for j in range(m):
-            s = k + j
-            term = bs[k] * bs[j] * gamma_ratio(s)
-            term /= Fraction(2 ** s) * math.factorial(k) * math.factorial(j)
-            total += term if s % 2 == 0 else -term
-    if total <= 0:
-        raise ArithmeticError(f"Laguerre norm sum not positive at n={n}, m={m}")
-    return math.log(total.numerator) - math.log(total.denominator)
+    return (1 - m) * math.log(4.0) + peak + math.log(math.fsum(math.exp(t - peak) for t in logs))
 
 
 def squared_norm_log(spec: KernelSpec) -> float:

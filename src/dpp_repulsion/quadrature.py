@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -228,7 +228,8 @@ class PanelSet:
     is safe to share.  A prefix over [r_lo, r] binary-searches the panel
     holding the cut, keeps the panels below it with their stored values (so
     the shared error cancels in ratios), adds the cut panel's left part and
-    refines those panels to the prefix's *own* relative accuracy.
+    refines those panels until their error is within `rel_tol` of the
+    prefix itself, not of the total.
     """
 
     def __init__(self, transform, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
@@ -245,9 +246,8 @@ class PanelSet:
         """The panels as rows [lo, hi] in u."""
         return np.column_stack([self.lo, self.hi])
 
-    def log_prefix(self, r_hi: float, rel_tol: Optional[float] = None) -> float:
+    def log_prefix(self, r_hi: float) -> float:
         """log integral over [r_lo, r_hi], accurate relative to the prefix."""
-        rel_tol = self.rel_tol if rel_tol is None else rel_tol
         u_q = self.transform.u_of_r(r_hi)
         if u_q <= self.transform.u_lo:
             return _NEG_INF
@@ -257,7 +257,7 @@ class PanelSet:
         if k < len(self.lo) and self.lo[k] < u_q:
             cut = _k15_panels(self.g, self.lo[k:k + 1], np.array([u_q]), self.depths[k:k + 1])
             panels = tuple(np.concatenate(pc) for pc in zip(panels, cut))
-        return _refine(self.g, panels, rel_tol)[1]
+        return _refine(self.g, panels, self.rel_tol)[1]
 
 
 def find_mode(g, lo: float, hi: float):
@@ -501,9 +501,9 @@ class _BesselSquare:
             self.cum = cum
         return float(cum[k])
 
-    def log_prefix(self, y_hi: float, rel_tol: float) -> float:
+    def log_prefix(self, y_hi: float) -> float:
         if y_hi <= self.t0:
-            return self.region_a.log_prefix(y_hi, rel_tol=rel_tol)
+            return self.region_a.log_prefix(y_hi)
         k = int((y_hi - self.t0) // math.pi)
         if self.edge(k) > y_hi:
             k -= 1
@@ -533,15 +533,18 @@ def bessel_sq_moment_log(mu: float, lam: float) -> float:
 
 def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float,
                          rel_tol: float = 1e-9) -> float:
-    """log of int_0^{y_hi} J_mu(y)^2 y^{-lam} dy (lam may be any real here).
+    """log of int_0^{y_hi} J_mu(y)^2 y^{-lam} dy for lam < 2 mu + 1.
 
-    y_hi = inf gives the total, bessel_sq_moment_log, which needs
-    0 < lam < 2 mu + 1.
+    At lam >= 2 mu + 1 the integrand grows at least like 1/y at y = 0 and
+    every prefix diverges.  y_hi = inf gives the total, bessel_sq_moment_log,
+    which also needs lam > 0.
     """
     if math.isnan(y_hi):
         raise ValueError("y_hi must not be NaN")
+    if not lam < 2.0 * mu + 1.0:
+        raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
     if y_hi <= 0:
         return _NEG_INF
     if math.isinf(y_hi):
         return bessel_sq_moment_log(mu, lam)
-    return _bessel_square(mu, lam, rel_tol).log_prefix(y_hi, rel_tol)
+    return _bessel_square(mu, lam, rel_tol).log_prefix(y_hi)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -142,7 +141,7 @@ def log_eta_ball_ratio(spec: KernelSpec, R: float,
         return min(log_num - log_den, 0.0)
     kn._require_valid(spec)
     ps = _density_panels(spec, rel_tol)
-    log_num = ps.log_prefix(r_cut, rel_tol=rel_tol)
+    log_num = ps.log_prefix(r_cut)
     return min(log_num - ps.log_total, 0.0)
 
 
@@ -168,9 +167,8 @@ def radial_cdf(spec: KernelSpec, rel_tol: float = PRODUCTION_REL_TOL):
 
 def _laguerre_moment_log(n: int, m: int, k: int) -> float:
     """log of D(k)/D(0) with D(w) the Laguerre double sum at Gamma offset w/2."""
-    half_shift = Fraction(k, 2)
-    num = kn._laguerre_double_sum_log_shifted(n, m, half_shift)
-    den = kn._laguerre_double_sum_log_shifted(n, m, Fraction(0))
+    num = kn._laguerre_double_sum_log(n, m, 0.5 * k)
+    den = kn._laguerre_double_sum_log(n, m)
     return (num - den) + ln_gamma(0.5 * (n + k)) - ln_gamma(0.5 * n)
 
 

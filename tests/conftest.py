@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,42 @@ def bessel_sq_total_log(mu: float, lam: float) -> float:
     """
     Y = mu + 4.0 * mu ** (1.0 / 3.0) + 6.0 + 4096 * math.pi
     return float(np.logaddexp(bessel_sq_prefix_log(mu, lam, Y), bessel_sq_tail_log(mu, lam, Y)))
+
+
+def laguerre_double_sum_log_exact(n: int, m: int, shift: Fraction = Fraction(0)) -> float:
+    """log of the alternating Laguerre double sum, in exact rationals.
+
+    S = sum_{k,j<m} (-1)^{k+j} b_k b_j G(h+k+j) / (2^{k+j} k! j! G(h)) with
+    b_k = binom(m-1+n/2, m-1-k) and h = n/2 + shift, shift rational: the
+    reference for the library's sum of squares.  Costs about 1 s at m = 60.
+    """
+    halfn = Fraction(n, 2)
+    base = halfn + Fraction(shift)
+
+    def binom_frac(k):
+        # C(m-1+n/2, m-1-k), a rational since n/2 is
+        num, den = Fraction(1), Fraction(1)
+        for i in range(m - 1 - k):
+            num *= (m - 1 + halfn - i)
+            den *= (i + 1)
+        return num / den
+
+    def gamma_ratio(s):
+        out = Fraction(1)
+        for i in range(s):
+            out *= (base + i)
+        return out
+
+    bs = [binom_frac(k) for k in range(m)]
+    total = Fraction(0)
+    for k in range(m):
+        for j in range(m):
+            s = k + j
+            term = bs[k] * bs[j] * gamma_ratio(s)
+            term /= Fraction(2 ** s) * math.factorial(k) * math.factorial(j)
+            total += term if s % 2 == 0 else -term
+    assert total > 0
+    return math.log(total.numerator) - math.log(total.denominator)
 
 
 def quadrature_norm_log(spec: KernelSpec, rel_tol: float = 1e-10) -> float:

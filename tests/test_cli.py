@@ -245,7 +245,8 @@ class TestRoundTrip:
 class TestReadmeCommands:
     def test_cli_cpu_script_runs_the_readme_commands(self):
         # the CI step times scripts/cli_cpu.py's commands, so they must stay
-        # the README's command-line examples (then two oscillatory eta runs)
+        # the README's command-line examples (then two oscillatory eta runs
+        # and LaguerreGauss moments at m = 60)
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
         cli_cpu = importlib.util.module_from_spec(spec)
@@ -257,4 +258,5 @@ class TestReadmeCommands:
         commands = [" ".join(command.split()) for _, command in cli_cpu.COMMANDS]
         assert commands[:len(readme)] == readme
         assert [c.split()[:3] for c in commands[len(readme):]] == [
-            ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"]]
+            ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"],
+            ["moments", "--family", "LaguerreGauss"]]

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy import special as sp
 
-from conftest import quadrature_norm_log, surface_log
+from conftest import laguerre_double_sum_log_exact, quadrature_norm_log, surface_log
 from dpp_repulsion.kernels import (
     Family,
     InvalidSpecError,
     KernelSpec,
     UnsupportedFamilyError,
     _laguerre_double_sum_log,
-    _laguerre_double_sum_log_exact,
     effective_alpha,
     indicator_radius,
     intensity_log,
@@ -348,10 +347,24 @@ class TestSquaredNorm:
                           / (2.0 ** (k + j) * math.factorial(k) * math.factorial(j)))
         assert _laguerre_double_sum_log(n, m) == approx(math.log(naive), rel=1e-9)
 
-    @pytest.mark.parametrize("n,m", [(600, 4), (999, 3), (60, 10)])
-    def test_laguerre_sum_vs_exact_rational(self, n, m):
-        assert _laguerre_double_sum_log(n, m) == approx(
-            _laguerre_double_sum_log_exact(n, m, Fraction(0)), rel=1e-11)
+    @pytest.mark.parametrize("n,m,shift", [
+        *(pytest.param(n, m, Fraction(0), id=f"{n}-{m}")
+          for n, m in [(600, 4), (999, 3), (60, 10), (1000, 8), (1, 30), (3, 60), (100, 60)]),
+        *(pytest.param(n, m, shift, id=f"{n}-{m}-{shift}")
+          for n, m in [(600, 4), (999, 3), (60, 10), (1000, 8), (1, 30)]
+          for shift in (Fraction(1, 2), Fraction(3, 2), Fraction(2))),
+        pytest.param(2, 3, Fraction(2), id="2-3-2"),  # c_1 = C(3, 2) - C(3, 1) = 0
+    ])
+    def test_laguerre_sum_vs_exact_rational(self, n, m, shift):
+        want = laguerre_double_sum_log_exact(n, m, shift)
+        got = _laguerre_double_sum_log(n, m, float(shift))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @given(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_laguerre_sum_finite(self, n, m, twice_shift):
+        assert math.isfinite(_laguerre_double_sum_log(n, m, 0.5 * twice_shift))
 
 
 class TestJsonWire:

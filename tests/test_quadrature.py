@@ -148,7 +148,7 @@ class TestIntegrateLog:
             t = 2.0 * rq * rq / alpha**2
             want = (math.log(0.5) - 0.5 * n * math.log(2.0 / alpha**2)
                     + ln_gamma(0.5 * n) + math.log(sp.gammainc(0.5 * n, t)))
-            assert ps.log_prefix(rq, rel_tol=1e-10) == approx(want, rel=1e-9, abs=1e-8)
+            assert ps.log_prefix(rq) == approx(want, rel=1e-9, abs=1e-8)
 
 
     def test_prefixes_leave_cached_panels_unchanged(self):
@@ -333,6 +333,13 @@ class TestBesselSquared:
             bessel_sq_moment_log(2.0, 0.0)
         with pytest.raises(ValueError):
             bessel_sq_moment_log(2.0, 6.0)
+
+    @pytest.mark.parametrize("mu,lam", [(1.0, 3.5), (1.0, 3.0), (20.5, 45.0)])
+    def test_divergent_prefix_rejected(self, mu, lam):
+        # lam >= 2 mu + 1: the integrand is at least 1/y at y = 0
+        for y_hi in (1e-3, 2.0, 1e3, math.inf):
+            with pytest.raises(ValueError, match="diverges"):
+                bessel_sq_prefix_log(mu, lam, y_hi)
 
     def test_prefix_grows_to_total(self):
         mu, lam = 10.0, 2.0
