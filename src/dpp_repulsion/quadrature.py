@@ -536,15 +536,15 @@ def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float,
     """log of int_0^{y_hi} J_mu(y)^2 y^{-lam} dy for lam < 2 mu + 1.
 
     At lam >= 2 mu + 1 the integrand grows at least like 1/y at y = 0 and
-    every prefix diverges.  y_hi = inf gives the total, bessel_sq_moment_log,
-    which also needs lam > 0.
+    every non-empty prefix diverges; the empty one (y_hi <= 0) is -inf.
+    y_hi = inf gives the total, bessel_sq_moment_log, which also needs lam > 0.
     """
     if math.isnan(y_hi):
         raise ValueError("y_hi must not be NaN")
-    if not lam < 2.0 * mu + 1.0:
-        raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
     if y_hi <= 0:
         return _NEG_INF
+    if not lam < 2.0 * mu + 1.0:
+        raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
     if math.isinf(y_hi):
         return bessel_sq_moment_log(mu, lam)
     return _bessel_square(mu, lam, rel_tol).log_prefix(y_hi)

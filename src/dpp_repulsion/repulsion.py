@@ -167,7 +167,7 @@ def radial_cdf(spec: KernelSpec, rel_tol: float = PRODUCTION_REL_TOL):
 
 def _laguerre_moment_log(n: int, m: int, k: int) -> float:
     """log of D(k)/D(0) with D(w) the Laguerre double sum at Gamma offset w/2."""
-    num = kn._laguerre_double_sum_log(n, m, 0.5 * k)
+    num = kn._laguerre_double_sum_log(n, m, k)
     den = kn._laguerre_double_sum_log(n, m)
     return (num - den) + ln_gamma(0.5 * (n + k)) - ln_gamma(0.5 * n)
 

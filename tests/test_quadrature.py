@@ -340,6 +340,7 @@ class TestBesselSquared:
         for y_hi in (1e-3, 2.0, 1e3, math.inf):
             with pytest.raises(ValueError, match="diverges"):
                 bessel_sq_prefix_log(mu, lam, y_hi)
+        assert bessel_sq_prefix_log(mu, lam, 0.0) == -math.inf  # the empty integral
 
     def test_prefix_grows_to_total(self):
         mu, lam = 10.0, 2.0
