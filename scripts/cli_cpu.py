@@ -7,8 +7,8 @@ Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
 threads late does not add CPU time to the commands that load scipy.  Prints
 one JSON line per command: the median CPU seconds (user + system) of its
-runs and its exit status.  Every `--out` file goes under `--out-dir`.  Exits
-1 when any command exits non-zero.
+runs and its exit status.  Every `--out` file goes under `--out-dir`, which is
+created if missing.  Exits 1 when any command exits non-zero.
 """
 
 import argparse
@@ -80,6 +80,7 @@ def main(argv=None):
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = args.out_dir or Path(tmp)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for label, command in COMMANDS:
             cmd = command.format(out=out_dir).split()
             runs = [run_once(cmd, env) for _ in range(args.repeat)]

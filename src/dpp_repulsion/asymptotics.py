@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 
 from .kernels import Family, KernelSpec, UnsupportedFamilyError, validate
 from .kernels import _laguerre_double_sum_log  # exact f(n, m) for the table
-from .special import _fmt, ln_gamma
+from .special import ln_gamma
 
 __all__ = [
-    "RateCurve",
     "ReachCertificate",
     "SummaryTable",
     "reach",
@@ -152,21 +151,6 @@ def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
             exceeds=False, r_star=r_star, threshold=thresh,
             note="the existence bound forces R* = alpha < threshold")
     raise UnsupportedFamilyError(fam.value)
-
-
-@dataclass(frozen=True)
-class RateCurve:
-    """Analytic rate curve over an R grid, optionally with finite-n values."""
-
-    quantity: str                      # "eta_ball" | "eta_boolean_ratio"
-    grid: tuple                        # ((R, analytic_rate), ...)
-    empirical: Optional[tuple] = None  # ((n, -(1/n) log value), ...) or None
-
-    def to_csv(self) -> str:
-        lines = ["R,analytic_rate"] + [f"{_fmt(R)},{_fmt(v)}" for R, v in self.grid]
-        if self.empirical:
-            lines += ["n,empirical_rate"] + [f"{n},{_fmt(v)}" for n, v in self.empirical]
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ and oracle sampling, with machine-readable CSV/JSON output.
 Config comes from `--config file.json` with flag overrides; every emitted
 file embeds the fully resolved config, so re-running on the embedded config
 reproduces the bytes.  Exit codes: 0 success, 2 invalid spec, 3 unsupported
-operation for the family, 4 numeric failure, 64 usage error.
+operation for the family, 4 numeric failure, 64 usage error (a malformed or
+out-of-range setting, from a flag or a config file, included).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,107 +88,143 @@ def _render_json(obj, indent=0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment configuration
+# Settings: one table for the flags, config files and the resolved config
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentConfig:
-    """Resolved run configuration; parses strictly (unknown keys rejected)."""
-
-    spec: dict = None
-    R: float = None
-    R_grid: list = None          # [lo, hi, steps]
-    n_list: list = None
-    k_list: list = field(default_factory=lambda: [2])
-    samples: int = 100000
-    seed: int = 1
-    rel_tol: float = repulsion.PRODUCTION_REL_TOL
-    quantity: str = "eta_ball"
-    format: str = "csv"
-    out: str = None
-
-    @classmethod
-    def from_sources(cls, config_path, args) -> "ExperimentConfig":
-        data = {}
-        if config_path:
-            try:
-                with open(config_path) as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot read config {config_path}: {exc}")
-            if not isinstance(data, dict):
-                raise UsageError("config file must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg._apply_flags(args)
-        if cfg.format not in ("csv", "json"):
-            raise UsageError(f"format must be csv|json, got {cfg.format!r}")
-        if not cfg.samples >= 1:
-            raise UsageError(f"samples must be >= 1, got {cfg.samples!r}")
-        return cfg
-
-    def _apply_flags(self, args):
-        spec_d = dict(self.spec or {})
-        for name in ("family", "n", "rho", "m", "alpha", "nu", "sigma", "c"):
-            val = getattr(args, name, None)
-            if val is not None:
-                spec_d[name] = val
-        if getattr(args, "alpha_rule", None) is not None:
-            spec_d["alpha_rule"] = args.alpha_rule
-        self.spec = spec_d or None
-        if getattr(args, "R", None) is not None:
-            self.R = args.R
-        if getattr(args, "R_grid", None) is not None:
-            lo, hi, steps = args.R_grid.split(":")
-            self.R_grid = [float(lo), float(hi), int(steps)]
-        if getattr(args, "n_list", None) is not None:
-            self.n_list = [int(v) for v in args.n_list.split(",")]
-        if getattr(args, "k_list", None) is not None:
-            self.k_list = [int(v) for v in args.k_list.split(",")]
-        for name in ("samples", "seed", "rel_tol", "quantity", "format", "out"):
-            val = getattr(args, name, None)
-            if val is not None:
-                setattr(self, name, val)
-
-    def resolved(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "out":
-                continue  # destination is not part of the computation
-            val = getattr(self, f.name)
-            if val is not None:
-                out[f.name] = val
-        return out
-
-    def kernel_spec(self) -> KernelSpec:
-        if not self.spec:
-            raise UsageError("no kernel spec given (use --family/--n or --config)")
-        return spec_from_dict(self.spec)
-
-    def r_values(self) -> list:
-        if self.R_grid is not None:
-            lo, hi, steps = self.R_grid
-            return [float(x) for x in np.linspace(lo, hi, int(steps))]
-        if self.R is not None:
-            return [float(self.R)]
-        raise UsageError("need --R or --R-grid")
+def _scalar(kind):
+    """A flag string through `kind`; a config-file value only as that JSON
+    type (an int counts as a float), kept as written so it renders as read."""
+    def convert(x):
+        if isinstance(x, str):
+            return kind(x)
+        if type(x) in ((int, float) if kind is float else (kind,)):
+            return x
+        raise TypeError(x)
+    return convert
 
 
-def _emit(cfg: ExperimentConfig, payload: dict, csv_lines) -> None:
+_real, _int, _text = _scalar(float), _scalar(int), _scalar(str)
+
+
+def _grid(x) -> list:
+    """A flag's "lo:hi:steps" or a config file's [lo, hi, steps]."""
+    lo, hi, steps = x.split(":") if isinstance(x, str) else x
+    return [_real(lo), _real(hi), _int(steps)]
+
+
+def _ints(x) -> list:
+    """A flag's "k1,k2,..." or a config file's list of integers."""
+    return [_int(v) for v in (x.split(",") if isinstance(x, str) else x)]
+
+
+def _entry(key, flag, default, convert=_text, rule="", ok=lambda v: True, **options):
+    """(key, flag, default, parse, argparse options) of one run setting.  The
+    parse takes a flag string or a config-file value; one that `convert`
+    rejects or that fails `ok` is a usage error.  A flag with `choices` keeps
+    argparse's own check."""
+    choices = options.get("choices")
+    if choices:
+        rule, ok = "|".join(choices), choices.__contains__
+
+    def parse(value):
+        try:
+            v = convert(value)
+            if ok(v):
+                return v
+        except (TypeError, ValueError):
+            v = value
+        raise UsageError(f"{key} must be {rule}, got {v!r}")
+    return key, flag, default, parse, options if choices else {"type": parse, **options}
+
+
+# Kernel-spec fields, in the order their flags overlay the config's "spec";
+# spec_from_dict checks their values (exit 2).
+_SPEC_FLAGS = [("family", "--family", {"choices": [f.value for f in Family]}),
+               ("n", "--n", {"type": int}), ("rho", "--rho", {"type": float}),
+               ("m", "--m", {"type": int}), ("alpha", "--alpha", {"type": float}),
+               ("nu", "--nu", {"type": float}), ("sigma", "--sigma", {"type": float}),
+               ("c", "--c", {"type": float}),
+               ("alpha_rule", "--alpha-rule", {"choices": ["fixed", "scaled"]})]
+
+# Run settings, in the order the resolved config lists them ("spec" has no
+# flag of its own, and "out" is never embedded).
+_SETTINGS = [
+    _entry("spec", None, None, _scalar(dict), "a JSON object"),
+    _entry("R", "--R", None, _real, ">= 0", lambda r: r >= 0),
+    _entry("R_grid", "--R-grid", None, _grid, "lo:hi:steps, finite lo, hi >= 0, steps >= 1",
+           lambda g: 0 <= g[0] < math.inf and 0 <= g[1] < math.inf and g[2] >= 1,
+           metavar="lo:hi:steps"),
+    _entry("n_list", "--n-list", None, _ints, "integers", metavar="n1,n2,..."),
+    _entry("k_list", "--k", [2], _ints, "integers >= 0", lambda ks: all(k >= 0 for k in ks),
+           metavar="k1,k2,..."),
+    _entry("samples", "--samples", 100000, _int, ">= 1", lambda n: n >= 1),
+    _entry("seed", "--seed", 1, _int, "an integer"),
+    _entry("rel_tol", "--rel-tol", repulsion.PRODUCTION_REL_TOL, _real, "in (1e-14, 1e-2)",
+           lambda t: 1e-14 < t < 1e-2),
+    _entry("quantity", "--quantity", "eta_ball", choices=["eta_ball", "eta_boolean_ratio"]),
+    _entry("format", "--format", "csv", choices=["csv", "json"]),
+    _entry("out", "--out", None, rule="a file path"),
+]
+
+
+def _resolve(args) -> dict:
+    """Defaults, then the config file, then the flags, in the resolved-config order."""
+    data = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(data, dict):
+            raise UsageError("config file must hold a JSON object")
+    unknown = set(data) - {key for key, *_ in _SETTINGS}
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    cfg = {}
+    for key, _, default, parse, _ in _SETTINGS:
+        cfg[key] = default if data.get(key) is None else parse(data[key])
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    spec = dict(cfg["spec"] or {})
+    for key, *_ in _SPEC_FLAGS:
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    cfg["spec"] = spec or None
+    if args.command != "eta" and cfg["rel_tol"] != repulsion.PRODUCTION_REL_TOL:
+        raise UsageError(f"only eta reads rel_tol, not {args.command}")
+    return cfg
+
+
+def _kernel_spec(cfg: dict) -> KernelSpec:
+    if not cfg["spec"]:
+        raise UsageError("no kernel spec given (use --family/--n or --config)")
+    return spec_from_dict(cfg["spec"])
+
+
+def _radii(cfg: dict) -> list:
+    if cfg["R_grid"] is not None:
+        return [float(x) for x in np.linspace(*cfg["R_grid"])]
+    if cfg["R"] is not None:
+        return [float(cfg["R"])]
+    raise UsageError("need --R or --R-grid")
+
+
+def _emit(cfg: dict, payload: dict, csv_lines) -> None:
     """Write machine output (embedding the resolved config) and a stdout note."""
-    if cfg.format == "json":
-        text = _render_json({"config": cfg.resolved(), **payload}) + "\n"
+    resolved = {k: v for k, v in cfg.items() if v is not None and k != "out"}
+    if cfg["format"] == "json":
+        text = _render_json({"config": resolved, **payload}) + "\n"
     else:
-        head = "# config = " + json.dumps(cfg.resolved(), sort_keys=True,
-                                          separators=(",", ":"))
+        head = "# config = " + json.dumps(resolved, sort_keys=True, separators=(",", ":"))
         text = "\n".join([head] + list(csv_lines)) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {cfg.out}")
+    if cfg["out"]:
+        try:
+            with open(cfg["out"], "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {cfg['out']}: {exc.strerror}")
+        print(f"wrote {cfg['out']}")
     else:
         sys.stdout.write(text)
 
@@ -197,8 +233,8 @@ def _emit(cfg: ExperimentConfig, payload: dict, csv_lines) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check(cfg: ExperimentConfig) -> int:
-    spec = cfg.kernel_spec()
+def cmd_check(cfg: dict) -> int:
+    spec = _kernel_spec(cfg)
     report = validate(spec)
     print(f"spec: {spec_to_dict(spec)}")
     if spec.family != Family.INDICATOR_SPECTRAL:
@@ -215,9 +251,9 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     return EXIT_INVALID_SPEC
 
 
-def cmd_eta(cfg: ExperimentConfig) -> int:
-    spec = cfg.kernel_spec()
-    report = repulsion.build_eta_report(spec, cfg.r_values(), rel_tol=cfg.rel_tol)
+def cmd_eta(cfg: dict) -> int:
+    spec = _kernel_spec(cfg)
+    report = repulsion.build_eta_report(spec, _radii(cfg), rel_tol=cfg["rel_tol"])
     payload = {
         "log_total": report.log_total,
         "ratio_curve": [{"R": r, "ratio": v} for r, v in report.ratio_curve],
@@ -227,8 +263,8 @@ def cmd_eta(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_reach(cfg: ExperimentConfig) -> int:
-    spec = cfg.kernel_spec()
+def cmd_reach(cfg: dict) -> int:
+    spec = _kernel_spec(cfg)
     r_star = asymptotics.reach(spec)
     thresh = asymptotics.nn_threshold(spec.rho)
     payload = {"R_star": r_star, "nn_threshold": thresh}
@@ -246,38 +282,38 @@ def cmd_reach(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_rate(cfg: ExperimentConfig) -> int:
-    spec = cfg.kernel_spec()
+def cmd_rate(cfg: dict) -> int:
+    spec = _kernel_spec(cfg)
     if spec.family != Family.LAGUERRE_GAUSS:
         raise UnsupportedFamilyError(
             "closed-form rate curves are stated for the Laguerre-Gauss family only")
-    rs = cfg.r_values()
-    if cfg.quantity == "eta_ball":
-        grid = tuple((r, asymptotics.laguerre_eta_rate(r, spec.m, spec.alpha, spec.rho))
-                     for r in rs)
+    rs = _radii(cfg)
+    if not min(rs) > 0:
+        raise UsageError("rates need R > 0")
+    if cfg["quantity"] == "eta_ball":
+        grid = [(r, asymptotics.laguerre_eta_rate(r, spec.m, spec.alpha, spec.rho))
+                for r in rs]
     else:
-        grid = tuple((r, asymptotics.boolean_rate(r, spec.m, spec.alpha)) for r in rs)
-    empirical = None
-    if cfg.n_list:
+        grid = [(r, asymptotics.boolean_rate(r, spec.m, spec.alpha)) for r in rs]
+    payload = {"quantity": cfg["quantity"],
+               "grid": [{"R": r, "analytic_rate": v} for r, v in grid]}
+    lines = ["R,analytic_rate"] + [f"{_fmt(r)},{_fmt(v)}" for r, v in grid]
+    if cfg["n_list"]:
         if len(rs) != 1:
             raise UsageError("empirical rates need a single --R, not a grid")
-        empirical = tuple(oracle.empirical_rate(spec, rs[0], cfg.n_list,
-                                                quantity=cfg.quantity))
-    curve = asymptotics.RateCurve(quantity=cfg.quantity, grid=grid, empirical=empirical)
-    payload = {"quantity": cfg.quantity,
-               "grid": [{"R": r, "analytic_rate": v} for r, v in grid]}
-    if empirical:
+        empirical = oracle.empirical_rate(spec, rs[0], cfg["n_list"],
+                                          quantity=cfg["quantity"])
         payload["empirical"] = [{"n": n, "rate": v} for n, v in empirical]
-    _emit(cfg, payload, curve.to_csv().splitlines())
+        lines += ["n,empirical_rate"] + [f"{n},{_fmt(v)}" for n, v in empirical]
+    _emit(cfg, payload, lines)
     return EXIT_OK
 
 
-def cmd_table(cfg: ExperimentConfig) -> int:
-    if cfg.spec:
-        specs = [cfg.kernel_spec()]
-    else:
-        n = cfg.n_list[0] if cfg.n_list else 10
-        specs = example_specs(n=n)
+def cmd_table(cfg: dict) -> int:
+    n_list = cfg["n_list"] or [10]
+    if len(n_list) != 1:
+        raise UsageError("table takes a single n")
+    specs = [_kernel_spec(cfg)] if cfg["spec"] else example_specs(n=n_list[0])
     table = asymptotics.summary_table(specs)
     payload = {"columns": list(table.columns),
                "rows": [list(r) for r in table.rows]}
@@ -286,20 +322,20 @@ def cmd_table(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_moments(cfg: ExperimentConfig) -> int:
-    spec = cfg.kernel_spec()
-    rows = [(k, repulsion.radial_moment(spec, k)) for k in cfg.k_list]
+def cmd_moments(cfg: dict) -> int:
+    spec = _kernel_spec(cfg)
+    rows = [(k, repulsion.radial_moment(spec, k)) for k in cfg["k_list"]]
     payload = {"moments": [{"k": k, "value": v} for k, v in rows]}
     lines = ["k,moment"] + [f"{k},{_fmt(v)}" for k, v in rows]
     _emit(cfg, payload, lines)
     return EXIT_OK
 
 
-def cmd_sample(cfg: ExperimentConfig) -> int:
-    spec = cfg.kernel_spec()
-    radii = oracle.sample_radius(spec, cfg.samples, cfg.seed)
-    payload = {"seed": cfg.seed, "samples": int(cfg.samples)}
-    if cfg.format == "json":
+def cmd_sample(cfg: dict) -> int:
+    spec = _kernel_spec(cfg)
+    radii = oracle.sample_radius(spec, cfg["samples"], cfg["seed"])
+    payload = {"seed": cfg["seed"], "samples": cfg["samples"]}
+    if cfg["format"] == "json":
         payload["radii"] = radii.tolist()
         lines = []
     else:
@@ -310,13 +346,13 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 
 
 _COMMANDS = {
-    "check": cmd_check,
-    "eta": cmd_eta,
-    "reach": cmd_reach,
-    "rate": cmd_rate,
-    "table": cmd_table,
-    "moments": cmd_moments,
-    "sample": cmd_sample,
+    "check": (cmd_check, "validate a spec against its existence bound"),
+    "eta": (cmd_eta, "eta ball-ratio curve over an R grid (plus log total mass)"),
+    "reach": (cmd_reach, "reach of repulsion R* and the nearest-neighbor threshold"),
+    "rate": (cmd_rate, "analytic rate curves, optionally with finite-n empirical rates"),
+    "table": (cmd_table, "summary table over specs (defaults to the shipped examples)"),
+    "moments": (cmd_moments, "exact radial moments E|X_n|^k"),
+    "sample": (cmd_sample, "draw radii |X_n| with the deterministic counter-based RNG"),
 }
 
 
@@ -325,45 +361,20 @@ def build_parser() -> _Parser:
                 description="Repulsion-measure analysis of stationary isotropic "
                             "DPP families in the high-dimensional Shannon regime.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("check", "validate a spec against its existence bound"),
-        ("eta", "eta ball-ratio curve over an R grid (plus log total mass)"),
-        ("reach", "reach of repulsion R* and the nearest-neighbor threshold"),
-        ("rate", "analytic rate curves, optionally with finite-n empirical rates"),
-        ("table", "summary table over specs (defaults to the shipped examples)"),
-        ("moments", "exact radial moments E|X_n|^k"),
-        ("sample", "draw radii |X_n| with the deterministic counter-based RNG"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", help="JSON config file (flags override it)")
-        q.add_argument("--family", choices=[f.value for f in Family])
-        q.add_argument("--n", type=int)
-        q.add_argument("--rho", type=float)
-        q.add_argument("--alpha", type=float)
-        q.add_argument("--m", type=int)
-        q.add_argument("--nu", type=float)
-        q.add_argument("--sigma", type=float)
-        q.add_argument("--c", type=float)
-        q.add_argument("--alpha-rule", dest="alpha_rule", choices=["fixed", "scaled"])
-        q.add_argument("--R", type=float)
-        q.add_argument("--R-grid", dest="R_grid", metavar="lo:hi:steps")
-        q.add_argument("--n-list", dest="n_list", metavar="n1,n2,...")
-        q.add_argument("--k", dest="k_list", metavar="k1,k2,...")
-        q.add_argument("--samples", type=int)
-        q.add_argument("--seed", type=int)
-        q.add_argument("--rel-tol", dest="rel_tol", type=float)
-        q.add_argument("--quantity", choices=["eta_ball", "eta_boolean_ratio"])
-        q.add_argument("--out")
-        q.add_argument("--format", choices=["csv", "json"])
+        for key, flag, options in _SPEC_FLAGS:
+            q.add_argument(flag, dest=key, **options)
+        for key, flag, _, _, options in _SETTINGS[1:]:  # "spec" has no flag
+            q.add_argument(flag, dest=key, **options)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = ExperimentConfig.from_sources(args.config, args)
-        return _COMMANDS[args.command](cfg)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_resolve(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,6 @@ from pytest import approx
 from scipy import optimize
 
 from dpp_repulsion.asymptotics import (
-    RateCurve,
     boolean_rate,
     laguerre_eta_rate,
     laguerre_rate,
@@ -244,17 +243,3 @@ class TestSummaryTable:
         bad = KernelSpec(Family.LAGUERRE_GAUSS, n=4, rho=0.0, m=1, alpha=5.0)
         with pytest.raises(ValueError):
             summary_table([bad])
-
-
-class TestRateCurve:
-    def test_csv_with_empirical(self):
-        curve = RateCurve(quantity="eta_ball",
-                          grid=((0.1, 1.5), (0.2, 0.9)),
-                          empirical=((100, 1.6), (200, 1.55)))
-        text = curve.to_csv()
-        assert "R,analytic_rate" in text and "n,empirical_rate" in text
-
-    def test_csv_layout_is_the_rate_command_layout(self):
-        curve = RateCurve(quantity="eta_ball", grid=((0.1, 1.5),), empirical=((100, 1.6),))
-        assert curve.to_csv() == ("R,analytic_rate\n0.10000000000000001,1.5\n"
-                                  "n,empirical_rate\n100,1.6000000000000001\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from dpp_repulsion import oracle
+from dpp_repulsion import asymptotics, oracle
 from dpp_repulsion.cli import main
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
@@ -130,6 +130,19 @@ class TestRateCmd:
         text = out.read_text()
         assert "analytic_rate" in text and "empirical_rate" in text
 
+    def test_csv_layout(self, tmp_path, capsys):
+        # the analytic block, then the empirical block, one row per R or n
+        out = tmp_path / "rate.csv"
+        assert run(["rate", "--family", "LaguerreGauss", "--n", "1", "--m", "1",
+                    "--alpha", "0.3", "--R", "0.1", "--n-list", "20", "--out", str(out)],
+                   capsys)[0] == 0
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=1, rho=0.0, m=1, alpha=0.3)
+        (n, empirical), = oracle.empirical_rate(spec, 0.1, [20])
+        analytic = asymptotics.laguerre_eta_rate(0.1, 1, 0.3, 0.0)
+        assert out.read_text().split("\n", 1)[1] == (
+            f"R,analytic_rate\n0.10000000000000001,{_fmt(analytic)}\n"
+            f"n,empirical_rate\n20,{_fmt(empirical)}\n")
+
     def test_non_laguerre_exit_three(self, capsys):
         code, *_ = run(["rate", "--family", "Cauchy", "--n", "5", "--nu", "1",
                         "--alpha", "0.15", "--alpha-rule", "scaled", "--R", "0.1"],
@@ -212,6 +225,63 @@ class TestSampleCmd:
                    capsys)[0] == 0
         rows = out.read_text().split("\n")[2:]
         assert rows == [*map(_fmt, radii), ""]
+
+
+LAGUERRE_1 = ["--family", "LaguerreGauss", "--n", "1", "--m", "1", "--alpha", "0.3"]
+
+
+class TestSettings:
+    # (argv, config file contents or None); "{tmp}" is the test's directory
+    @pytest.mark.parametrize("argv, config", [
+        (["eta", *GAUSS, "--R-grid", "0:1"], None),
+        (["eta", *GAUSS, "--R-grid", "a:1:3"], None),
+        (["eta", *GAUSS, "--R-grid", "0:1:0"], None),
+        (["eta", *GAUSS, "--R-grid", "0:inf:3"], None),
+        (["moments", *GAUSS, "--k", "x"], None),
+        (["moments", *GAUSS, "--k", "-1"], None),
+        (["rate", *LAGUERRE_1, "--R", "0.1", "--n-list", "1,x"], None),
+        (["eta", *GAUSS, "--R", "-1"], None),
+        (["eta", *GAUSS, "--R", "nan"], None),
+        (["eta", *GAUSS, "--R", "0.1", "--rel-tol", "0.5"], None),
+        (["eta", *GAUSS, "--R", "0.1", "--rel-tol", "nan"], None),
+        (["rate", *LAGUERRE_1, "--R", "0"], None),
+        (["sample", *GAUSS], {"samples": "abc"}),
+        (["eta", *GAUSS], {"R_grid": [0, 1]}),
+        (["moments", *GAUSS], {"k_list": 2}),
+        (["eta", *GAUSS], {"R": "x"}),
+        (["check"], {"spec": [1]}),
+        (["eta", *GAUSS, "--R", "0.1", "--out", "{tmp}/missing/eta.csv"], None),
+        (["sample", *GAUSS, "--samples", "8", "--rel-tol", "1e-3"], None),
+        (["rate", *LAGUERRE_1, "--R", "0.075", "--n-list", "50", "--rel-tol", "1e-6"], None),
+        (["moments", *GAUSS], {"rel_tol": 1e-6}),
+        (["table", "--n-list", "5,10"], None),
+    ])
+    def test_bad_setting_exit_64(self, argv, config, tmp_path, capsys):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "c.json")]
+        code, out, err = run(argv, capsys)
+        assert code == 64
+        assert err.startswith("usage error: ") and "Traceback" not in err
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["c.json"])
+
+    def test_resolved_config_key_order(self, tmp_path, capsys):
+        # the JSON config lists the spec fields in flag-table order, whatever
+        # the command-line order, then the run settings in table order
+        out = tmp_path / "eta.json"
+        assert run(["eta", "--alpha", "0.5", "--m", "1", "--rho", "0", "--n", "12",
+                    "--family", "LaguerreGauss", "--format", "json", "--quantity",
+                    "eta_ball", "--rel-tol", "1e-7", "--seed", "3", "--samples", "9",
+                    "--k", "2", "--n-list", "4", "--R-grid", "0.1:0.2:2", "--R", "0.1",
+                    "--out", str(out)], capsys)[0] == 0
+        config = json.loads(out.read_text())["config"]
+        assert list(config) == ["spec", "R", "R_grid", "n_list", "k_list", "samples",
+                                "seed", "rel_tol", "quantity", "format"]
+        assert list(config["spec"]) == ["family", "n", "rho", "m", "alpha"]
 
 
 class TestRoundTrip:
