@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end CPU time of the README command-line examples, plus `eta` on
-both oscillatory families (a BesselType spec at sigma = 180.8 and an
-IndicatorSpectral spec) and LaguerreGauss `moments` at m = 60.
+both oscillatory families (a BesselType spec at sigma = 180.8, an
+IndicatorSpectral spec and a BesselType spec at n = 1000) and LaguerreGauss
+`moments` at m = 60.
 
 Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
@@ -39,6 +40,8 @@ COMMANDS = [
                        " --R-grid 0.05:1.5:30 --out {out}/eta_bessel.csv"),
     ("eta IndicatorSpectral", "eta --family IndicatorSpectral --n 40 --c 0.5"
                               " --R-grid 0.05:3:30 --out {out}/eta_indicator.csv"),
+    ("eta BesselType n=1000", "eta --family BesselType --n 1000 --sigma 2 --alpha 0.3"
+                              " --R-grid 0.05:0.3:30 --out {out}/eta_bessel_1000.csv"),
     ("moments LaguerreGauss", "moments --family LaguerreGauss --n 100 --m 60 --alpha 0.065"
                               " --k 2,4"),
 ]

@@ -87,6 +87,17 @@ def _render_json(obj, indent=0) -> str:
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
+def _strict_json(obj):
+    """obj with every non-finite float as the string _render_json writes ("inf")."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Settings: one table for the flags, config files and the resolved config
 # ---------------------------------------------------------------------------
@@ -216,7 +227,8 @@ def _emit(cfg: dict, payload: dict, csv_lines) -> None:
     if cfg["format"] == "json":
         text = _render_json({"config": resolved, **payload}) + "\n"
     else:
-        head = "# config = " + json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+        head = "# config = " + json.dumps(_strict_json(resolved), sort_keys=True,
+                                          separators=(",", ":"), allow_nan=False)
         text = "\n".join([head] + list(csv_lines)) + "\n"
     if cfg["out"]:
         try:

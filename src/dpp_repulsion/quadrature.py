@@ -4,11 +4,10 @@ Radial integrands of the form r^{n-1} f(r)^2 with n up to ~1e3 span
 thousands of e-folds, so every integrand is a *log*-integrand: a callable
 returning log of a non-negative value (-inf at zeros).  One vectorized
 nested Gauss7/Kronrod15 evaluator, `_k15_log`, serves every panel: the
-adaptive PanelSet, the CDF cells and the oscillatory pi grid.  It takes
-arrays of panel edges, evaluates the log-integrand once over all their
-nodes, shifts each panel by its maximum, and returns the log value and the
-log |K15 - G7| error per panel.  Infinite upper limits go through the
-variable change u = r/(1+r).
+adaptive PanelSet and the CDF cells.  It takes arrays of panel edges,
+evaluates the log-integrand once over all their nodes, shifts each panel by
+its maximum, and returns the log value and the log |K15 - G7| error per
+panel.  Infinite upper limits go through the variable change u = r/(1+r).
 
 One refinement loop, `_refine`, does all adaptive bisection: the
 full-domain PanelSet, every prefix and the CDF cells.  Each round checks
@@ -24,25 +23,22 @@ current bracket, so the integrand is never probed one point at a time nor
 outside its domain.  The Monte Carlo oracle uses the same finder for its
 proposal scale.
 
-The oscillatory J_mu(y)^2 y^{-lam} integrals of the Bessel-type kernels get
-a dedicated path.  Their total over [0, inf) is the Weber-Schafheitlin
-closed form (DLMF 10.22.57), so only prefixes are integrated.  Region A,
-[0, t0] through the turning point, is one adaptive PanelSet, built once per
-(mu, lam, rel_tol).  Above t0 the panels form a fixed grid of pi-wide K15
-panels anchored at t0: prefixes read its cumulative log-mass plus one
-partial panel.
+The oscillatory J_mu(y)^2 y^{-lam} integrals of the Bessel-type kernels
+need no quadrature.  Their total over [0, inf) is the Weber-Schafheitlin
+closed form (DLMF 10.22.57).  A prefix is a positive series of squares of
+J_{mu+k}(x), k >= 0, whose values come from one backward recurrence in the
+order and one jv call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .special import ln_bessel_j_ratio, ln_gamma
+from .special import ln_gamma
 
 __all__ = [
     "LogIntegrand",
@@ -449,73 +445,12 @@ def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _bessel_sq_log(mu: float, y: np.ndarray, lam: float) -> np.ndarray:
-    """log of J_mu(y)^2 y^{-lam} for y >= 0, safe down to y = 0."""
+    """log of J_mu(y)^2 y^{-lam} from scipy's jv, for y > 0 where jv(mu, y)
+    is a normal double (as at mu <= y + 2)."""
+    from scipy.special import jv
+
     y = np.asarray(y, dtype=float)
-    log_ratio, _ = ln_bessel_j_ratio(mu, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logy = np.where(y > 0, np.log(y), _NEG_INF)
-    out = 2.0 * log_ratio + (2.0 * mu - lam) * logy
-    if 2.0 * mu - lam == 0.0:
-        out = 2.0 * log_ratio
-    return np.where(np.isnan(out), _NEG_INF, out)
-
-
-class _BesselSquare:
-    """Prefixes of int_0^inf J_mu(y)^2 y^{-lam} dy for one (mu, lam, rel_tol).
-
-    Region A, [0, t0] through the turning point, is one adaptive PanelSet.
-    Above t0 the panels form a fixed pi grid anchored at t0: past the turning
-    point J^2 has period at least pi, so a pi-wide panel spans one
-    oscillation.  `cum[k]` is the log mass of [t0, t0 + k pi].  `cum` grows
-    on demand by rebinding a longer array, never in place, so a cached
-    instance stays safe to share.  The total is bessel_sq_moment_log's
-    closed form, not a sum of this grid.
-    """
-
-    def __init__(self, mu: float, lam: float, rel_tol: float):
-        self.mu, self.lam = mu, lam
-        self.t0 = mu + 4.0 * mu ** (1.0 / 3.0) + 6.0
-        f = LogIntegrand(log_f=lambda y: _bessel_sq_log(mu, y, lam), r_lo=0.0, r_hi=self.t0)
-        self.region_a = integrate_log_panels(f, rel_tol=rel_tol)
-        self.cum = np.array([_NEG_INF])
-
-    def edge(self, k):
-        """Left edge of grid panel k (k may be an integer array)."""
-        return self.t0 + math.pi * k
-
-    def mass_log(self, lo, hi) -> np.ndarray:
-        """log K15 mass of each panel [lo_i, hi_i].
-
-        _bessel_sq_log is looked up at call time, so a rebound module global
-        is what runs.
-        """
-        return _k15_log(lambda y: _bessel_sq_log(self.mu, y, self.lam), lo, hi)[0]
-
-    def log_mass_to_edge(self, k: int) -> float:
-        """log mass of [t0, t0 + k pi]; grows `cum` at least twofold when short."""
-        cum = self.cum
-        if k >= len(cum):
-            edges = self.edge(np.arange(len(cum) - 1, max(k, 2 * (len(cum) - 1)) + 1))
-            logs = self.mass_log(edges[:-1], edges[1:])
-            cum = np.concatenate([cum, np.logaddexp.accumulate(np.append(cum[-1], logs))[1:]])
-            self.cum = cum
-        return float(cum[k])
-
-    def log_prefix(self, y_hi: float) -> float:
-        if y_hi <= self.t0:
-            return self.region_a.log_prefix(y_hi)
-        k = int((y_hi - self.t0) // math.pi)
-        if self.edge(k) > y_hi:
-            k -= 1
-        elif self.edge(k + 1) <= y_hi:
-            k += 1
-        partial = self.mass_log([self.edge(k)], [y_hi])[0]
-        return _logsumexp([self.region_a.log_total, self.log_mass_to_edge(k), partial])
-
-
-@lru_cache(maxsize=64)
-def _bessel_square(mu: float, lam: float, rel_tol: float) -> _BesselSquare:
-    return _BesselSquare(mu, lam, rel_tol)
+    return 2.0 * np.log(np.abs(jv(mu, y))) - lam * np.log(y)
 
 
 def bessel_sq_moment_log(mu: float, lam: float) -> float:
@@ -531,13 +466,25 @@ def bessel_sq_moment_log(mu: float, lam: float) -> float:
             - 2.0 * ln_gamma(0.5 * (lam + 1.0)) - ln_gamma(mu + 0.5 * (lam + 1.0)))
 
 
-def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float,
-                         rel_tol: float = 1e-9) -> float:
+def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float) -> float:
     """log of int_0^{y_hi} J_mu(y)^2 y^{-lam} dy for lam < 2 mu + 1.
 
     At lam >= 2 mu + 1 the integrand grows at least like 1/y at y = 0 and
     every non-empty prefix diverges; the empty one (y_hi <= 0) is -inf.
     y_hi = inf gives the total, bessel_sq_moment_log, which also needs lam > 0.
+
+    A finite prefix x = y_hi is the series of squares (from DLMF 10.6.1 with
+    a = lam - 1)
+    x^{-a} sum_k w_k (J_{mu+k}(x)^2 + J_{mu+k+1}(x)^2) / (2 mu + 2 k - a),
+    w_0 = 1, w_{k+1} = w_k (2 mu + 2 k + 2 + a) / (2 mu + 2 k - a), summed to
+    rounding; its terms are >= 0 for lam >= -1.  At lam = 1 it is
+    (J_mu^2 + 2 sum_{k>=1} J_{mu+k}^2) / (2 mu): the total 1 / (2 mu) times
+    the analogue of Neumann's 1 = J_0^2 + 2 sum_k J_k^2 (DLMF 10.23.3).
+    Values proportional to J_{mu+k}(x) come from the backward (Miller) recurrence in the order,
+    started past the turning point, rescaled before they overflow and run
+    on below mu to an order nu0 in [x, x + 1), where jv cannot underflow;
+    one _bessel_sq_log call, at whichever of nu0 and nu0 + 1 is larger,
+    fixes their scale.
     """
     if math.isnan(y_hi):
         raise ValueError("y_hi must not be NaN")
@@ -547,4 +494,36 @@ def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float,
         raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
     if math.isinf(y_hi):
         return bessel_sq_moment_log(mu, lam)
-    return _bessel_square(mu, lam, rel_tol).log_prefix(y_hi)
+    x, a = float(y_hi), lam - 1.0
+    if x <= 1e-8:  # the first term and J_mu's first power; the rest add below x^2
+        return (2.0 * (mu * math.log(0.5 * x) - ln_gamma(mu + 1.0)) - a * math.log(x)
+                - math.log(2.0 * mu - a))
+    # v_i is proportional to J_{nu0+i}(x), from past the turning point down
+    # through mu to nu0 in [x, x + 1), where jv cannot underflow; the series
+    # reads order mu + k at i = drop + k
+    drop = math.floor(max(mu - x, 0.0))
+    nu0 = mu - drop
+    top = drop + int(max(x - mu, 0.0) + 12.0 * x ** (1.0 / 3.0) + 40.0)
+    vals, cuts = [0.0], []  # v_{top+1}, v_top, ..., v_0; the list length at each rescale
+    hi, lo = 0.0, 1.0       # v_{i+1}, v_i
+    for i in range(top, 0, -1):
+        vals.append(lo)
+        hi, lo = lo, (2.0 * (nu0 + i) / x) * lo - hi
+        if abs(lo) > 1e250:
+            hi, lo = hi * 1e-250, lo * 1e-250
+            cuts.append(len(vals))
+    vals.append(lo)
+    later_cuts = len(cuts) - np.searchsorted(cuts, np.arange(len(vals)), side="right")
+    with np.errstate(divide="ignore"):
+        log_v = (np.log(np.abs(vals)) - 250.0 * math.log(10.0) * later_cuts)[::-1]
+    # J_{nu0} and J_{nu0+1} never vanish together: the larger fixes the scale
+    ref = int(log_v[1] > log_v[0])
+    log_scale = _bessel_sq_log(nu0 + ref, np.array([x]), a)[0] - 2.0 * log_v[ref]
+    log_v = log_v[drop:]  # orders mu + k
+    den = 2.0 * mu + 2.0 * np.arange(len(log_v) - 1) - a
+    ratio = (den[:-1] + 2.0 + 2.0 * a) / den[:-1]  # w_{k+1} / w_k
+    log_w = np.concatenate([[0.0], np.cumsum(np.log(np.abs(ratio)))])
+    sign_w = np.concatenate([[1.0], np.cumprod(np.sign(ratio))])
+    log_t = log_w + np.logaddexp(2.0 * log_v[:-1], 2.0 * log_v[1:]) - np.log(den)
+    m = np.max(log_t)
+    return float(log_scale + m + math.log(np.dot(sign_w, np.exp(log_t - m))))

@@ -65,7 +65,6 @@ _NEG_INF = float("-inf")
 
 PRODUCTION_REL_TOL = 1e-8   # curves
 CHECK_REL_TOL = 1e-10       # closed-form cross-checks
-_BESSEL_RATIO_MAX_N = 200   # oscillation count grows with n past this
 
 
 class MomentDivergesError(ValueError):
@@ -130,13 +129,9 @@ def log_eta_ball_ratio(spec: KernelSpec, R: float,
         return _NEG_INF
     r_cut = math.sqrt(spec.n) * R
     if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
-        if spec.family == Family.BESSEL_TYPE and spec.n > _BESSEL_RATIO_MAX_N:
-            raise UnsupportedFamilyError(
-                f"BesselType ball ratios offered for n <= {_BESSEL_RATIO_MAX_N} "
-                "(J^2 oscillation count grows with n); moments remain exact")
         kn._require_valid(spec)
         mu, lam, s = _bessel_y_scale(spec)
-        log_num = bessel_sq_prefix_log(mu, lam, r_cut / s, rel_tol=rel_tol)
+        log_num = bessel_sq_prefix_log(mu, lam, r_cut / s)
         log_den = bessel_sq_moment_log(mu, lam)
         return min(log_num - log_den, 0.0)
     kn._require_valid(spec)

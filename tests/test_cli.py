@@ -303,6 +303,21 @@ class TestRoundTrip:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_infinite_setting_header_is_strict_json(self, tmp_path, capsys):
+        first = tmp_path / "first.csv"
+        assert run(["eta", *GAUSS, "--R", "inf", "--out", str(first)], capsys)[0] == 0
+        text = first.read_text()
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+        embedded = json.loads(text.splitlines()[0][len("# config = "):], parse_constant=reject)
+        assert embedded["R"] == "inf"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(embedded))
+        second = tmp_path / "second.csv"
+        assert run(["eta", "--config", str(cfg_file), "--out", str(second)], capsys)[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+
     def test_seventeen_digit_rendering(self, tmp_path, capsys):
         out = tmp_path / "eta.csv"
         run(["eta", *GAUSS, "--R", "0.1", "--out", str(out)], capsys)
@@ -315,8 +330,8 @@ class TestRoundTrip:
 class TestReadmeCommands:
     def test_cli_cpu_script_runs_the_readme_commands(self):
         # the CI step times scripts/cli_cpu.py's commands, so they must stay
-        # the README's command-line examples (then two oscillatory eta runs
-        # and LaguerreGauss moments at m = 60)
+        # the README's command-line examples (then three oscillatory eta runs,
+        # the last at n = 1000, and LaguerreGauss moments at m = 60)
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
         cli_cpu = importlib.util.module_from_spec(spec)
@@ -329,4 +344,4 @@ class TestReadmeCommands:
         assert commands[:len(readme)] == readme
         assert [c.split()[:3] for c in commands[len(readme):]] == [
             ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"],
-            ["moments", "--family", "LaguerreGauss"]]
+            ["eta", "--family", "BesselType"], ["moments", "--family", "LaguerreGauss"]]

@@ -8,7 +8,7 @@ from pytest import approx
 from scipy import integrate
 from scipy import special as sp
 
-from conftest import bessel_sq_total_log
+from conftest import bessel_sq_prefix_ref_log, bessel_sq_total_log
 from dpp_repulsion import quadrature, repulsion
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import Family
@@ -365,10 +365,10 @@ class TestBesselSquared:
     @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (10.0, 2.0), (50.5, 3.0)])
     def test_prefix_reaches_total(self, mu, lam):
         total = bessel_sq_moment_log(mu, lam)
-        assert bessel_sq_prefix_log(mu, lam, math.inf, rel_tol=1e-9) == total
+        assert bessel_sq_prefix_log(mu, lam, math.inf) == total
         y = 1e4  # the tail past y is y^{-lam} / (lam pi) up to O(1/y) corrections
         want = math.log(math.exp(total) - y ** -lam / (lam * math.pi))
-        got = bessel_sq_prefix_log(mu, lam, y, rel_tol=1e-9)
+        got = bessel_sq_prefix_log(mu, lam, y)
         assert got < total
         assert got == approx(want, abs=1e-7)
 
@@ -385,29 +385,26 @@ class TestBesselSquared:
         # y = sqrt(n) R / s from deep below the turning point to five times it
         return [float(y) * s / math.sqrt(spec.n) for y in np.linspace(0.3, 5.0 * t0, points)]
 
-    @staticmethod
-    def _clear_caches():
-        quadrature._bessel_square.cache_clear()
-
     @pytest.mark.parametrize("fam", [Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL],
                              ids=lambda f: f.value)
-    def test_warm_curve_equals_cold_values(self, fam):
+    def test_curve_matches_independent_reference(self, fam):
         spec = example_spec(fam, n=10)
-        grid = self._bessel_curve_grid(spec)
-        self._clear_caches()
-        curve = repulsion.build_eta_report(spec, grid).ratio_curve
+        mu, lam, s = repulsion._bessel_y_scale(spec)
+        total = bessel_sq_moment_log(mu, lam)
+        curve = repulsion.build_eta_report(spec, self._bessel_curve_grid(spec)).ratio_curve
         for R, ratio in curve:
-            self._clear_caches()
-            cold = repulsion.log_eta_ball_ratio(spec, R)
-            assert math.log(ratio) == approx(cold, abs=1e-9)
+            want = bessel_sq_prefix_ref_log(mu, lam, math.sqrt(spec.n) * R / s) - total
+            assert math.log(ratio) == approx(want, abs=1e-9)
 
-    def test_curve_integrates_region_a_once(self, monkeypatch):
-        calls = []
-        run = quadrature.integrate_log_panels
-        monkeypatch.setattr(quadrature, "integrate_log_panels",
-                            lambda *a, **k: calls.append(a) or run(*a, **k))
-        spec = example_spec(Family.INDICATOR_SPECTRAL, n=40)
-        self._clear_caches()
-        repulsion.build_eta_report(spec, self._bessel_curve_grid(spec))
-        assert quadrature._bessel_square.cache_info().misses == 1
-        assert len(calls) == 1
+    @pytest.mark.parametrize("mu,lam", [(60.0, 100.0), (100.0, 150.0)])
+    def test_series_at_large_y_meets_closed_form(self, mu, lam):
+        # the tail past y = 1e4 is y^{-lam} / (lam pi), far below rounding
+        assert bessel_sq_prefix_log(mu, lam, 1e4) == approx(bessel_sq_moment_log(mu, lam),
+                                                             abs=1e-10)
+
+    @pytest.mark.parametrize("y", [0.5, 2.0, 10.0])
+    def test_prefix_with_integrable_singularity(self, y):
+        # 2 mu - lam = -0.9: the integrand is y^{-0.9} at y = 0
+        want, _ = integrate.quad(lambda t: sp.jv(1.5, t) ** 2 * t ** -3.9, 0.0, y,
+                                 epsabs=0.0, epsrel=1e-13, limit=200)
+        assert bessel_sq_prefix_log(1.5, 3.9, y) == approx(math.log(want), abs=1e-10)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy import special as sp
 
-from conftest import bessel_sq_total_log
+from conftest import bessel_sq_prefix_ref_log, bessel_sq_total_log
 from dpp_repulsion import repulsion
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import (
@@ -123,10 +123,20 @@ class TestBallRatio:
         with pytest.raises(NoPositionKernelError):
             kernel_radial(spec, 1.0)
 
-    def test_bessel_large_n_refused(self):
-        spec = example_spec(Family.BESSEL_TYPE, n=250)
-        with pytest.raises(UnsupportedFamilyError):
-            eta_ball_ratio(spec, 0.2)
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_bessel_large_n_ratios(self, n):
+        spec = example_spec(Family.BESSEL_TYPE, n=n)
+        mu, lam, s = repulsion._bessel_y_scale(spec)
+        total = repulsion.bessel_sq_moment_log(mu, lam)
+        # y = sqrt(n) R / s from 0.3 mu, where jv has not yet underflowed, to 4 mu
+        Rs = [y * s / math.sqrt(n) for y in np.linspace(0.3 * mu, 4.0 * mu, 25)]
+        logs = [log_eta_ball_ratio(spec, R) for R in Rs]
+        vals = [eta_ball_ratio(spec, R) for R in Rs]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(a <= b for a, b in zip(logs, logs[1:]))
+        for R, got in zip(Rs, logs):
+            want = bessel_sq_prefix_ref_log(mu, lam, math.sqrt(n) * R / s) - total
+            assert got == approx(want, abs=1e-9)
 
     def test_bessel_moderate_n_sane(self):
         spec = example_spec(Family.BESSEL_TYPE, n=20)
