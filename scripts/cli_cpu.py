@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end CPU time of the README command-line examples, plus `eta` on
 both oscillatory families (a BesselType spec at sigma = 180.8, an
-IndicatorSpectral spec and a BesselType spec at n = 1000) and LaguerreGauss
-`moments` at m = 60.
+IndicatorSpectral spec and a BesselType spec at n = 1000), LaguerreGauss
+`moments` at m = 60 and a dense 200-point LaguerreGauss `eta` curve at
+n = 1000, one batch of prefixes over one panel decomposition.
 
 Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
@@ -44,6 +45,8 @@ COMMANDS = [
                               " --R-grid 0.05:0.3:30 --out {out}/eta_bessel_1000.csv"),
     ("moments LaguerreGauss", "moments --family LaguerreGauss --n 100 --m 60 --alpha 0.065"
                               " --k 2,4"),
+    ("eta LaguerreGauss n=1000", "eta --family LaguerreGauss --n 1000 --m 4 --alpha 0.1"
+                                 " --R-grid 0.05:0.15:200 --out {out}/eta_laguerre_1000.csv"),
 ]
 
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -271,7 +271,10 @@ def cmd_eta(cfg: dict) -> int:
         "ratio_curve": [{"R": r, "ratio": v} for r, v in report.ratio_curve],
     }
     _emit(cfg, payload, report.to_csv().splitlines())
-    print(f"eta total mass = {_fmt(math.exp(report.log_total))}")
+    total = math.exp(report.log_total)
+    # below the normal doubles the value would print as 0 or lose digits
+    shown = f"exp({_fmt(report.log_total)})" if total < sys.float_info.min else _fmt(total)
+    print(f"eta total mass = {shown}")
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from .special import (
     ln_bessel_k,
     ln_binom,
     ln_gamma,
+    ln_gamma_ratio,
 )
 
 __all__ = [
@@ -176,12 +177,12 @@ def max_param(spec: KernelSpec, n_uniform: bool = False) -> float:
     if fam == Family.BESSEL_TYPE:
         s = spec.sigma
         return math.exp(0.5 * math.log((s + n) / (2.0 * math.pi)) - rho
-                        + (ln_gamma(0.5 * s + 1.0) - ln_gamma(0.5 * (s + n) + 1.0)) / n)
+                        - ln_gamma_ratio(0.5 * s + 1.0, 0.5 * n) / n)
     if fam == Family.WHITTLE_MATERN:
-        return math.exp((ln_gamma(spec.nu) - ln_gamma(spec.nu + 0.5 * n)) / n
+        return math.exp(-ln_gamma_ratio(spec.nu, 0.5 * n) / n
                         - math.log(2.0 * math.sqrt(math.pi)) - rho)
     if fam == Family.CAUCHY:
-        return math.exp((ln_gamma(spec.nu + 0.5 * n) - ln_gamma(spec.nu)) / n
+        return math.exp(ln_gamma_ratio(spec.nu, 0.5 * n) / n
                         - 0.5 * math.log(math.pi) - rho)
     if fam == Family.INDICATOR_SPECTRAL:
         return 1.0

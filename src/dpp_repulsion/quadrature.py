@@ -10,12 +10,16 @@ its maximum, and returns the log value and the log |K15 - G7| error per
 panel.  Infinite upper limits go through the variable change u = r/(1+r).
 
 One refinement loop, `_refine`, does all adaptive bisection: the
-full-domain PanelSet, every prefix and the CDF cells.  Each round checks
-that the summed error is within rel_tol of the total and otherwise splits,
-in one K15 call, every panel whose error is at or above the mean.  A
-PanelSet never changes once built; a prefix is a binary search for the cut
-panel, one K15 call on its left part and a refinement of the panels below
-the cut.
+full-domain PanelSet, the prefixes and the CDF cells.  It refines groups
+of panels side by side; each round, every group whose summed error is not
+within rel_tol of its sum splits its panels with error at or above the
+group's mean, and the splits of all groups are one K15 call.  The
+full-domain run and the CDF cells are one group.  A PanelSet never changes
+once built and keeps running log sums of its panels.  Prefixes come in
+batches: one searchsorted finds every cut panel, one K15 call evaluates
+their left parts, the stored panels below each cut are one lookup in the
+running sums, and only the prefixes that miss their own tolerance refine,
+together, one group each.
 
 Panels seed around the integrand's peak, located by `find_mode`: nested
 grid scans, each a single vectorized call on interior points of the
@@ -163,11 +167,11 @@ class _Transform:
         u = np.asarray(u, dtype=float)
         return u / (1.0 - u)
 
-    def u_of_r(self, r: float) -> float:
+    def u_of_r(self, r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
         if self.finite:
-            return float(r)
-        if math.isinf(r):
-            return 1.0
+            return r
+        r = np.minimum(r, 1e300)  # r = inf maps to 1, as every r above 1e16 does
         return r / (1.0 + r)
 
     def log_jacobian(self, u: np.ndarray) -> np.ndarray:
@@ -181,31 +185,52 @@ def _k15_panels(g, lo, hi, depth):
     return (lo, hi, *_k15_log(g, lo, hi), depth)
 
 
-def _refine(g, panels, rel_tol):
-    """Bisect panels until their summed error is within rel_tol of their sum.
+def _group_logsumexp(a: np.ndarray, group, n_groups: int):
+    """log-sum-exp of a within each group; a float for one group (group None)."""
+    if group is None:
+        return _logsumexp(a)
+    m = np.full(n_groups, _NEG_INF)
+    np.maximum.at(m, group, a)
+    shift = np.where(m > _NEG_INF, m, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.bincount(group, np.exp(a - shift[group]), n_groups))
+
+
+def _refine(g, panels, rel_tol, group=None, n_groups=1):
+    """Bisect panels until each group's summed error is within rel_tol of its sum.
 
     The module's one adaptive loop, on the panel arrays of `_k15_panels`.
-    Each round that misses the tolerance splits every panel whose error is
-    at or above the mean panel error (so the worst one always splits), all
-    in one K15 call: the left half takes the panel's place, the right half
-    is appended.  The input arrays are not modified.  Returns (panels,
-    log_total, log_err_total).
+    `group` gives each panel's group in range(n_groups); None makes all
+    panels one group, summed as floats without per-group reductions.  Each
+    round, every group that misses its tolerance splits each of its panels
+    whose error is at or above the group's mean panel error (so its worst
+    one always splits), just as it would refined alone; the splits of all
+    groups are one K15 call.  The left half takes the panel's place, the
+    right half is appended.  The input arrays are not modified.  Returns
+    (panels, log_total, log_err_total), floats for one group and arrays
+    with one value per group otherwise.
     """
     log_tol = math.log(rel_tol)
     while True:
         lo, hi, log_val, log_err, depth = panels
-        log_total, log_err_total = _logsumexp(log_val), _logsumexp(log_err)
-        if log_err_total == _NEG_INF or (
-                log_total > _NEG_INF and log_err_total - log_total <= log_tol):
+        log_total = _group_logsumexp(log_val, group, n_groups)
+        log_err_total = _group_logsumexp(log_err, group, n_groups)
+        open_ = log_err_total > log_total + log_tol
+        if not np.any(open_):
             return panels, log_total, log_err_total
-        i = np.flatnonzero(log_err >= log_err_total - math.log(len(log_err)))
-        if len(log_err) + len(i) > MAX_PANELS:
-            raise QuadratureError(f"panel budget {MAX_PANELS} exhausted",
-                                  log_partial=log_total, log_error_bound=log_err_total)
+        count = len(log_err) if group is None else np.bincount(group, None, n_groups)
+        bar = np.where(open_, log_err_total - np.log(count), math.inf)
+        i = np.flatnonzero(log_err >= (bar if group is None else bar[group]))
+        added = len(i) if group is None else np.bincount(group[i], None, n_groups)
+        full = np.flatnonzero(count + added > MAX_PANELS)
         j = i[np.argmax(depth[i])]
-        if depth[j] >= MAX_DEPTH:
-            raise QuadratureError(f"max depth {MAX_DEPTH} reached on [{lo[j]}, {hi[j]}]",
-                                  log_partial=log_total, log_error_bound=log_err_total)
+        if full.size or depth[j] >= MAX_DEPTH:
+            b = full[0] if full.size else (0 if group is None else group[j])
+            raise QuadratureError(
+                f"panel budget {MAX_PANELS} exhausted" if full.size
+                else f"max depth {MAX_DEPTH} reached on [{lo[j]}, {hi[j]}]",
+                log_partial=float(np.atleast_1d(log_total)[b]),
+                log_error_bound=float(np.atleast_1d(log_err_total)[b]))
         mid = 0.5 * (lo[i] + hi[i])
         halves = _k15_panels(g, np.concatenate([lo[i], mid]), np.concatenate([mid, hi[i]]),
                              np.tile(depth[i] + 1, 2))
@@ -213,6 +238,8 @@ def _refine(g, panels, rel_tol):
         panels = tuple(np.concatenate([p, h[k:]]) for p, h in zip(panels, halves))
         for p, h in zip(panels, halves):
             p[i] = h[:k]
+        if group is not None:
+            group = np.concatenate([group, group[i]])
 
 
 class PanelSet:
@@ -220,12 +247,13 @@ class PanelSet:
 
     The full-domain run fixes the panels in u as arrays sorted by `lo`:
     edges `lo` and `hi`, K15 log values `log_vals`, log errors `log_errs`
-    and bisection depths `depths`.  They are read-only, so a cached PanelSet
-    is safe to share.  A prefix over [r_lo, r] binary-searches the panel
-    holding the cut, keeps the panels below it with their stored values (so
-    the shared error cancels in ratios), adds the cut panel's left part and
-    refines those panels until their error is within `rel_tol` of the
-    prefix itself, not of the total.
+    and bisection depths `depths`, plus their running log sums `cum_vals`
+    and `cum_errs`.  They are read-only, so a cached PanelSet is safe to
+    share.  A prefix over [r_lo, r] keeps the panels below the cut with
+    their stored values (so the shared error cancels in ratios) and adds
+    the left part of the panel holding the cut; a prefix whose error is not
+    yet within `rel_tol` of the prefix itself, not of the total, refines
+    those panels until it is.
     """
 
     def __init__(self, transform, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
@@ -233,7 +261,10 @@ class PanelSet:
         self.u_mode, self.g_mode = u_mode, g_mode
         order = np.argsort(panels[0])
         self.lo, self.hi, self.log_vals, self.log_errs, self.depths = (p[order] for p in panels)
-        for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths):
+        self.cum_vals = np.logaddexp.accumulate(self.log_vals)
+        self.cum_errs = np.logaddexp.accumulate(self.log_errs)
+        for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths,
+                  self.cum_vals, self.cum_errs):
             p.flags.writeable = False
         self.log_total, self.log_err = log_total, log_err
 
@@ -242,18 +273,45 @@ class PanelSet:
         """The panels as rows [lo, hi] in u."""
         return np.column_stack([self.lo, self.hi])
 
-    def log_prefix(self, r_hi: float) -> float:
-        """log integral over [r_lo, r_hi], accurate relative to the prefix."""
-        u_q = self.transform.u_of_r(r_hi)
-        if u_q <= self.transform.u_lo:
-            return _NEG_INF
-        u_q = min(u_q, self.transform.u_hi)
-        k = int(np.searchsorted(self.hi, u_q, side="right"))  # panels below the cut
-        panels = tuple(p[:k] for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths))
-        if k < len(self.lo) and self.lo[k] < u_q:
-            cut = _k15_panels(self.g, self.lo[k:k + 1], np.array([u_q]), self.depths[k:k + 1])
-            panels = tuple(np.concatenate(pc) for pc in zip(panels, cut))
-        return _refine(self.g, panels, self.rel_tol)[1]
+    def log_prefix(self, r_hi):
+        """log integral over [r_lo, r] for each cut r in r_hi, accurate
+        relative to each prefix; a float for a scalar r_hi."""
+        r = np.asarray(r_hi, dtype=float)
+        tr = self.transform
+        u_q = np.minimum(tr.u_of_r(r.ravel()), tr.u_hi)
+        out = np.where(u_q >= tr.u_hi, self.log_total, _NEG_INF)
+        part = np.flatnonzero((u_q > tr.u_lo) & (u_q < tr.u_hi))
+        if part.size:
+            out[part] = self._cut_prefixes(u_q[part])
+        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+
+    def _cut_prefixes(self, u_q: np.ndarray) -> np.ndarray:
+        """log prefixes up to the cuts u_q, each inside (u_lo, u_hi).
+
+        One searchsorted finds every cut panel and one K15 call evaluates
+        their left parts; the stored panels below a cut are one lookup in
+        the running sums.  The prefixes that miss their tolerance refine
+        together in `_refine`, one group each, at most about MAX_PANELS
+        stored panels per call.
+        """
+        k = np.searchsorted(self.hi, u_q, side="right")  # panels below each cut
+        below = k > 0
+        # the left part of each cut panel; empty (value -inf) for a cut on an edge
+        cut = _k15_panels(self.g, self.lo[k], u_q, self.depths[k])
+        val = np.logaddexp(np.where(below, self.cum_vals[k - 1], _NEG_INF), cut[2])
+        err = np.logaddexp(np.where(below, self.cum_errs[k - 1], _NEG_INF), cut[3])
+        miss = np.flatnonzero(err > val + math.log(self.rel_tol))
+        if not miss.size:
+            return val
+        stored = (self.lo, self.hi, self.log_vals, self.log_errs, self.depths)
+        ends = np.cumsum(k[miss])
+        for chunk in np.split(miss, np.flatnonzero(np.diff(ends // MAX_PANELS)) + 1):
+            kc = k[chunk]
+            idx = np.arange(kc.sum()) - np.repeat(np.cumsum(kc) - kc, kc)
+            panels = tuple(np.concatenate([p[idx], q[chunk]]) for p, q in zip(stored, cut))
+            group = np.concatenate([np.repeat(np.arange(len(chunk)), kc), np.arange(len(chunk))])
+            val[chunk] = _refine(self.g, panels, self.rel_tol, group, len(chunk))[1]
+        return val
 
 
 def find_mode(g, lo: float, hi: float):

@@ -115,35 +115,39 @@ def _bessel_y_scale(spec: KernelSpec) -> tuple[float, float, float]:
     return 0.5 * spec.n, 1.0, 1.0 / (2.0 * math.pi * r_n)
 
 
-def log_eta_ball_ratio(spec: KernelSpec, R: float,
-                       rel_tol: float = PRODUCTION_REL_TOL) -> float:
+def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL):
     """log of E[eta_n(B_n(sqrt(n) R))] / E[eta_n(R^n)] = log P(|X_n| <= sqrt(n) R).
 
-    R = inf gives 0.0 (ratio 1); a NaN R raises ValueError.
+    R may be an array of radii, answered by one prefix pass over the cached
+    panels; a scalar R gives a float.  R = inf gives 0.0 (ratio 1); a NaN R
+    raises ValueError.
     """
-    if math.isnan(R):
+    R_arr = np.asarray(R, dtype=float)
+    if np.isnan(R_arr).any():
         raise ValueError("R must not be NaN")
-    if R < 0:
+    if (R_arr < 0).any():
         raise ValueError("R must be >= 0")
-    if R == 0.0:
-        return _NEG_INF
-    r_cut = math.sqrt(spec.n) * R
-    if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
-        kn._require_valid(spec)
-        mu, lam, s = _bessel_y_scale(spec)
-        log_num = bessel_sq_prefix_log(mu, lam, r_cut / s)
-        log_den = bessel_sq_moment_log(mu, lam)
-        return min(log_num - log_den, 0.0)
     kn._require_valid(spec)
-    ps = _density_panels(spec, rel_tol)
-    log_num = ps.log_prefix(r_cut)
-    return min(log_num - ps.log_total, 0.0)
+    r_cut = math.sqrt(spec.n) * R_arr
+    if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
+        mu, lam, s = _bessel_y_scale(spec)
+        log_num = np.array([bessel_sq_prefix_log(mu, lam, y)
+                            for y in (r_cut / s).ravel()]).reshape(R_arr.shape)
+        log_den = bessel_sq_moment_log(mu, lam)
+    else:
+        ps = _density_panels(spec, rel_tol)
+        log_num, log_den = ps.log_prefix(r_cut), ps.log_total
+    out = np.minimum(log_num - log_den, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _ratio(log_ratio: float) -> float:
+    return min(math.exp(log_ratio), 1.0) if log_ratio > _NEG_INF else 0.0
 
 
 def eta_ball_ratio(spec: KernelSpec, R: float,
                    rel_tol: float = PRODUCTION_REL_TOL) -> float:
-    lr = log_eta_ball_ratio(spec, R, rel_tol=rel_tol)
-    return min(math.exp(lr), 1.0) if lr > _NEG_INF else 0.0
+    return _ratio(log_eta_ball_ratio(spec, R, rel_tol=rel_tol))
 
 
 def radial_cdf(spec: KernelSpec, rel_tol: float = PRODUCTION_REL_TOL):
@@ -353,6 +357,7 @@ class EtaReport:
 
 def build_eta_report(spec: KernelSpec, R_grid,
                      rel_tol: float = PRODUCTION_REL_TOL) -> EtaReport:
-    curve = tuple((float(R), eta_ball_ratio(spec, R, rel_tol=rel_tol))
-                  for R in R_grid)
+    grid = [float(R) for R in R_grid]
+    log_ratios = log_eta_ball_ratio(spec, np.array(grid), rel_tol=rel_tol)
+    curve = tuple((R, _ratio(float(lr))) for R, lr in zip(grid, log_ratios))
     return EtaReport(spec=spec, log_total=eta_total_log(spec), ratio_curve=curve)

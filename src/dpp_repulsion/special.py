@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "ln_gamma",
+    "ln_gamma_ratio",
     "laguerre",
     "ln_bessel_k",
     "ln_bessel_j_ratio",
@@ -44,6 +45,19 @@ def ln_gamma(x: float) -> float:
         return math.lgamma(x)
     except OverflowError:  # x above ~2.6e305: log Gamma(x) exceeds a double
         return math.inf
+
+
+def ln_gamma_ratio(x: float, h: float) -> float:
+    """log Gamma(x + h) - log Gamma(x) for x > 0 and x + h > 0.
+
+    Once a log-gamma overflows (x above ~2.6e305) the difference is
+    h ln x + h (h - 1) / (2 x), its asymptotic expansion to the first
+    correction, rather than inf - inf.
+    """
+    top, bottom = ln_gamma(x + h), ln_gamma(x)
+    if math.isinf(top) or math.isinf(bottom):
+        return h * math.log(x) + h * (h - 1.0) / (2.0 * x)
+    return top - bottom
 
 
 def ln_binom(a: float, k: int) -> float:

@@ -44,6 +44,17 @@ class TestCheck:
         assert code == 2
         assert "must be a finite number" in err
 
+    @pytest.mark.parametrize("family,flag", [
+        ("Cauchy", "--nu"), ("WhittleMatern", "--nu"), ("BesselType", "--sigma")])
+    def test_huge_shape_parameter_has_finite_bound(self, family, flag, capsys):
+        # ln Gamma overflows at this shape; the bound must not become nan
+        code, out, _ = run(["check", "--family", family, "--n", "5", flag, "1e307",
+                            "--alpha", "0.1"], capsys)
+        assert code in (0, 2)
+        bound = float(re.search(r"existence bound on the scale at n=5: (\S+)", out)[1])
+        assert math.isfinite(bound) and bound > 0
+        assert "nan" not in out
+
     def test_malformed_json_exit_64(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -101,6 +112,21 @@ class TestEta:
 
     def test_missing_radius_exit_64(self, capsys):
         assert run(["eta", *GAUSS], capsys)[0] == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "BesselType", "--n", "1000", "--sigma", "2", "--alpha", "0.3"],
+        GAUSS,
+    ])
+    def test_total_mass_note_keeps_the_value(self, argv, tmp_path, capsys):
+        # the BesselType total is e^-1127.9, far below the smallest double
+        out = tmp_path / "eta.json"
+        code, stdout, _ = run(["eta", *argv, "--R", "0.1", "--format", "json",
+                               "--out", str(out)], capsys)
+        assert code == 0
+        log_total = json.loads(out.read_text())["log_total"]
+        total = math.exp(log_total)
+        note = f"exp({_fmt(log_total)})" if total == 0.0 else _fmt(total)
+        assert stdout.splitlines()[-1] == f"eta total mass = {note}"
 
 
 class TestReachCmd:
@@ -331,7 +357,8 @@ class TestReadmeCommands:
     def test_cli_cpu_script_runs_the_readme_commands(self):
         # the CI step times scripts/cli_cpu.py's commands, so they must stay
         # the README's command-line examples (then three oscillatory eta runs,
-        # the last at n = 1000, and LaguerreGauss moments at m = 60)
+        # the last at n = 1000, LaguerreGauss moments at m = 60 and a dense
+        # LaguerreGauss eta curve at n = 1000)
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
         cli_cpu = importlib.util.module_from_spec(spec)
@@ -344,4 +371,5 @@ class TestReadmeCommands:
         assert commands[:len(readme)] == readme
         assert [c.split()[:3] for c in commands[len(readme):]] == [
             ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"],
-            ["eta", "--family", "BesselType"], ["moments", "--family", "LaguerreGauss"]]
+            ["eta", "--family", "BesselType"], ["moments", "--family", "LaguerreGauss"],
+            ["eta", "--family", "LaguerreGauss"]]

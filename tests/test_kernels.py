@@ -72,6 +72,17 @@ class TestMaxParam:
         assert max_param(spec) == approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("family,field,want", [
+        (Family.CAUCHY, "nu", math.sqrt(1e307 / math.pi)),
+        (Family.WHITTLE_MATERN, "nu", 1.0 / (2.0 * math.sqrt(math.pi * 1e307))),
+        (Family.BESSEL_TYPE, "sigma", 1.0 / math.sqrt(math.pi)),
+    ])
+    def test_huge_shape_parameter_limit(self, family, field, want):
+        # ln Gamma overflows at 1e307; the bound is its large-parameter limit
+        spec = KernelSpec(family, n=5, rho=0.0, alpha=0.1, **{field: 1e307})
+        assert max_param(spec) == approx(want, rel=1e-12)
+
+
 class TestValidate:
     def test_gaussian_ok(self):
         assert validate(gauss_spec(alpha=0.5)).ok  # 0.5 < 0.5642

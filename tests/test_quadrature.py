@@ -130,6 +130,17 @@ class TestIntegrateLog:
         assert math.isfinite(err.value.log_error_bound)
         assert math.isfinite(err.value.log_partial)
 
+    def test_unconverged_prefix_batch_carries_partial(self, monkeypatch):
+        # prefixes refined together as groups raise like a single run
+        ps = integrate_log_panels(LogIntegrand(lambda r: np.cos(40.0 * r) - r, 0.0, 1.0),
+                                  rel_tol=1e-8)
+        ps.rel_tol = 1e-13
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
+        with pytest.raises(QuadratureError) as err:
+            ps.log_prefix(np.linspace(0.05, 0.95, 7))
+        assert math.isfinite(err.value.log_error_bound)
+        assert math.isfinite(err.value.log_partial)
+
     def test_mode_at_domain_edge_stays_inside_domain(self):
         # the mode sits at r = 0, so the curvature stencil must not probe r < 0
         def log_f(r):

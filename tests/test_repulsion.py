@@ -9,7 +9,7 @@ from pytest import approx
 from scipy import special as sp
 
 from conftest import bessel_sq_prefix_ref_log, bessel_sq_total_log
-from dpp_repulsion import repulsion
+from dpp_repulsion import quadrature, repulsion
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import (
     Family,
@@ -170,6 +170,64 @@ class TestBallRatio:
         spec = example_spec(fam, n=1)
         vals = [eta_ball_ratio(spec, R) for R in (0.05, 0.3, 1.0, 3.0)]
         assert all(0.0 < a <= b < 1.0 for a, b in zip(vals, vals[1:]))
+
+
+SMOOTH_SHAPES = {
+    Family.LAGUERRE_GAUSS: st.builds(dict, m=st.integers(1, 4)),
+    Family.POWER_EXPONENTIAL: st.just({"nu": 2.0, "alpha_rule": "scaled"}),
+    Family.WHITTLE_MATERN: st.builds(dict, nu=st.floats(0.5, 2.0)),
+    Family.CAUCHY: st.builds(dict, nu=st.floats(0.5, 2.0), alpha_rule=st.just("scaled")),
+}
+
+
+@st.composite
+def smooth_specs(draw):
+    """A smooth-family spec at a fraction of its existence bound."""
+    fam = draw(st.sampled_from(list(SMOOTH_SHAPES)))
+    probe = KernelSpec(fam, n=draw(st.integers(1, 1000)), rho=draw(st.floats(-0.1, 0.1)),
+                       alpha=1.0, **draw(SMOOTH_SHAPES[fam]))
+    frac = draw(st.floats(0.3, 0.9))
+    return replace(probe, alpha=frac * max_param(probe) / effective_alpha(probe))
+
+
+class TestBatchedRatio:
+    @given(smooth_specs(), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_curve_properties(self, spec, ts):
+        # R in units of the root mean square radius / sqrt(n), where the mass sits
+        scale = math.sqrt(radial_moment(spec, 2) / spec.n)
+        Rs = np.array(sorted(ts) + [math.inf]) * scale
+        logs = log_eta_ball_ratio(spec, Rs)
+        assert logs.shape == Rs.shape and logs[-1] == 0.0
+        ratios = np.exp(logs)
+        assert np.all((ratios >= 0.0) & (ratios <= 1.0))
+        lo, hi = logs[:-1], logs[1:]
+        assert np.all((hi >= lo - repulsion.PRODUCTION_REL_TOL) | (lo == -math.inf))
+        for R, got in zip(Rs, logs):
+            one = log_eta_ball_ratio(spec, float(R))
+            assert isinstance(one, float)
+            assert got == approx(one, abs=1e-12)
+
+    def test_curve_is_one_panel_set_and_one_prefix_pass(self, monkeypatch):
+        builds, prefix_sizes = [], []
+        build = repulsion.integrate_log_panels
+        prefix = quadrature.PanelSet.log_prefix
+
+        def counted_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        def counted_prefix(self, r_hi):
+            prefix_sizes.append(np.size(r_hi))
+            return prefix(self, r_hi)
+
+        monkeypatch.setattr(repulsion, "integrate_log_panels", counted_build)
+        monkeypatch.setattr(quadrature.PanelSet, "log_prefix", counted_prefix)
+        repulsion._density_panels.cache_clear()
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=1000, m=4, alpha=0.1)
+        report = build_eta_report(spec, np.linspace(0.05, 0.15, 50))
+        assert len(report.ratio_curve) == 50
+        assert builds == [1] and prefix_sizes == [50]
 
 
 class TestOscillatoryRatio:

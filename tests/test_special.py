@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dpp_repulsion.special import (
     ln_bessel_j_ratio,
     ln_bessel_k,
     ln_gamma,
+    ln_gamma_ratio,
 )
 
 # reference values: 40-digit evaluations, frozen
@@ -61,6 +63,18 @@ class TestLnGamma:
     @settings(max_examples=200, deadline=None)
     def test_recurrence(self, x):
         assert ln_gamma(x + 1.0) == approx(ln_gamma(x) + math.log(x), rel=1e-11, abs=1e-11)
+
+
+class TestLnGammaRatio:
+    @pytest.mark.parametrize("x,h", [(0.5, 2.5), (1.0, 500.0), (1e5, -3.0), (2e305, 10.5)])
+    def test_is_the_difference_where_finite(self, x, h):
+        assert ln_gamma_ratio(x, h) == ln_gamma(x + h) - ln_gamma(x)
+
+    @pytest.mark.parametrize("x,h", [(1e307, 2.5), (3e306, -500.0), (1e308, 1000.0)])
+    def test_overflowed_log_gammas_match_mpmath(self, x, h):
+        with mpmath.workdps(360):
+            want = float(mpmath.loggamma(mpmath.mpf(x) + h) - mpmath.loggamma(x))
+        assert ln_gamma_ratio(x, h) == approx(want, rel=1e-14)
 
 
 def laguerre_defining_sum(m, beta, x):
