@@ -221,6 +221,15 @@ def _radii(cfg: dict) -> list:
     raise UsageError("need --R or --R-grid")
 
 
+def _mass(log_total: float) -> str:
+    """A mass given by its log: the number, or exp(<log>) below the normal
+    doubles, where the number would print as 0 or lose digits."""
+    total = math.exp(log_total)
+    if total < sys.float_info.min and log_total > -math.inf:
+        return f"exp({_fmt(log_total)})"
+    return _fmt(total)
+
+
 def _emit(cfg: dict, payload: dict, csv_lines) -> None:
     """Write machine output (embedding the resolved config) and a stdout note."""
     resolved = {k: v for k, v in cfg.items() if v is not None and k != "out"}
@@ -271,10 +280,7 @@ def cmd_eta(cfg: dict) -> int:
         "ratio_curve": [{"R": r, "ratio": v} for r, v in report.ratio_curve],
     }
     _emit(cfg, payload, report.to_csv().splitlines())
-    total = math.exp(report.log_total)
-    # below the normal doubles the value would print as 0 or lose digits
-    shown = f"exp({_fmt(report.log_total)})" if total < sys.float_info.min else _fmt(total)
-    print(f"eta total mass = {shown}")
+    print(f"eta total mass = {_mass(report.log_total)}")
     return EXIT_OK
 
 

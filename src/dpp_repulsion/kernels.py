@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .special import (
+    LN_GAMMA_MAX_ARG,
     laguerre,
     ln_ball_volume,
     ln_bessel_j_ratio,
@@ -199,6 +200,10 @@ class ValidationReport:
         return self.ok
 
 
+_SHAPE_BY_FAMILY = {Family.WHITTLE_MATERN: "nu", Family.CAUCHY: "nu",
+                    Family.BESSEL_TYPE: "sigma"}
+
+
 def validate(spec: KernelSpec) -> ValidationReport:
     """Existence check: spectrum strictly inside [0, 1) plus parameter domains."""
     fam = spec.family
@@ -226,6 +231,13 @@ def validate(spec: KernelSpec) -> ValidationReport:
         bad.append(("alpha_rule", f"'scaled' is undefined for {fam.value}"))
     if bad:
         return ValidationReport(False, tuple(bad), tuple(notes))
+    # norms and moments take ln Gamma at up to n + 2 nu (n + 2 sigma bounds
+    # BesselType's), which must stay a finite double
+    shape = _SHAPE_BY_FAMILY.get(fam)
+    if shape and 2.0 * getattr(spec, shape) + spec.n > LN_GAMMA_MAX_ARG:
+        limit = 0.5 * (LN_GAMMA_MAX_ARG - spec.n)
+        bad.append((shape, f"{shape} must be at most {limit:.6g} at n={spec.n}, "
+                           f"got {getattr(spec, shape):.6g} (ln Gamma overflows a double)"))
     if fam == Family.INDICATOR_SPECTRAL:
         if not (0.0 < spec.c < 1.0):
             bad.append(("c", f"need 0 < c < 1 (spectrum strictly below 1), got {spec.c}"))

@@ -14,9 +14,9 @@ full-domain PanelSet, the prefixes and the CDF cells.  It refines groups
 of panels side by side; each round, every group whose summed error is not
 within rel_tol of its sum splits its panels with error at or above the
 group's mean, and the splits of all groups are one K15 call.  The
-full-domain run and the CDF cells are one group.  A PanelSet never changes
-once built and keeps running log sums of its panels.  Prefixes come in
-batches: one searchsorted finds every cut panel, one K15 call evaluates
+full-domain run and the CDF cells are one group.  A PanelSet's panels
+never change once built; running log sums of them are made at its first
+prefix.  Prefixes come in batches: one searchsorted finds every cut panel, one K15 call evaluates
 their left parts, the stored panels below each cut are one lookup in the
 running sums, and only the prefixes that miss their own tolerance refine,
 together, one group each.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -114,16 +115,6 @@ class LogIntegrand:
         return self.log_f(r)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return _NEG_INF
-    m = np.max(a)
-    if m == _NEG_INF or not np.isfinite(m):
-        return float(m) if a.size else _NEG_INF
-    return float(m + math.log(np.sum(np.exp(a - m))))
-
-
 def _k15_log(g, lo, hi):
     """log K15 value and log |K15 - G7| error of log-integrand g on each [lo_i, hi_i].
 
@@ -136,7 +127,7 @@ def _k15_log(g, lo, hi):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     vals = g((mid[:, None] + half[:, None] * _KX).ravel()).reshape(len(lo), len(_KX))
-    m = np.max(vals, axis=1)
+    m = vals.max(axis=1)
     if m.max(initial=_NEG_INF) == math.inf:
         u = mid[np.argmax(m)]
         raise InfiniteMassError(f"log-integrand is +inf near u = {u:.6g}; integral diverges")
@@ -168,7 +159,6 @@ class _Transform:
         return u / (1.0 - u)
 
     def u_of_r(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
         if self.finite:
             return r
         r = np.minimum(r, 1e300)  # r = inf maps to 1, as every r above 1e16 does
@@ -185,61 +175,70 @@ def _k15_panels(g, lo, hi, depth):
     return (lo, hi, *_k15_log(g, lo, hi), depth)
 
 
-def _group_logsumexp(a: np.ndarray, group, n_groups: int):
-    """log-sum-exp of a within each group; a float for one group (group None)."""
-    if group is None:
-        return _logsumexp(a)
-    m = np.full(n_groups, _NEG_INF)
-    np.maximum.at(m, group, a)
-    shift = np.where(m > _NEG_INF, m, 0.0)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.bincount(group, np.exp(a - shift[group]), n_groups))
+def _group_logsumexp(log_val, log_err, group, n_groups: int):
+    """Per-group log-sum-exp of log_val and of log_err, each an array of n_groups values.
+
+    Each group is shifted by its own maximum, so groups far apart in scale
+    keep their digits; a group whose values are all -inf sums to -inf.
+    """
+    a = np.concatenate((log_val, log_err))
+    both = np.concatenate((group, group + n_groups))
+    m = np.full(2 * n_groups, _NEG_INF)
+    np.maximum.at(m, both, a)
+    s = np.bincount(both, np.exp(a - np.where(m > _NEG_INF, m, 0.0)[both]), 2 * n_groups)
+    # a live group's maximum adds exp(0) = 1, so only all -inf groups have s < 1
+    total = m + np.log(np.maximum(s, 1.0))
+    return total[:n_groups], total[n_groups:]
 
 
-def _refine(g, panels, rel_tol, group=None, n_groups=1):
+def _refine(g, panels, rel_tol, group, n_groups: int):
     """Bisect panels until each group's summed error is within rel_tol of its sum.
 
-    The module's one adaptive loop, on the panel arrays of `_k15_panels`.
-    `group` gives each panel's group in range(n_groups); None makes all
-    panels one group, summed as floats without per-group reductions.  Each
-    round, every group that misses its tolerance splits each of its panels
-    whose error is at or above the group's mean panel error (so its worst
-    one always splits), just as it would refined alone; the splits of all
-    groups are one K15 call.  The left half takes the panel's place, the
-    right half is appended.  The input arrays are not modified.  Returns
-    (panels, log_total, log_err_total), floats for one group and arrays
-    with one value per group otherwise.
+    The module's one adaptive loop, on the panel arrays of `_k15_panels`;
+    `group` gives each panel's group in range(n_groups).  The full-domain
+    run and the CDF cells are one group, a batch of prefixes one group per
+    prefix.  Each round, every group that misses its tolerance splits each
+    of its panels whose error is at or above the group's mean panel error
+    (so its worst one always splits), just as it would refined alone; the
+    splits of all groups are one K15 call.  The left half takes the panel's
+    place, the right half is appended.  The input arrays are not modified.
+    Returns (panels, log_total, log_err_total), the totals one per group.
     """
     log_tol = math.log(rel_tol)
+    count = np.bincount(group, None, n_groups)
     while True:
         lo, hi, log_val, log_err, depth = panels
-        log_total = _group_logsumexp(log_val, group, n_groups)
-        log_err_total = _group_logsumexp(log_err, group, n_groups)
+        log_total, log_err_total = _group_logsumexp(log_val, log_err, group, n_groups)
         open_ = log_err_total > log_total + log_tol
-        if not np.any(open_):
+        if not open_.any():
             return panels, log_total, log_err_total
-        count = len(log_err) if group is None else np.bincount(group, None, n_groups)
         bar = np.where(open_, log_err_total - np.log(count), math.inf)
-        i = np.flatnonzero(log_err >= (bar if group is None else bar[group]))
-        added = len(i) if group is None else np.bincount(group[i], None, n_groups)
-        full = np.flatnonzero(count + added > MAX_PANELS)
-        j = i[np.argmax(depth[i])]
-        if full.size or depth[j] >= MAX_DEPTH:
-            b = full[0] if full.size else (0 if group is None else group[j])
+        i = np.flatnonzero(log_err >= bar[group])
+        count = count + np.bincount(group[i], None, n_groups)
+        j = i[depth[i].argmax()]
+        full = count.max() > MAX_PANELS
+        if full or depth[j] >= MAX_DEPTH:
+            b = int(np.argmax(count)) if full else group[j]
             raise QuadratureError(
-                f"panel budget {MAX_PANELS} exhausted" if full.size
+                f"panel budget {MAX_PANELS} exhausted" if full
                 else f"max depth {MAX_DEPTH} reached on [{lo[j]}, {hi[j]}]",
-                log_partial=float(np.atleast_1d(log_total)[b]),
-                log_error_bound=float(np.atleast_1d(log_err_total)[b]))
+                log_partial=float(log_total[b]), log_error_bound=float(log_err_total[b]))
         mid = 0.5 * (lo[i] + hi[i])
+        deeper = depth[i] + 1
         halves = _k15_panels(g, np.concatenate([lo[i], mid]), np.concatenate([mid, hi[i]]),
-                             np.tile(depth[i] + 1, 2))
+                             np.concatenate([deeper, deeper]))
         k = len(i)
         panels = tuple(np.concatenate([p, h[k:]]) for p, h in zip(panels, halves))
         for p, h in zip(panels, halves):
             p[i] = h[:k]
-        if group is not None:
-            group = np.concatenate([group, group[i]])
+        group = np.concatenate([group, group[i]])
+
+
+def _running_log_sum(a: np.ndarray) -> np.ndarray:
+    """Read-only c with c[k] the log-sum-exp of a[:k]."""
+    c = np.logaddexp.accumulate(np.append(_NEG_INF, a))
+    c.flags.writeable = False
+    return c
 
 
 class PanelSet:
@@ -247,13 +246,13 @@ class PanelSet:
 
     The full-domain run fixes the panels in u as arrays sorted by `lo`:
     edges `lo` and `hi`, K15 log values `log_vals`, log errors `log_errs`
-    and bisection depths `depths`, plus their running log sums `cum_vals`
-    and `cum_errs`.  They are read-only, so a cached PanelSet is safe to
-    share.  A prefix over [r_lo, r] keeps the panels below the cut with
-    their stored values (so the shared error cancels in ratios) and adds
-    the left part of the panel holding the cut; a prefix whose error is not
-    yet within `rel_tol` of the prefix itself, not of the total, refines
-    those panels until it is.
+    and bisection depths `depths`, plus running log sums, made at the first
+    prefix: `cum_vals[k]` and `cum_errs[k]` sum the first k panels.  They
+    are read-only, so a cached PanelSet is safe to share.  A prefix over
+    [r_lo, r] keeps the panels below the cut with their stored values (so
+    the shared error cancels in ratios) and adds the left part of the panel
+    holding the cut; a prefix whose error is not yet within `rel_tol` of
+    the prefix itself, not of the total, refines those panels until it is.
     """
 
     def __init__(self, transform, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
@@ -261,12 +260,17 @@ class PanelSet:
         self.u_mode, self.g_mode = u_mode, g_mode
         order = np.argsort(panels[0])
         self.lo, self.hi, self.log_vals, self.log_errs, self.depths = (p[order] for p in panels)
-        self.cum_vals = np.logaddexp.accumulate(self.log_vals)
-        self.cum_errs = np.logaddexp.accumulate(self.log_errs)
-        for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths,
-                  self.cum_vals, self.cum_errs):
+        for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths):
             p.flags.writeable = False
         self.log_total, self.log_err = log_total, log_err
+
+    @cached_property
+    def cum_vals(self) -> np.ndarray:
+        return _running_log_sum(self.log_vals)
+
+    @cached_property
+    def cum_errs(self) -> np.ndarray:
+        return _running_log_sum(self.log_errs)
 
     @property
     def panels(self) -> np.ndarray:
@@ -278,8 +282,8 @@ class PanelSet:
         relative to each prefix; a float for a scalar r_hi."""
         r = np.asarray(r_hi, dtype=float)
         tr = self.transform
-        u_q = np.minimum(tr.u_of_r(r.ravel()), tr.u_hi)
-        out = np.where(u_q >= tr.u_hi, self.log_total, _NEG_INF)
+        u_q = tr.u_of_r(r.ravel())
+        out = np.where(u_q < tr.u_hi, _NEG_INF, self.log_total)
         part = np.flatnonzero((u_q > tr.u_lo) & (u_q < tr.u_hi))
         if part.size:
             out[part] = self._cut_prefixes(u_q[part])
@@ -291,26 +295,24 @@ class PanelSet:
         One searchsorted finds every cut panel and one K15 call evaluates
         their left parts; the stored panels below a cut are one lookup in
         the running sums.  The prefixes that miss their tolerance refine
-        together in `_refine`, one group each, at most about MAX_PANELS
-        stored panels per call.
+        together in `_refine`, one group each, in batches of at most
+        MAX_PANELS stored panels.
         """
         k = np.searchsorted(self.hi, u_q, side="right")  # panels below each cut
-        below = k > 0
         # the left part of each cut panel; empty (value -inf) for a cut on an edge
         cut = _k15_panels(self.g, self.lo[k], u_q, self.depths[k])
-        val = np.logaddexp(np.where(below, self.cum_vals[k - 1], _NEG_INF), cut[2])
-        err = np.logaddexp(np.where(below, self.cum_errs[k - 1], _NEG_INF), cut[3])
+        val = np.logaddexp(self.cum_vals[k], cut[2])
+        err = np.logaddexp(self.cum_errs[k], cut[3])
         miss = np.flatnonzero(err > val + math.log(self.rel_tol))
-        if not miss.size:
-            return val
         stored = (self.lo, self.hi, self.log_vals, self.log_errs, self.depths)
-        ends = np.cumsum(k[miss])
-        for chunk in np.split(miss, np.flatnonzero(np.diff(ends // MAX_PANELS)) + 1):
-            kc = k[chunk]
-            idx = np.arange(kc.sum()) - np.repeat(np.cumsum(kc) - kc, kc)
-            panels = tuple(np.concatenate([p[idx], q[chunk]]) for p, q in zip(stored, cut))
-            group = np.concatenate([np.repeat(np.arange(len(chunk)), kc), np.arange(len(chunk))])
-            val[chunk] = _refine(self.g, panels, self.rel_tol, group, len(chunk))[1]
+        step = max(1, MAX_PANELS // len(self.lo))  # a prefix holds at most len(lo) of them
+        for s in range(0, miss.size, step):
+            batch = miss[s:s + step]
+            kb = k[batch]
+            idx = np.arange(kb.sum()) - np.repeat(np.cumsum(kb) - kb, kb)
+            panels = tuple(np.concatenate([p[idx], q[batch]]) for p, q in zip(stored, cut))
+            group = np.concatenate([np.repeat(np.arange(len(batch)), kb), np.arange(len(batch))])
+            val[batch] = _refine(self.g, panels, self.rel_tol, group, len(batch))[1]
         return val
 
 
@@ -329,7 +331,7 @@ def find_mode(g, lo: float, hi: float):
     while True:
         x = lo + (hi - lo) * frac
         vals = g(x)
-        i = int(np.argmax(vals))
+        i = int(vals.argmax())
         if g_scan_max is None:
             x_mode, g_mode, g_scan_max = float(x[i]), float(vals[i]), float(vals[i])
         elif vals[i] > g_mode:
@@ -364,8 +366,8 @@ def _scan_seed(g, transform):
         bounds.add(min(max(u_mode - w, u_lo), u_hi))
         bounds.add(min(max(u_mode + w, u_lo), u_hi))
     # a light uniform scaffold so no region is a single giant panel
-    for frac in np.linspace(0.0, 1.0, 17):
-        bounds.add(u_lo + span * frac)
+    for k in range(17):
+        bounds.add(u_lo + span * (k / 16))
     return sorted(bounds), u_mode, g_mode, g_max
 
 
@@ -383,7 +385,8 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
         r = transform.r_of_u(safe_u)
         with np.errstate(all="ignore"):
             vals = np.asarray(f(r), dtype=float) + transform.log_jacobian(safe_u)
-        return np.where(np.isnan(vals), _NEG_INF, vals)
+        vals[np.isnan(vals)] = _NEG_INF
+        return vals
 
     bounds, u_mode, g_mode, g_scan_max = _scan_seed(g, transform)
     if not transform.finite:
@@ -396,7 +399,9 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
                 "integrand grows toward r = inf; total mass looks infinite")
     edges = np.array(bounds)
     panels = _k15_panels(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
-    return PanelSet(transform, rel_tol, g, u_mode, g_mode, *_refine(g, panels, rel_tol))
+    panels, log_total, log_err = _refine(g, panels, rel_tol, np.zeros(len(edges) - 1, int), 1)
+    return PanelSet(transform, rel_tol, g, u_mode, g_mode, panels,
+                    float(log_total[0]), float(log_err[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +485,8 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
 
     # the cells refine as one set of panels; each leaf adds to its cell
     cells = _k15_panels(g, u_nodes[:-1], u_nodes[1:], np.zeros(len(u_nodes) - 1, dtype=int))
-    (leaf_lo, _, leaf_vals, _, _), _, _ = _refine(g, cells, rel_tol)
+    (leaf_lo, _, leaf_vals, _, _), _, _ = _refine(g, cells, rel_tol,
+                                                  np.zeros(len(u_nodes) - 1, int), 1)
     incs = np.full(len(u_nodes) - 1, _NEG_INF)
     np.logaddexp.at(incs, np.searchsorted(u_nodes, leaf_lo, side="right") - 1, leaf_vals)
     log_mass = np.logaddexp.accumulate(np.concatenate([[_NEG_INF], incs]))

@@ -91,8 +91,7 @@ def radial_density(spec: KernelSpec) -> LogIntegrand:
     def log_f(r):
         r = np.asarray(r, dtype=float)
         logk, _ = log_kernel_radial_array(spec, r)
-        with np.errstate(divide="ignore"):
-            logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
+        logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
         out = (n - 1) * logr + 2.0 * logk
         if n == 1:
             out = 2.0 * logk
@@ -123,10 +122,8 @@ def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL)
     raises ValueError.
     """
     R_arr = np.asarray(R, dtype=float)
-    if np.isnan(R_arr).any():
-        raise ValueError("R must not be NaN")
-    if (R_arr < 0).any():
-        raise ValueError("R must be >= 0")
+    if not (R_arr >= 0).all():
+        raise ValueError("R must not be NaN" if np.isnan(R_arr).any() else "R must be >= 0")
     kn._require_valid(spec)
     r_cut = math.sqrt(spec.n) * R_arr
     if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
@@ -260,8 +257,7 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
 
     def weighted(r):
         r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
+        logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
         return dens(r) + k * logr
 
     num = integrate_log_panels(LogIntegrand(weighted, 0.0, math.inf), rel_tol=rel_tol)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "LN_GAMMA_MAX_ARG",
     "ln_gamma",
     "ln_gamma_ratio",
     "laguerre",
@@ -37,27 +38,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# the largest x whose log Gamma(x) is a finite double; math.lgamma overflows above
+LN_GAMMA_MAX_ARG = 2.5599833278516383e305
+
+
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
+    """log Gamma(x) for x > 0; inf above LN_GAMMA_MAX_ARG."""
     if not x > 0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     try:
         return math.lgamma(x)
-    except OverflowError:  # x above ~2.6e305: log Gamma(x) exceeds a double
+    except OverflowError:  # log Gamma(x) exceeds a double
         return math.inf
 
 
 def ln_gamma_ratio(x: float, h: float) -> float:
     """log Gamma(x + h) - log Gamma(x) for x > 0 and x + h > 0.
 
-    Once a log-gamma overflows (x above ~2.6e305) the difference is
-    h ln x + h (h - 1) / (2 x), its asymptotic expansion to the first
-    correction, rather than inf - inf.
+    Below 100 the difference of the two log-gammas.  From there on
+    Stirling's series for the difference, h ln x + (x + h - 1/2) ln(1 + h/x)
+    - h plus the 1/(12 z) - 1/(360 z^3) + 1/(1260 z^5) terms at z = x + h
+    and x (truncation below 1e-17), so the two large log-gammas neither
+    cancel nor overflow past LN_GAMMA_MAX_ARG.
     """
-    top, bottom = ln_gamma(x + h), ln_gamma(x)
-    if math.isinf(top) or math.isinf(bottom):
-        return h * math.log(x) + h * (h - 1.0) / (2.0 * x)
-    return top - bottom
+    y = x + h
+    if x < 100.0 or y < 100.0:
+        return ln_gamma(y) - ln_gamma(x)
+    u, v = 1.0 / y, 1.0 / x
+    return (h * math.log(x) + (y - 0.5) * math.log1p(h / x) - h
+            + (u - v) / 12.0 - (u**3 - v**3) / 360.0 + (u**5 - v**5) / 1260.0)
 
 
 def ln_binom(a: float, k: int) -> float:

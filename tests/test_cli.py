@@ -9,7 +9,7 @@ import pytest
 from pytest import approx
 
 from dpp_repulsion import asymptotics, oracle
-from dpp_repulsion.cli import main
+from dpp_repulsion.cli import _mass, main
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
 from dpp_repulsion.special import _fmt
@@ -47,12 +47,14 @@ class TestCheck:
     @pytest.mark.parametrize("family,flag", [
         ("Cauchy", "--nu"), ("WhittleMatern", "--nu"), ("BesselType", "--sigma")])
     def test_huge_shape_parameter_has_finite_bound(self, family, flag, capsys):
-        # ln Gamma overflows at this shape; the bound must not become nan
+        # ln Gamma overflows at this shape: the bound stays finite and the
+        # shape parameter is the violation
         code, out, _ = run(["check", "--family", family, "--n", "5", flag, "1e307",
                             "--alpha", "0.1"], capsys)
-        assert code in (0, 2)
+        assert code == 2
         bound = float(re.search(r"existence bound on the scale at n=5: (\S+)", out)[1])
         assert math.isfinite(bound) and bound > 0
+        assert f"violation [{flag[2:]}]: {flag[2:]} must be at most 1.27999e+305" in out
         assert "nan" not in out
 
     def test_malformed_json_exit_64(self, tmp_path, capsys):
@@ -113,20 +115,37 @@ class TestEta:
     def test_missing_radius_exit_64(self, capsys):
         assert run(["eta", *GAUSS], capsys)[0] == 64
 
-    @pytest.mark.parametrize("argv", [
-        ["--family", "BesselType", "--n", "1000", "--sigma", "2", "--alpha", "0.3"],
-        GAUSS,
-    ])
-    def test_total_mass_note_keeps_the_value(self, argv, tmp_path, capsys):
+    def test_total_mass_note_keeps_an_underflowing_value(self, capsys):
         # the BesselType total is e^-1127.9, far below the smallest double
-        out = tmp_path / "eta.json"
-        code, stdout, _ = run(["eta", *argv, "--R", "0.1", "--format", "json",
-                               "--out", str(out)], capsys)
+        code, out, _ = run(["eta", "--family", "BesselType", "--n", "1000", "--sigma", "2",
+                            "--alpha", "0.3", "--R", "0.1"], capsys)
         assert code == 0
-        log_total = json.loads(out.read_text())["log_total"]
-        total = math.exp(log_total)
-        note = f"exp({_fmt(log_total)})" if total == 0.0 else _fmt(total)
-        assert stdout.splitlines()[-1] == f"eta total mass = {note}"
+        assert re.fullmatch(r"eta total mass = exp\(-1127\.889300321\d*\)",
+                            out.splitlines()[-1])
+
+    @pytest.mark.parametrize("log_total,note", [
+        (0.0, "1"),
+        (-700.0, "9.8596765437597708e-305"),
+        (-708.0, "3.3075530036384078e-308"),   # the last normal doubles
+        (-708.4, "exp(-708.39999999999998)"),  # subnormal
+        (-710.0, "exp(-710)"),
+        (-1127.8893003215594, "exp(-1127.8893003215594)"),
+        (-math.inf, "0"),
+    ])
+    def test_total_mass_note(self, log_total, note):
+        assert _mass(log_total) == note
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "Cauchy", "--nu", "1e307", "--alpha", "0.1"],
+        ["--family", "WhittleMatern", "--nu", "1e307", "--alpha", "1e-160"],
+        ["--family", "BesselType", "--sigma", "1e307", "--alpha", "0.1"],
+    ])
+    def test_huge_shape_parameter_is_rejected(self, argv, capsys):
+        # the closed forms would subtract overflowed log-gammas (nan)
+        code, out, err = run(["eta", "--n", "5", *argv, "--R", "0.5"], capsys)
+        assert code == 2
+        assert "must be at most" in err
+        assert "nan" not in out + err
 
 
 class TestReachCmd:

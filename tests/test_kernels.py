@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from dpp_repulsion.kernels import (
     validate,
 )
 from dpp_repulsion.quadrature import LogIntegrand, integrate_log_panels
-from dpp_repulsion.special import ln_gamma
+from dpp_repulsion.special import LN_GAMMA_MAX_ARG, ln_gamma
 
 
 def gauss_spec(n=10, rho=0.0, alpha=0.5):
@@ -82,10 +83,35 @@ class TestMaxParam:
         spec = KernelSpec(family, n=5, rho=0.0, alpha=0.1, **{field: 1e307})
         assert max_param(spec) == approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [1e3, 1e8, 1e20, 1e100])
+    def test_large_nu_bounds_keep_their_digits(self, nu):
+        # a difference of two ln Gamma near nu ln nu would cancel to noise
+        n = 7
+        with mpmath.workdps(200):
+            log_ratio = float(mpmath.loggamma(mpmath.mpf(nu) + 0.5 * n) - mpmath.loggamma(nu))
+        cauchy = KernelSpec(Family.CAUCHY, n=n, rho=0.0, nu=nu, alpha=0.1)
+        matern = KernelSpec(Family.WHITTLE_MATERN, n=n, rho=0.0, nu=nu, alpha=1e-60)
+        assert max_param(cauchy) == approx(math.exp(log_ratio / n) / math.sqrt(math.pi),
+                                           rel=1e-13)
+        assert max_param(matern) == approx(
+            math.exp(-log_ratio / n) / (2.0 * math.sqrt(math.pi)), rel=1e-13)
+
 
 class TestValidate:
     def test_gaussian_ok(self):
         assert validate(gauss_spec(alpha=0.5)).ok  # 0.5 < 0.5642
+
+    @pytest.mark.parametrize("family,field", [
+        (Family.CAUCHY, "nu"), (Family.WHITTLE_MATERN, "nu"), (Family.BESSEL_TYPE, "sigma")])
+    def test_shape_parameter_where_ln_gamma_overflows(self, family, field):
+        # n + 2 x must stay at or below LN_GAMMA_MAX_ARG
+        n = 5
+        top = 0.5 * (LN_GAMMA_MAX_ARG - n)
+        alpha = 1e-160 if family == Family.WHITTLE_MATERN else 0.1
+        assert validate(KernelSpec(family, n=n, rho=0.0, alpha=alpha, **{field: top})).ok
+        rep = validate(KernelSpec(family, n=n, rho=0.0, alpha=alpha, **{field: 1.01 * top}))
+        assert not rep.ok
+        assert [name for name, _ in rep.violations] == [field]
 
     def test_gaussian_alpha_too_big(self):
         rep = validate(gauss_spec(alpha=0.6))

@@ -141,6 +141,28 @@ class TestIntegrateLog:
         assert math.isfinite(err.value.log_error_bound)
         assert math.isfinite(err.value.log_partial)
 
+    def test_prefix_batches_match_one_element_calls(self, monkeypatch):
+        # a budget of three prefixes' stored panels splits the refined
+        # prefixes into several batches
+        spec = example_spec(Family.LAGUERRE_GAUSS, n=50)
+        ps = integrate_log_panels(repulsion.radial_density(spec), rel_tol=1e-8)
+        r = ps.transform.r_of_u(np.linspace(ps.transform.u_lo, ps.transform.u_hi, 62)[1:-1])
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 3 * len(ps.lo))
+        batches = []
+        refine = quadrature._refine
+
+        def spy(g, panels, rel_tol, group, n_groups):
+            batches.append(n_groups)
+            return refine(g, panels, rel_tol, group, n_groups)
+
+        monkeypatch.setattr(quadrature, "_refine", spy)
+        batched = ps.log_prefix(r)
+        n_batches = len(batches)
+        assert n_batches >= 3 and max(batches) == 3
+        one = np.array([ps.log_prefix(x) for x in r])
+        assert sum(batches[n_batches:]) == sum(batches[:n_batches])  # the same misses
+        np.testing.assert_allclose(batched, one, rtol=0, atol=1e-12)
+
     def test_mode_at_domain_edge_stays_inside_domain(self):
         # the mode sits at r = 0, so the curvature stencil must not probe r < 0
         def log_f(r):

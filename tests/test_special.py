@@ -9,6 +9,7 @@ from pytest import approx
 from scipy import special as sp
 
 from dpp_repulsion.special import (
+    LN_GAMMA_MAX_ARG,
     laguerre,
     ln_ball_volume,
     ln_bessel_j_ratio,
@@ -66,15 +67,19 @@ class TestLnGamma:
 
 
 class TestLnGammaRatio:
-    @pytest.mark.parametrize("x,h", [(0.5, 2.5), (1.0, 500.0), (1e5, -3.0), (2e305, 10.5)])
-    def test_is_the_difference_where_finite(self, x, h):
-        assert ln_gamma_ratio(x, h) == ln_gamma(x + h) - ln_gamma(x)
-
-    @pytest.mark.parametrize("x,h", [(1e307, 2.5), (3e306, -500.0), (1e308, 1000.0)])
-    def test_overflowed_log_gammas_match_mpmath(self, x, h):
-        with mpmath.workdps(360):
+    @pytest.mark.parametrize("x,h", [
+        (x, h) for x in (0.5, 20.0, 99.9, 100.0, 150.0, 1e3, 1e5, 1e12, 1e20, 1e100, 2e305,
+                         1e307, 1e308)
+        for h in (-40.0, -3.0, 0.5, 2.5, 500.0) if x + h > 0])
+    def test_matches_mpmath(self, x, h):
+        # direct differences below 100, Stirling's series for the difference above
+        with mpmath.workdps(400):
             want = float(mpmath.loggamma(mpmath.mpf(x) + h) - mpmath.loggamma(x))
-        assert ln_gamma_ratio(x, h) == approx(want, rel=1e-14)
+        assert ln_gamma_ratio(x, h) == approx(want, rel=3e-14, abs=3e-14)
+
+    def test_overflow_threshold(self):
+        assert math.isfinite(ln_gamma(LN_GAMMA_MAX_ARG))
+        assert ln_gamma(math.nextafter(LN_GAMMA_MAX_ARG, math.inf)) == math.inf
 
 
 def laguerre_defining_sum(m, beta, x):
