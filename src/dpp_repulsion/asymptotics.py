@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .kernels import Family, KernelSpec, UnsupportedFamilyError, validate
 from .kernels import _laguerre_double_sum_log  # exact f(n, m) for the table
-from .special import ln_gamma
+from .special import ln_gamma, ln_gamma_ratio
 
 __all__ = [
     "ReachCertificate",
@@ -169,8 +169,7 @@ def _eta_bound_log(spec: KernelSpec) -> tuple[str, float]:
         return ("2^{-n/nu}", -(n / spec.nu) * math.log(2.0))
     if fam == Family.BESSEL_TYPE:
         s = spec.sigma
-        val = (ln_gamma(s + 1.0) + ln_gamma(0.5 * s + 0.5 * n + 1.0)
-               - ln_gamma(0.5 * s + 1.0) - ln_gamma(s + 0.5 * n + 1.0))
+        val = ln_gamma_ratio(0.5 * s + 1.0, 0.5 * n) - ln_gamma_ratio(s + 1.0, 0.5 * n)
         return ("G(s+1)G(s/2+n/2+1)/(G(s/2+1)G(s+n/2+1))", val)
     if fam in (Family.WHITTLE_MATERN, Family.CAUCHY):
         return ("2^{-n/2}", -0.5 * n * math.log(2.0))

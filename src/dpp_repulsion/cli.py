@@ -1,11 +1,12 @@
 """Command-line front end: validation, eta curves, rates, tables, moments,
 and oracle sampling, with machine-readable CSV/JSON output.
 
-Config comes from `--config file.json` with flag overrides; every emitted
-file embeds the fully resolved config, so re-running on the embedded config
-reproduces the bytes.  Exit codes: 0 success, 2 invalid spec, 3 unsupported
-operation for the family, 4 numeric failure, 64 usage error (a malformed or
-out-of-range setting, from a flag or a config file, included).
+Config comes from `--config file.json` with flag overrides; a command takes
+only the settings it reads, and every emitted file embeds the spec and those
+settings, so re-running on the embedded config reproduces the bytes.  Exit
+codes: 0 success, 2 invalid spec, 3 unsupported operation for the family,
+4 numeric failure, 64 usage error (a malformed, out-of-range or unread
+setting, from a flag or a config file, included), 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -40,6 +42,7 @@ EXIT_INVALID_SPEC = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERIC = 4
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that quit
 
 
 class UsageError(Exception):
@@ -179,7 +182,7 @@ _SETTINGS = [
 
 
 def _resolve(args) -> dict:
-    """Defaults, then the config file, then the flags, in the resolved-config order."""
+    """The spec and the command's settings: defaults, then the config file, then the flags."""
     data = {}
     if args.config:
         try:
@@ -189,21 +192,21 @@ def _resolve(args) -> dict:
             raise UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
-    unknown = set(data) - {key for key, *_ in _SETTINGS}
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    reads = ("spec", *_COMMANDS[args.command][2])
+    unread = set(data) - set(reads)
+    if unread:
+        raise UsageError(f"{args.command} does not read config keys {sorted(unread)}")
     cfg = {}
     for key, _, default, parse, _ in _SETTINGS:
-        cfg[key] = default if data.get(key) is None else parse(data[key])
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
+        if key in reads:
+            cfg[key] = default if data.get(key) is None else parse(data[key])
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
     spec = dict(cfg["spec"] or {})
     for key, *_ in _SPEC_FLAGS:
         if getattr(args, key) is not None:
             spec[key] = getattr(args, key)
     cfg["spec"] = spec or None
-    if args.command != "eta" and cfg["rel_tol"] != repulsion.PRODUCTION_REL_TOL:
-        raise UsageError(f"only eta reads rel_tol, not {args.command}")
     return cfg
 
 
@@ -331,6 +334,8 @@ def cmd_rate(cfg: dict) -> int:
 
 
 def cmd_table(cfg: dict) -> int:
+    if cfg["spec"] and cfg["n_list"]:
+        raise UsageError("table reads n_list only for the shipped examples, not with a spec")
     n_list = cfg["n_list"] or [10]
     if len(n_list) != 1:
         raise UsageError("table takes a single n")
@@ -366,14 +371,20 @@ def cmd_sample(cfg: dict) -> int:
     return EXIT_OK
 
 
+# (run, help, the settings it reads besides the spec); any other is a usage error
 _COMMANDS = {
-    "check": (cmd_check, "validate a spec against its existence bound"),
-    "eta": (cmd_eta, "eta ball-ratio curve over an R grid (plus log total mass)"),
-    "reach": (cmd_reach, "reach of repulsion R* and the nearest-neighbor threshold"),
-    "rate": (cmd_rate, "analytic rate curves, optionally with finite-n empirical rates"),
-    "table": (cmd_table, "summary table over specs (defaults to the shipped examples)"),
-    "moments": (cmd_moments, "exact radial moments E|X_n|^k"),
-    "sample": (cmd_sample, "draw radii |X_n| with the deterministic counter-based RNG"),
+    "check": (cmd_check, "validate a spec against its existence bound", ()),
+    "eta": (cmd_eta, "eta ball-ratio curve over an R grid (plus log total mass)",
+            ("R", "R_grid", "rel_tol", "format", "out")),
+    "reach": (cmd_reach, "reach of repulsion R* and the nearest-neighbor threshold",
+              ("format", "out")),
+    "rate": (cmd_rate, "analytic rate curves, optionally with finite-n empirical rates",
+             ("R", "R_grid", "n_list", "quantity", "format", "out")),
+    "table": (cmd_table, "summary table over specs (defaults to the shipped examples)",
+              ("n_list", "format", "out")),
+    "moments": (cmd_moments, "exact radial moments E|X_n|^k", ("k_list", "format", "out")),
+    "sample": (cmd_sample, "draw radii |X_n| with the deterministic counter-based RNG",
+               ("samples", "seed", "format", "out")),
 }
 
 
@@ -382,20 +393,27 @@ def build_parser() -> _Parser:
                 description="Repulsion-measure analysis of stationary isotropic "
                             "DPP families in the high-dimensional Shannon regime.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, reads) in _COMMANDS.items():
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", help="JSON config file (flags override it)")
         for key, flag, options in _SPEC_FLAGS:
             q.add_argument(flag, dest=key, **options)
-        for key, flag, _, _, options in _SETTINGS[1:]:  # "spec" has no flag
-            q.add_argument(flag, dest=key, **options)
+        for key, flag, _, _, options in _SETTINGS:
+            if key in reads:
+                q.add_argument(flag, dest=key, **options)
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command][0](_resolve(args))
+        code = _COMMANDS[args.command][0](_resolve(args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader quit; point stdout at devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

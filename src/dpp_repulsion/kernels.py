@@ -238,6 +238,10 @@ def validate(spec: KernelSpec) -> ValidationReport:
         limit = 0.5 * (LN_GAMMA_MAX_ARG - spec.n)
         bad.append((shape, f"{shape} must be at most {limit:.6g} at n={spec.n}, "
                            f"got {getattr(spec, shape):.6g} (ln Gamma overflows a double)"))
+    elif fam == Family.BESSEL_TYPE and spec.sigma + 1.0 == spec.sigma + spec.n + 1.0:
+        # the density's exponent sigma + 1 must stay below 2 mu + 1 = sigma + n + 1
+        bad.append(("sigma", f"sigma {spec.sigma:.6g} is too large at n={spec.n}: "
+                             "sigma + 1 and sigma + n + 1 round to the same double"))
     if fam == Family.INDICATOR_SPECTRAL:
         if not (0.0 < spec.c < 1.0):
             bad.append(("c", f"need 0 < c < 1 (spectrum strictly below 1), got {spec.c}"))
@@ -408,22 +412,17 @@ def squared_norm_log(spec: KernelSpec) -> float:
     if fam == Family.BESSEL_TYPE:
         s, alpha = spec.sigma, spec.alpha
         return (2.0 * n * rho + 0.5 * n * math.log(2.0 * math.pi) + n * math.log(alpha)
-                - 0.5 * n * math.log(s + n)
-                + ln_gamma(s + 1.0) + 2.0 * ln_gamma(0.5 * s + 0.5 * n + 1.0)
-                - 2.0 * ln_gamma(0.5 * s + 1.0) - ln_gamma(s + 0.5 * n + 1.0))
+                - 0.5 * n * math.log(s + n) + 2.0 * ln_gamma_ratio(0.5 * s + 1.0, 0.5 * n)
+                - ln_gamma_ratio(s + 1.0, 0.5 * n))
     if fam == Family.WHITTLE_MATERN:
         nu, alpha = spec.nu, spec.alpha
         return (2.0 * n * rho + n * math.log(2.0) + 0.5 * n * math.log(math.pi)
-                + n * math.log(alpha) + ln_gamma(0.5 * n + 2.0 * nu)
-                + 2.0 * ln_gamma(0.5 * n + nu) - 2.0 * ln_gamma(nu)
-                - ln_gamma(n + 2.0 * nu))
+                + n * math.log(alpha) + 2.0 * ln_gamma_ratio(nu, 0.5 * n)
+                - ln_gamma_ratio(2.0 * nu + 0.5 * n, 0.5 * n))
     if fam == Family.CAUCHY:
         a_n = effective_alpha(spec)
-        nu = spec.nu
-        log_beta = (ln_gamma(0.5 * n) + ln_gamma(2.0 * nu + 0.5 * n)
-                    - ln_gamma(2.0 * nu + n))
         return (2.0 * n * rho + 0.5 * n * math.log(math.pi) + n * math.log(a_n)
-                - ln_gamma(0.5 * n) + log_beta)
+                - ln_gamma_ratio(2.0 * spec.nu + 0.5 * n, 0.5 * n))
     if fam == Family.INDICATOR_SPECTRAL:
         return math.log(spec.c) + n * rho
     raise UnsupportedFamilyError(fam.value)
@@ -432,9 +431,6 @@ def squared_norm_log(spec: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
-
-_JSON_FIELDS = ("family", "n", "rho", "m", "alpha", "alpha_rule", "nu", "sigma", "c")
-
 
 def spec_to_dict(spec: KernelSpec) -> dict:
     """Flat snake_case object; family-irrelevant fields omitted."""
@@ -445,12 +441,14 @@ def spec_to_dict(spec: KernelSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> KernelSpec:
-    unknown = set(d) - set(_JSON_FIELDS)
-    if unknown:
-        raise InvalidSpecError(f"unknown KernelSpec fields: {sorted(unknown)}")
+    """The spec of a flat object; a field its family does not read is invalid."""
     if "family" not in d or "n" not in d:
         raise InvalidSpecError("KernelSpec JSON requires 'family' and 'n'")
-    return KernelSpec(**{k: d[k] for k in _JSON_FIELDS if k in d})
+    fam = KernelSpec(d["family"], n=1).family  # an unknown family raises here
+    unread = set(d) - {"family", "n", "rho", *_FIELDS_BY_FAMILY[fam]}
+    if unread:
+        raise InvalidSpecError(f"{fam.value} does not read fields {sorted(unread)}")
+    return KernelSpec(**d)
 
 
 def spec_from_json(text: str) -> KernelSpec:

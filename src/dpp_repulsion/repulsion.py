@@ -41,7 +41,7 @@ from .quadrature import (
     build_cdf,
     integrate_log_panels,
 )
-from .special import _fmt, ln_ball_volume, ln_gamma
+from .special import _fmt, ln_ball_volume, ln_gamma, ln_gamma_ratio
 
 __all__ = [
     "EtaReport",
@@ -209,25 +209,22 @@ def radial_moment(spec: KernelSpec, k: int) -> float:
             raise MomentDivergesError(
                 f"BesselType moment E|X|^{k} diverges unless k < sigma + 1 = {s + 1}")
         return math.exp(k * math.log(alpha) + 0.5 * k * math.log(2.0 / (s + n))
-                        + ln_gamma(0.5 * (n + k)) - ln_gamma(0.5 * n)
-                        + ln_gamma(s + 1.0 - k) - ln_gamma(s + 1.0)
-                        + 2.0 * ln_gamma(0.5 * s + 1.0) - 2.0 * ln_gamma(0.5 * (s - k) + 1.0)
-                        + ln_gamma(s + 0.5 * n + 1.0) - ln_gamma(s + 0.5 * n + 1.0 - 0.5 * k))
+                        + ln_gamma_ratio(0.5 * n, 0.5 * k) - ln_gamma_ratio(s + 1.0 - k, k)
+                        + 2.0 * ln_gamma_ratio(0.5 * (s - k) + 1.0, 0.5 * k)
+                        + ln_gamma_ratio(s + 0.5 * (n - k) + 1.0, 0.5 * k))
     if fam == Family.WHITTLE_MATERN:
         nu, alpha = spec.nu, spec.alpha
-        return math.exp(k * math.log(2.0 * alpha)
-                        + ln_gamma(n + 2.0 * nu) - ln_gamma(n + 2.0 * nu + k)
-                        + ln_gamma(0.5 * (n + k) + 2.0 * nu) - ln_gamma(0.5 * n + 2.0 * nu)
-                        + 2.0 * ln_gamma(0.5 * (n + k) + nu) - 2.0 * ln_gamma(0.5 * n + nu)
-                        + ln_gamma(0.5 * (n + k)) - ln_gamma(0.5 * n))
+        return math.exp(k * math.log(2.0 * alpha) - ln_gamma_ratio(n + 2.0 * nu, k)
+                        + ln_gamma_ratio(0.5 * n + 2.0 * nu, 0.5 * k)
+                        + 2.0 * ln_gamma_ratio(0.5 * n + nu, 0.5 * k)
+                        + ln_gamma_ratio(0.5 * n, 0.5 * k))
     if fam == Family.CAUCHY:
         nu, a_n = spec.nu, effective_alpha(spec)
         if not k < n + 4.0 * nu:
             raise MomentDivergesError(
                 f"Cauchy moment E|X|^{k} diverges unless k < n + 4 nu = {n + 4 * nu}")
-        return math.exp(k * math.log(a_n)
-                        + ln_gamma(0.5 * (n + k)) - ln_gamma(0.5 * n)
-                        + ln_gamma(2.0 * nu + 0.5 * (n - k)) - ln_gamma(2.0 * nu + 0.5 * n))
+        return math.exp(k * math.log(a_n) + ln_gamma_ratio(0.5 * n, 0.5 * k)
+                        - ln_gamma_ratio(2.0 * nu + 0.5 * (n - k), 0.5 * k))
     if fam == Family.INDICATOR_SPECTRAL:
         raise MomentDivergesError(
             "IndicatorSpectral |X_n| has no finite moments of order >= 1 "

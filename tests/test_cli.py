@@ -1,7 +1,9 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from pytest import approx
 
 from dpp_repulsion import asymptotics, oracle
-from dpp_repulsion.cli import _mass, main
+from dpp_repulsion.cli import _COMMANDS, _SETTINGS, _mass, build_parser, main
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
 from dpp_repulsion.special import _fmt
@@ -134,6 +136,17 @@ class TestEta:
     ])
     def test_total_mass_note(self, log_total, note):
         assert _mass(log_total) == note
+
+    @pytest.mark.parametrize("command", ["check", "eta"])
+    def test_bessel_sigma_past_the_exponent_gap_exit_two(self, command, capsys):
+        # sigma + 1 and sigma + 6 are one double: the density's exponent
+        # reaches 2 mu + 1, and eta used to end in a ValueError traceback
+        argv = [command, "--family", "BesselType", "--n", "5", "--sigma", "1e17",
+                "--alpha", "0.1"] + (["--R", "0.5"] if command == "eta" else [])
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "Traceback" not in err
+        assert ("sigma 1e+17 is too large at n=5: sigma + 1 and sigma + n + 1 round to "
+                "the same double") in out + err
 
     @pytest.mark.parametrize("argv", [
         ["--family", "Cauchy", "--nu", "1e307", "--alpha", "0.1"],
@@ -303,7 +316,7 @@ class TestSettings:
     ])
     def test_bad_setting_exit_64(self, argv, config, tmp_path, capsys):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-        if "--out" not in argv:
+        if "--out" not in argv and argv[0] != "check":  # check reads no --out
             argv += ["--out", str(tmp_path / "out")]
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -319,14 +332,161 @@ class TestSettings:
         # the command-line order, then the run settings in table order
         out = tmp_path / "eta.json"
         assert run(["eta", "--alpha", "0.5", "--m", "1", "--rho", "0", "--n", "12",
-                    "--family", "LaguerreGauss", "--format", "json", "--quantity",
-                    "eta_ball", "--rel-tol", "1e-7", "--seed", "3", "--samples", "9",
-                    "--k", "2", "--n-list", "4", "--R-grid", "0.1:0.2:2", "--R", "0.1",
-                    "--out", str(out)], capsys)[0] == 0
+                    "--family", "LaguerreGauss", "--format", "json", "--rel-tol", "1e-7",
+                    "--R-grid", "0.1:0.2:2", "--R", "0.1", "--out", str(out)], capsys)[0] == 0
         config = json.loads(out.read_text())["config"]
-        assert list(config) == ["spec", "R", "R_grid", "n_list", "k_list", "samples",
-                                "seed", "rel_tol", "quantity", "format"]
+        assert list(config) == ["spec", "R", "R_grid", "rel_tol", "format"]
         assert list(config["spec"]) == ["family", "n", "rho", "m", "alpha"]
+
+
+# the settings each command reads, besides the spec; every other is a usage error
+READS = {
+    "check": set(),
+    "eta": {"R", "R_grid", "rel_tol", "format", "out"},
+    "reach": {"format", "out"},
+    "rate": {"R", "R_grid", "n_list", "quantity", "format", "out"},
+    "table": {"n_list", "format", "out"},
+    "moments": {"k_list", "format", "out"},
+    "sample": {"samples", "seed", "format", "out"},
+}
+# one accepted value of each setting: (flag arguments, config-file value);
+# "{tmp}" is the test's directory
+VALUES = {
+    "R": (["--R", "0.075"], 0.075), "R_grid": (["--R-grid", "0.075:0.075:1"], [0.075, 0.075, 1]),
+    "n_list": (["--n-list", "20"], [20]), "k_list": (["--k", "2,4"], [2, 4]),
+    "samples": (["--samples", "16"], 16), "seed": (["--seed", "3"], 3),
+    "rel_tol": (["--rel-tol", "1e-7"], 1e-7), "quantity": (["--quantity", "eta_ball"], "eta_ball"),
+    "format": (["--format", "csv"], "csv"), "out": (["--out", "{tmp}/o"], "{tmp}/o"),
+}
+SPEC_ARGS = {"rate": LAGUERRE_1, "table": []}  # the rest take GAUSS
+UNREAD = [(command, key) for command in READS for key in VALUES if key not in READS[command]]
+
+
+def _embedded(path: Path, fmt: str) -> dict:
+    text = path.read_text()
+    if fmt == "csv":
+        return json.loads(text.splitlines()[0][len("# config = "):])
+    return json.loads(text)["config"]
+
+
+class TestReadLists:
+    def test_declared_read_lists(self):
+        assert {c: set(reads) for c, (_, _, reads) in _COMMANDS.items()} == READS
+        assert sum(map(len, READS.values())) == 23 and len(UNREAD) == 47
+        assert {key for key, *_ in _SETTINGS} == {"spec", *VALUES}
+
+    def test_parser_registers_only_the_read_flags(self):
+        sub = build_parser()._subparsers._group_actions[0]
+        counts = {name: len(q._actions) for name, q in sub.choices.items()}
+        # --help, --config and the nine spec flags, then the settings read
+        assert counts == {c: 11 + len(READS[c]) for c in READS}
+        assert sum(counts.values()) == 100
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [c for c in READS if c != "check"])
+    def test_embedded_config_is_the_read_list_and_reproduces_bytes(
+            self, command, fmt, tmp_path, capsys):
+        first = tmp_path / f"first.{fmt}"
+        argv = [command, *SPEC_ARGS.get(command, GAUSS)]
+        for key in sorted(READS[command] - {"format", "out"}):
+            argv += VALUES[key][0]
+        assert run([*argv, "--format", fmt, "--out", str(first)], capsys)[0] == 0
+        embedded = _embedded(first, fmt)
+        spec = set() if command == "table" else {"spec"}  # table runs on its examples here
+        assert set(embedded) == spec | READS[command] - {"out"}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(embedded))
+        second = tmp_path / f"second.{fmt}"
+        assert run([command, "--config", str(cfg_file), "--out", str(second)], capsys)[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("command,key", UNREAD)
+    def test_unread_flag_exit_64(self, command, key, tmp_path, capsys):
+        flag = [a.replace("{tmp}", str(tmp_path)) for a in VALUES[key][0]]
+        code, out, err = run([command, *SPEC_ARGS.get(command, GAUSS), *flag], capsys)
+        assert code == 64
+        assert err.startswith("usage error: unrecognized arguments: " + flag[0])
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,key", UNREAD)
+    def test_unread_config_key_exit_64(self, command, key, tmp_path, capsys):
+        value = VALUES[key][1]
+        if isinstance(value, str):
+            value = value.replace("{tmp}", str(tmp_path))
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        code, out, err = run([command, *SPEC_ARGS.get(command, GAUSS), "--config",
+                              str(cfg_file)], capsys)
+        assert code == 64
+        assert err == f"usage error: {command} does not read config keys ['{key}']\n"
+        assert out == "" and [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_table_with_a_spec_takes_no_n_list(self, where, tmp_path, capsys):
+        argv = ["table", *GAUSS, "--n-list", "12"]
+        if where == "config":
+            cfg_file = tmp_path / "c.json"
+            cfg_file.write_text(json.dumps({"spec": {"family": "LaguerreGauss", "n": 12,
+                                                     "m": 1, "alpha": 0.5}, "n_list": [12]}))
+            argv = ["table", "--config", str(cfg_file)]
+        code, out, err = run(argv, capsys)
+        assert code == 64 and out == ""
+        assert "table reads n_list only for the shipped examples" in err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command", list(READS))
+    def test_spec_field_the_family_does_not_read_exit_2(self, command, where, tmp_path,
+                                                        capsys):
+        argv = [command, *GAUSS, "--nu", "5"]
+        if where == "config":
+            cfg_file = tmp_path / "c.json"
+            cfg_file.write_text(json.dumps({"spec": {"family": "LaguerreGauss", "n": 12,
+                                                     "m": 1, "alpha": 0.5, "sigma": 3}}))
+            argv = [command, "--config", str(cfg_file)]
+        code, out, err = run(argv, capsys)  # the spec is read before any setting
+        field = "nu" if where == "flag" else "sigma"
+        assert code == 2
+        assert err == f"invalid spec: LaguerreGauss does not read fields ['{field}']\n"
+
+    def test_readme_settings_table_matches_the_read_lists(self):
+        # the README's "read by" column is the code's declaration, row by row
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        head = "| config key | flag | default | read by |\n| --- | --- | --- | --- |\n"
+        table = readme.split(head, 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in table.splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows[cells[0].strip("`")] = set(re.findall(r"`(\w+)`", cells[3]))
+        assert list(rows) == [key for key, *_ in _SETTINGS]
+        for key, readers in rows.items():
+            assert readers == {c for c, (_, _, reads) in _COMMANDS.items()
+                               if key in ("spec", *reads)}, key
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["reach", *GAUSS], ["table"], ["check", *GAUSS]])
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_broken_pipe_exit_141(self, argv, fails, tmp_path, monkeypatch, capsys):
+        # a reader that quit: the write (or the flush of buffered text)
+        # raises; main exits 141 and points stdout's descriptor at devnull
+        class Closed:
+            def __init__(self, fh):
+                self.fileno = fh.fileno
+
+            def write(self, text):
+                if fails == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with open(tmp_path / "stdout", "wb") as fh:
+            monkeypatch.setattr(sys, "stdout", Closed(fh))
+            assert main(argv) == 141
+            os.write(fh.fileno(), b"exit flush")
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert capsys.readouterr().err == ""
 
 
 class TestRoundTrip:

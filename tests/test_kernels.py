@@ -104,14 +104,32 @@ class TestValidate:
     @pytest.mark.parametrize("family,field", [
         (Family.CAUCHY, "nu"), (Family.WHITTLE_MATERN, "nu"), (Family.BESSEL_TYPE, "sigma")])
     def test_shape_parameter_where_ln_gamma_overflows(self, family, field):
-        # n + 2 x must stay at or below LN_GAMMA_MAX_ARG
+        # n + 2 x must stay at or below LN_GAMMA_MAX_ARG; BesselType's sigma
+        # stops far below, where sigma + 1 and sigma + n + 1 round together
+        # (test_bessel_sigma_where_the_exponent_gap_rounds_away), so its largest
+        # valid sigma at n = 5 is the double below 2^56
         n = 5
         top = 0.5 * (LN_GAMMA_MAX_ARG - n)
+        if family == Family.BESSEL_TYPE:
+            top = math.nextafter(2.0**56, 0.0)
         alpha = 1e-160 if family == Family.WHITTLE_MATERN else 0.1
         assert validate(KernelSpec(family, n=n, rho=0.0, alpha=alpha, **{field: top})).ok
         rep = validate(KernelSpec(family, n=n, rho=0.0, alpha=alpha, **{field: 1.01 * top}))
         assert not rep.ok
         assert [name for name, _ in rep.violations] == [field]
+
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    def test_bessel_sigma_where_the_exponent_gap_rounds_away(self, n):
+        # the density J_mu^2 y^{-lam} needs lam = sigma + 1 < 2 mu + 1 = sigma + n + 1
+        sigma = 1.0
+        while sigma + 1.0 < sigma + n + 1.0:
+            sigma *= 2.0
+        ok = KernelSpec(Family.BESSEL_TYPE, n=n, sigma=math.nextafter(sigma / 2.0, 0.0),
+                        alpha=0.1)
+        assert validate(ok).ok
+        rep = validate(KernelSpec(Family.BESSEL_TYPE, n=n, sigma=sigma, alpha=0.1))
+        assert [name for name, _ in rep.violations] == ["sigma"]
+        assert "round to the same double" in rep.violations[0][1]
 
     def test_gaussian_alpha_too_big(self):
         rep = validate(gauss_spec(alpha=0.6))
@@ -424,6 +442,16 @@ class TestJsonWire:
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidSpecError):
             spec_from_dict({"family": "Cauchy", "n": 3, "beta": 1.0})
+
+    @pytest.mark.parametrize("fam", list(Family))
+    def test_field_the_family_does_not_read_rejected(self, fam):
+        from dpp_repulsion.examples import EXAMPLE_PARAMS
+        d = spec_to_dict(KernelSpec(family=fam, n=4, **EXAMPLE_PARAMS[fam]))
+        assert spec_from_dict(d) == KernelSpec(family=fam, n=4, **EXAMPLE_PARAMS[fam])
+        for field in {"m", "alpha", "alpha_rule", "nu", "sigma", "c"} - set(d):
+            with pytest.raises(InvalidSpecError, match=f"{fam.value} does not read "
+                                                       f"fields \\['{field}'\\]"):
+                spec_from_dict({**d, field: 1})
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidSpecError):

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from scipy import special as sp
 
 from conftest import bessel_sq_prefix_ref_log, bessel_sq_total_log
 from dpp_repulsion import quadrature, repulsion
+from dpp_repulsion.asymptotics import _eta_bound_log
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import (
     Family,
@@ -19,6 +21,7 @@ from dpp_repulsion.kernels import (
     effective_alpha,
     kernel_radial,
     max_param,
+    squared_norm_log,
 )
 from dpp_repulsion.repulsion import (
     MomentDivergesError,
@@ -352,6 +355,69 @@ class TestMoments:
             lhs = 1.0 - eta_ball_ratio(spec, R)
             rhs = var / (40 * R * R - m2) ** 2
             assert lhs <= rhs + 1e-12
+
+
+def _large_shape_spec(fam, shape):
+    """A valid n = 5 spec whose shape parameter (nu or sigma) is `shape`."""
+    if fam == Family.WHITTLE_MATERN:
+        probe = KernelSpec(fam, n=5, nu=shape, alpha=1.0)
+        return KernelSpec(fam, n=5, nu=shape, alpha=0.5 * max_param(probe))
+    field = "sigma" if fam == Family.BESSEL_TYPE else "nu"
+    return KernelSpec(fam, n=5, alpha=0.1, **{field: shape})
+
+
+def _mp_closed_forms(spec, k):
+    """(log squared norm, k-th radial moment) at 40 digits, each Gamma ratio
+    a difference of mpmath log-gammas at the spec's exact doubles (rho = 0)."""
+    G, mpf = mpmath.loggamma, mpmath.mpf
+    n, h, kk = spec.n, mpf(spec.n) / 2, mpf(k) / 2
+    if spec.family == Family.BESSEL_TYPE:
+        s, a = mpf(spec.sigma), mpf(spec.alpha)
+        norm = (h * mpmath.log(2 * mpmath.pi) + n * mpmath.log(a) - h * mpmath.log(s + n)
+                + G(s + 1) + 2 * G(s / 2 + h + 1) - 2 * G(s / 2 + 1) - G(s + h + 1))
+        moment = (k * mpmath.log(a) + kk * mpmath.log(2 / (s + n)) + G(h + kk) - G(h)
+                  + G(s + 1 - k) - G(s + 1) + 2 * G(s / 2 + 1) - 2 * G((s - k) / 2 + 1)
+                  + G(s + h + 1) - G(s + h + 1 - kk))
+    elif spec.family == Family.WHITTLE_MATERN:
+        nu, a = mpf(spec.nu), mpf(spec.alpha)
+        norm = (n * mpmath.log(2) + h * mpmath.log(mpmath.pi) + n * mpmath.log(a)
+                + G(h + 2 * nu) + 2 * G(h + nu) - 2 * G(nu) - G(n + 2 * nu))
+        moment = (k * mpmath.log(2 * a) + G(n + 2 * nu) - G(n + 2 * nu + k)
+                  + G(h + kk + 2 * nu) - G(h + 2 * nu) + 2 * G(h + kk + nu) - 2 * G(h + nu)
+                  + G(h + kk) - G(h))
+    else:
+        nu, a = mpf(spec.nu), mpf(effective_alpha(spec))
+        norm = (h * mpmath.log(mpmath.pi) + n * mpmath.log(a)
+                + G(2 * nu + h) - G(2 * nu + n))
+        moment = (k * mpmath.log(a) + G(h + kk) - G(h) + G(2 * nu + h - kk) - G(2 * nu + h))
+    return norm, mpmath.exp(moment)
+
+
+class TestLargeShapeParameters:
+    # at nu = 1e12 the log-gamma differences lost 5.5e-3 of the Cauchy norm's
+    # log and at 1e20 the whole moment; Gamma ratios keep the digits
+    @pytest.mark.parametrize("fam,shape", [
+        (Family.CAUCHY, 1e6), (Family.CAUCHY, 1e12), (Family.CAUCHY, 1e20),
+        (Family.WHITTLE_MATERN, 1e6), (Family.WHITTLE_MATERN, 1e12),
+        (Family.WHITTLE_MATERN, 1e20),
+        # BesselType sigma = 1e20 is invalid (sigma + 1 == sigma + 6 as doubles)
+        (Family.BESSEL_TYPE, 1e6), (Family.BESSEL_TYPE, 1e12),
+    ], ids=str)
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_norm_and_moment_vs_mpmath(self, fam, shape, k):
+        spec = _large_shape_spec(fam, shape)
+        with mpmath.workdps(40):
+            norm, moment = _mp_closed_forms(spec, k)
+            assert squared_norm_log(spec) == approx(float(norm), rel=1e-12)
+            assert radial_moment(spec, k) == approx(float(moment), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e6, 1e12, 7e16])
+    def test_bessel_eta_bound_vs_mpmath(self, sigma):
+        spec = _large_shape_spec(Family.BESSEL_TYPE, sigma)
+        G, s, h = mpmath.loggamma, mpmath.mpf(sigma), mpmath.mpf(spec.n) / 2
+        with mpmath.workdps(40):
+            want = float(G(s + 1) + G(s / 2 + h + 1) - G(s / 2 + 1) - G(s + h + 1))
+        assert _eta_bound_log(spec)[1] == approx(want, rel=1e-12)
 
 
 class TestPairCorrelation:
