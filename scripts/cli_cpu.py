@@ -2,8 +2,11 @@
 """End-to-end CPU time of the README command-line examples, plus `eta` on
 both oscillatory families (a BesselType spec at sigma = 180.8, an
 IndicatorSpectral spec and a BesselType spec at n = 1000), LaguerreGauss
-`moments` at m = 60 and a dense 200-point LaguerreGauss `eta` curve at
-n = 1000, one batch of prefixes over one panel decomposition.
+`moments` at m = 60, a dense 200-point LaguerreGauss `eta` curve at
+n = 1000 (one batch of prefixes over one panel decomposition), and both
+shapes of Bessel-square prefix traffic: a 50-point BesselType curve at
+sigma = 1e5, whose cuts run about 5e4 orders below mu side by side, and
+a single IndicatorSpectral cut, which pays one numpy call per order alone.
 
 Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
@@ -47,6 +50,9 @@ COMMANDS = [
                               " --k 2,4"),
     ("eta LaguerreGauss n=1000", "eta --family LaguerreGauss --n 1000 --m 4 --alpha 0.1"
                                  " --R-grid 0.05:0.15:200 --out {out}/eta_laguerre_1000.csv"),
+    ("eta BesselType sigma=1e5", "eta --family BesselType --n 5 --sigma 1e5 --alpha 0.1"
+                                 " --R-grid 0.05:1:50"),
+    ("eta IndicatorSpectral one cut", "eta --family IndicatorSpectral --n 40 --c 0.5 --R 1.0"),
 ]
 
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

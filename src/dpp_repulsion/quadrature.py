@@ -30,8 +30,8 @@ proposal scale.
 The oscillatory J_mu(y)^2 y^{-lam} integrals of the Bessel-type kernels
 need no quadrature.  Their total over [0, inf) is the Weber-Schafheitlin
 closed form (DLMF 10.22.57).  A prefix is a positive series of squares of
-J_{mu+k}(x), k >= 0, whose values come from one backward recurrence in the
-order and one jv call.
+J_{mu+k}(x), k >= 0; the cuts of a batch are the lanes of one backward
+recurrence in the order, and one jv call scales them all.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import ln_gamma
+from .special import ln_gamma, ln_gamma_ratio
 
 __all__ = [
     "LogIntegrand",
@@ -66,6 +66,8 @@ MAX_DEPTH = 60
 MAX_PANELS = 60000
 SCAN_POINTS = 257
 CDF_NODES = 4096
+# Order steps of the Bessel-square recurrence held at once per cut
+_ORDER_BLOCK = 256
 
 # Kronrod-15 nodes on [-1, 1] with the embedded Gauss-7 weights (zero at
 # Kronrod-only nodes).  Standard tabulated values.
@@ -520,74 +522,108 @@ def _bessel_sq_log(mu: float, y: np.ndarray, lam: float) -> np.ndarray:
 def bessel_sq_moment_log(mu: float, lam: float) -> float:
     """log of int_0^inf J_mu(y)^2 y^{-lam} dy for 0 < lam < 2 mu + 1.
 
-    The Weber-Schafheitlin closed form (DLMF 10.22.57 with nu = mu):
-    Gamma(lam) Gamma(mu + (1 - lam)/2)
-    / (2^lam Gamma((lam + 1)/2)^2 Gamma(mu + (lam + 1)/2)).
+    The Weber-Schafheitlin closed form (DLMF 10.22.57 with nu = mu) after
+    the duplication formula, Gamma(lam/2) Gamma(g)
+    / (2 sqrt(pi) Gamma((lam + 1)/2) Gamma(g + lam)), g = mu + (1 - lam)/2:
+    two Gamma ratios, which cancel no digits at large lam or mu.
     """
     if not (0.0 < lam < 2.0 * mu + 1.0):
         raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
-    return (ln_gamma(lam) + ln_gamma(mu + 0.5 * (1.0 - lam)) - lam * math.log(2.0)
-            - 2.0 * ln_gamma(0.5 * (lam + 1.0)) - ln_gamma(mu + 0.5 * (lam + 1.0)))
+    return (-math.log(2.0 * math.sqrt(math.pi)) - ln_gamma_ratio(0.5 * lam, 0.5)
+            - ln_gamma_ratio(mu + 0.5 * (1.0 - lam), lam))
 
 
-def bessel_sq_prefix_log(mu: float, lam: float, y_hi: float) -> float:
-    """log of int_0^{y_hi} J_mu(y)^2 y^{-lam} dy for lam < 2 mu + 1.
+def bessel_sq_prefix_log(mu: float, lam: float, y_hi):
+    """log of int_0^y J_mu(t)^2 t^{-lam} dt for each cut y in y_hi, lam < 2 mu + 1;
+    a float for a scalar y_hi.
 
-    At lam >= 2 mu + 1 the integrand grows at least like 1/y at y = 0 and
-    every non-empty prefix diverges; the empty one (y_hi <= 0) is -inf.
-    y_hi = inf gives the total, bessel_sq_moment_log, which also needs lam > 0.
+    At lam >= 2 mu + 1 the integrand grows at least like 1/t at t = 0 and
+    every non-empty prefix diverges; an empty one (y <= 0) is -inf, a NaN
+    cut raises.  y = inf gives the total, bessel_sq_moment_log, which also
+    needs lam > 0.
 
-    A finite prefix x = y_hi is the series of squares (from DLMF 10.6.1 with
+    A finite prefix x = y is the series of squares (from DLMF 10.6.1 with
     a = lam - 1)
     x^{-a} sum_k w_k (J_{mu+k}(x)^2 + J_{mu+k+1}(x)^2) / (2 mu + 2 k - a),
     w_0 = 1, w_{k+1} = w_k (2 mu + 2 k + 2 + a) / (2 mu + 2 k - a), summed to
     rounding; its terms are >= 0 for lam >= -1.  At lam = 1 it is
     (J_mu^2 + 2 sum_{k>=1} J_{mu+k}^2) / (2 mu): the total 1 / (2 mu) times
     the analogue of Neumann's 1 = J_0^2 + 2 sum_k J_k^2 (DLMF 10.23.3).
-    Values proportional to J_{mu+k}(x) come from the backward (Miller) recurrence in the order,
-    started past the turning point, rescaled before they overflow and run
-    on below mu to an order nu0 in [x, x + 1), where jv cannot underflow;
-    one _bessel_sq_log call, at whichever of nu0 and nu0 + 1 is larger,
-    fixes their scale.
+    Each cut is one lane of a backward recurrence in the order on the
+    orders mu + k, in ratio form, r_k = v_k / v_{k+1}
+    = 2 (mu + k + 1) / x - 1 / r_{k+1}, so nothing overflows.  A lane starts
+    12 x^{1/3} + 40 orders past its turning point and runs on below mu to
+    an order nu0 in [x, x + 1), where jv cannot underflow; one jv call at
+    each lane's nu0 or nu0 + 1 fixes the scales.  A lane whose last term is
+    not 40 e-folds below its largest (the weights outgrow J^2 for lam near
+    2 mu + 1) runs again from twice as high.  Memory is lanes x (terms +
+    _ORDER_BLOCK); time is about max(x, mu) numpy calls, one cut or many.
     """
-    if math.isnan(y_hi):
+    y = np.asarray(y_hi, dtype=float)
+    x = y.ravel()
+    if np.isnan(x).any():
         raise ValueError("y_hi must not be NaN")
-    if y_hi <= 0:
-        return _NEG_INF
-    if not lam < 2.0 * mu + 1.0:
-        raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
-    if math.isinf(y_hi):
-        return bessel_sq_moment_log(mu, lam)
-    x, a = float(y_hi), lam - 1.0
-    if x <= 1e-8:  # the first term and J_mu's first power; the rest add below x^2
-        return (2.0 * (mu * math.log(0.5 * x) - ln_gamma(mu + 1.0)) - a * math.log(x)
-                - math.log(2.0 * mu - a))
-    # v_i is proportional to J_{nu0+i}(x), from past the turning point down
-    # through mu to nu0 in [x, x + 1), where jv cannot underflow; the series
-    # reads order mu + k at i = drop + k
-    drop = math.floor(max(mu - x, 0.0))
-    nu0 = mu - drop
-    top = drop + int(max(x - mu, 0.0) + 12.0 * x ** (1.0 / 3.0) + 40.0)
-    vals, cuts = [0.0], []  # v_{top+1}, v_top, ..., v_0; the list length at each rescale
-    hi, lo = 0.0, 1.0       # v_{i+1}, v_i
-    for i in range(top, 0, -1):
-        vals.append(lo)
-        hi, lo = lo, (2.0 * (nu0 + i) / x) * lo - hi
-        if abs(lo) > 1e250:
-            hi, lo = hi * 1e-250, lo * 1e-250
-            cuts.append(len(vals))
-    vals.append(lo)
-    later_cuts = len(cuts) - np.searchsorted(cuts, np.arange(len(vals)), side="right")
-    with np.errstate(divide="ignore"):
-        log_v = (np.log(np.abs(vals)) - 250.0 * math.log(10.0) * later_cuts)[::-1]
-    # J_{nu0} and J_{nu0+1} never vanish together: the larger fixes the scale
-    ref = int(log_v[1] > log_v[0])
-    log_scale = _bessel_sq_log(nu0 + ref, np.array([x]), a)[0] - 2.0 * log_v[ref]
-    log_v = log_v[drop:]  # orders mu + k
-    den = 2.0 * mu + 2.0 * np.arange(len(log_v) - 1) - a
-    ratio = (den[:-1] + 2.0 + 2.0 * a) / den[:-1]  # w_{k+1} / w_k
-    log_w = np.concatenate([[0.0], np.cumsum(np.log(np.abs(ratio)))])
-    sign_w = np.concatenate([[1.0], np.cumprod(np.sign(ratio))])
-    log_t = log_w + np.logaddexp(2.0 * log_v[:-1], 2.0 * log_v[1:]) - np.log(den)
-    m = np.max(log_t)
-    return float(log_scale + m + math.log(np.dot(sign_w, np.exp(log_t - m))))
+    out = np.full(x.shape, _NEG_INF)
+    if (x > 0).any():
+        if not lam < 2.0 * mu + 1.0:
+            raise ValueError(f"integral diverges for lam={lam}, mu={mu}")
+        a = lam - 1.0
+        if (x == math.inf).any():
+            out[x == math.inf] = bessel_sq_moment_log(mu, lam)
+        # the first term and J_mu's first power; the rest add below x^2
+        tiny = (x > 0) & (x <= 1e-8)
+        out[tiny] = (2.0 * (mu * np.log(0.5 * x[tiny]) - ln_gamma(mu + 1.0))
+                     - a * np.log(x[tiny]) - math.log(2.0 * mu - a))
+        live = np.flatnonzero((x > 1e-8) & (x < math.inf))
+        top = (np.maximum(x[live] - mu, 0.0) + 12.0 * x[live] ** (1.0 / 3.0) + 40.0).astype(int)
+        while live.size:
+            val, short = _bessel_sq_lanes(mu, a, x[live], top)
+            out[live[~short]] = val[~short]
+            live, top = live[short], 2 * top[short]
+    return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+
+
+def _bessel_sq_lanes(mu: float, a: float, x: np.ndarray, top: np.ndarray):
+    """(log prefix, series ran short) per lane x, started from v = 1 at
+    order mu + top (r = inf above).  Blocks end on multiples of
+    _ORDER_BLOCK, so no lane's sums depend on the other lanes."""
+    bot = -np.floor(np.maximum(mu - x, 0.0)).astype(int)  # nu0 = mu + bot
+    lanes = np.arange(x.size)
+    log_v = np.full((top.max() + 2, x.size), _NEG_INF)  # log |v_k| at orders mu + k >= mu
+    r, run = np.full(x.size, math.inf), np.zeros(x.size)  # run ends at log |v| at nu0
+    hi = int(top.max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while hi >= bot.min():
+            lo = max(hi // _ORDER_BLOCK * _ORDER_BLOCK, int(bot.min()))
+            k = np.arange(hi, lo - 1, -1)[:, None]
+            off = (k >= top) | (k < bot)
+            rows = 2.0 * (mu + k + 1.0) / x
+            rows[off] = math.inf
+            for row in list(rows):
+                row -= np.reciprocal(r)
+                r = row
+            r = r.copy()  # the rows turn into log |r_k|, then log |v_k|, in place
+            s = np.log(np.abs(rows, out=rows), out=rows)
+            s[off] = 0.0
+            np.cumsum(s, axis=0, out=s)
+            s += run
+            run = s[-1].copy()
+            s[k > top] = _NEG_INF
+            up = np.count_nonzero(k >= 0)  # the first rows
+            log_v[k[:up, 0]] = s[:up]
+            hi = lo - 1
+        # J_{nu0} > 0 for nu0 >= x; at nu0 = mu < x the larger of J_mu and
+        # J_{mu+1}, which never vanish together, fixes the scale
+        ref = (bot == 0) & (log_v[1] > log_v[0])
+        log_scale = _bessel_sq_log(mu + bot + ref, x, a) - 2.0 * np.where(ref, log_v[1], run)
+        den = 2.0 * mu + 2.0 * np.arange(len(log_v) - 1) - a
+        ratio = (den[:-1] + 2.0 + 2.0 * a) / den[:-1]  # w_{k+1} / w_k, one array for all lanes
+        log_w = np.concatenate([[0.0], np.cumsum(np.log(np.abs(ratio)))])
+        sign_w = np.concatenate([[1.0], np.cumprod(np.sign(ratio))])
+        log_v *= 2.0
+        log_t = np.logaddexp(log_v[:-1], log_v[1:])
+        log_t += (log_w - np.log(den))[:, None]
+        m = log_t.max(axis=0)
+        short = log_t[top, lanes] >= m - 40.0
+        np.exp(np.subtract(log_t, m, out=log_t), out=log_t)
+        return log_scale + m + np.log(sign_w @ log_t), short

@@ -128,8 +128,7 @@ def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL)
     r_cut = math.sqrt(spec.n) * R_arr
     if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
         mu, lam, s = _bessel_y_scale(spec)
-        log_num = np.array([bessel_sq_prefix_log(mu, lam, y)
-                            for y in (r_cut / s).ravel()]).reshape(R_arr.shape)
+        log_num = bessel_sq_prefix_log(mu, lam, r_cut / s)
         log_den = bessel_sq_moment_log(mu, lam)
     else:
         ps = _density_panels(spec, rel_tol)
@@ -245,11 +244,15 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
         return 1.0
     if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
         mu, lam, s = _bessel_y_scale(spec)
-        lam_k = lam - k
-        if not 0.0 < lam_k:
+        if not 0.0 < lam - k:
             raise MomentDivergesError(f"quadrature moment diverges for k={k}")
-        return math.exp(k * math.log(s)
-                        + bessel_sq_moment_log(mu, lam_k) - bessel_sq_moment_log(mu, lam))
+        # the ratio of two bessel_sq_moment_log closed forms, at lam - k and
+        # lam, with its large Gamma pairs as ratios: the argument
+        # g = mu + (1 - lam)/2 is n/2 for both families, taken exactly
+        g, h = 0.5 * spec.n, 0.5 * k
+        return math.exp(k * math.log(s) + ln_gamma_ratio(0.5 * lam, 0.5)
+                        - ln_gamma_ratio(0.5 * (lam - k), 0.5)
+                        + ln_gamma_ratio(g, h) + ln_gamma_ratio(g + lam - h, h))
     dens = radial_density(spec)
 
     def weighted(r):

@@ -536,8 +536,9 @@ class TestReadmeCommands:
     def test_cli_cpu_script_runs_the_readme_commands(self):
         # the CI step times scripts/cli_cpu.py's commands, so they must stay
         # the README's command-line examples (then three oscillatory eta runs,
-        # the last at n = 1000, LaguerreGauss moments at m = 60 and a dense
-        # LaguerreGauss eta curve at n = 1000)
+        # the last at n = 1000, LaguerreGauss moments at m = 60, a dense
+        # LaguerreGauss eta curve at n = 1000, a BesselType curve at
+        # sigma = 1e5 and a single IndicatorSpectral cut)
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
         cli_cpu = importlib.util.module_from_spec(spec)
@@ -551,4 +552,5 @@ class TestReadmeCommands:
         assert [c.split()[:3] for c in commands[len(readme):]] == [
             ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"],
             ["eta", "--family", "BesselType"], ["moments", "--family", "LaguerreGauss"],
-            ["eta", "--family", "LaguerreGauss"]]
+            ["eta", "--family", "LaguerreGauss"], ["eta", "--family", "BesselType"],
+            ["eta", "--family", "IndicatorSpectral"]]

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from scipy import special as sp
 from conftest import bessel_sq_prefix_ref_log, bessel_sq_total_log
 from dpp_repulsion import quadrature, repulsion
 from dpp_repulsion.examples import example_spec
-from dpp_repulsion.kernels import Family
+from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.quadrature import (
     InfiniteMassError,
     LogIntegrand,
@@ -441,3 +443,100 @@ class TestBesselSquared:
         want, _ = integrate.quad(lambda t: sp.jv(1.5, t) ** 2 * t ** -3.9, 0.0, y,
                                  epsabs=0.0, epsrel=1e-13, limit=200)
         assert bessel_sq_prefix_log(1.5, 3.9, y) == approx(math.log(want), abs=1e-10)
+
+
+# a cut as a multiple of mu (the turning point), or one of the special cuts
+_CUT_FACTORS = st.one_of(st.sampled_from([0.0, 1e-9, 1.0, math.inf, -1.0]),
+                         st.floats(min_value=1e-6, max_value=3.0))
+
+
+def _cuts(mu, factors):
+    """Unsorted cuts with a duplicate; the specials 0, 1e-9 and inf are absolute."""
+    cuts = [f if f in (0.0, 1e-9, math.inf) else f * mu for f in factors]
+    return np.array(cuts + cuts[:1])
+
+
+class TestBesselPrefixArray:
+    """bessel_sq_prefix_log on an array of cuts: one lane per cut."""
+
+    @given(st.floats(min_value=0.5, max_value=300.0), st.floats(min_value=0.02, max_value=0.98),
+           st.lists(_CUT_FACTORS, min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_each_lane_matches_its_one_cut_call(self, mu, frac, factors):
+        lam = frac * (2.0 * mu + 1.0)
+        cuts = _cuts(mu, factors)
+        got = bessel_sq_prefix_log(mu, lam, cuts)
+        assert got.shape == cuts.shape
+        for y, v in zip(cuts, got):
+            one = bessel_sq_prefix_log(mu, lam, float(y))
+            assert isinstance(one, float)
+            assert v == one or abs(v - one) <= 1e-12
+        order = np.argsort(cuts, kind="stable")
+        vals = got[order]
+        assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
+
+    @given(st.floats(min_value=0.5, max_value=100.0), st.floats(min_value=-0.9, max_value=0.9),
+           st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=4, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_shape_follows_the_input(self, mu, frac, factors):
+        # lam from -0.9 up: signed weights below lam = 0, no total needed
+        lam = frac * (2.0 * mu + 1.0) if frac > 0 else frac
+        cuts = np.array(factors).reshape(2, 2) * mu
+        got = bessel_sq_prefix_log(mu, lam, cuts)
+        assert got.shape == (2, 2)
+        assert np.array_equal(got.ravel(), bessel_sq_prefix_log(mu, lam, cuts.ravel()))
+        assert bessel_sq_prefix_log(mu, lam, cuts[:0]).shape == (0, 2)
+
+    @given(st.floats(min_value=0.5, max_value=100.0),
+           st.lists(_CUT_FACTORS, min_size=1, max_size=6), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=20, deadline=None)
+    def test_nan_anywhere_raises(self, mu, factors, at):
+        cuts = list(_cuts(mu, factors))
+        cuts.insert(at % (len(cuts) + 1), math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            bessel_sq_prefix_log(mu, mu, np.array(cuts))
+
+    @given(st.floats(min_value=0.5, max_value=100.0), st.floats(min_value=0.0, max_value=5.0),
+           st.lists(_CUT_FACTORS, min_size=1, max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_divergent_lam_raises_for_any_non_empty_cut(self, mu, over, factors):
+        lam = 2.0 * mu + 1.0 + over
+        cuts = _cuts(mu, factors)
+        if (cuts > 0).any():
+            with pytest.raises(ValueError, match="diverges"):
+                bessel_sq_prefix_log(mu, lam, cuts)
+        else:
+            assert np.all(bessel_sq_prefix_log(mu, lam, cuts) == -math.inf)
+
+    @pytest.mark.parametrize("mu,lam,y,want", [
+        # frozen 30-digit mpmath quadrature on 40 equal panels of [0, y]
+        (1001.8028421082009, 1776.040165375396, 1001.8028421082009, -11947.214055312523),
+        (1928.770549656915, 3808.54109931383, 1466.339333931584, -27746.142648724715),
+    ])
+    def test_lam_near_two_mu_matches_mpmath(self, mu, lam, y, want):
+        # the weights outgrow J^2 for many orders past the turning point here;
+        # a series cut 12 y^{1/3} + 40 orders past it was off by 76 in the log
+        assert bessel_sq_prefix_log(mu, lam, y) == approx(want, rel=1e-14)
+
+    def test_large_mu_curve_is_bounded_in_memory(self):
+        # mu = 50002.5: every cut runs about 5e4 orders below mu; the blocks
+        # keep the sweep's memory independent of mu, and the large cuts need
+        # hundreds of series terms (the series cut at 12 y^{1/3} + 40 orders
+        # past the turning point fell to -342 at R = 1)
+        spec = KernelSpec(Family.BESSEL_TYPE, n=5, sigma=1e5, alpha=0.1)
+        R = np.linspace(0.05, 1.0, 50)
+        t0 = time.process_time()
+        curve = repulsion.log_eta_ball_ratio(spec, R)
+        assert time.process_time() - t0 < 10.0  # about 0.25 s
+        tracemalloc.start()
+        try:
+            repulsion.log_eta_ball_ratio(spec, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # about 0.55 MB
+        # the prefix and the total are logs near -1.05e6, spaced 2.3e-10 apart
+        assert np.all(np.diff(curve) >= -1e-9)
+        assert curve[-1] == approx(0.0, abs=1e-9)
+        for i in (0, 17, 49):
+            assert curve[i] == approx(repulsion.log_eta_ball_ratio(spec, R[i]), abs=1e-12)

@@ -419,6 +419,26 @@ class TestLargeShapeParameters:
             want = float(G(s + 1) + G(s / 2 + h + 1) - G(s / 2 + 1) - G(s + h + 1))
         assert _eta_bound_log(spec)[1] == approx(want, rel=1e-12)
 
+    # the Weber-Schafheitlin route formed mu + (1 - lam)/2 = n/2 by cancellation
+    # and subtracted log-gammas near sigma ln sigma: -0.9 % at 1e12, 1.0 at 1e16
+    @pytest.mark.parametrize("sigma", [1e8, 1e12, 1e16])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bessel_moment_quadrature_route_keeps_its_digits(self, sigma, k):
+        spec = _large_shape_spec(Family.BESSEL_TYPE, sigma)
+        assert radial_moment_quadrature(spec, k) == approx(radial_moment(spec, k), rel=1e-10)
+
+    @pytest.mark.parametrize("mu,lam", [
+        (0.5, 1.0), (2.5, 3.9), (60.0, 100.0), (100.0, 150.0), (1e6, 1.0),
+        (1e12, 10.0),  # the log-gamma difference lost 1.4e-5 of this log
+        (5e11 + 2.5, 1e12 + 1.0), (5e15 + 2.0, 1e16),
+    ], ids=str)
+    def test_bessel_total_vs_mpmath(self, mu, lam):
+        G, m, a = mpmath.loggamma, mpmath.mpf(mu), mpmath.mpf(lam)
+        with mpmath.workdps(40):
+            want = float(G(a) + G(m + (1 - a) / 2) - a * mpmath.log(2)
+                         - 2 * G((a + 1) / 2) - G(m + (a + 1) / 2))
+        assert abs(quadrature.bessel_sq_moment_log(mu, lam) - want) <= 1e-14 * max(1.0, abs(want))
+
 
 class TestPairCorrelation:
     STANDARD = [Family.LAGUERRE_GAUSS, Family.POWER_EXPONENTIAL,
