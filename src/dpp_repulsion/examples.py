@@ -26,6 +26,5 @@ def example_spec(family, n: int = 10) -> KernelSpec:
     return KernelSpec(family=family, n=n, **EXAMPLE_PARAMS[family])
 
 
-def example_specs(n: int = 10, families=None) -> list:
-    families = [Family(f) for f in families] if families else list(Family)
-    return [example_spec(f, n=n) for f in families]
+def example_specs(n: int = 10) -> list:
+    return [example_spec(f, n=n) for f in Family]

@@ -274,8 +274,8 @@ def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray
     """(log|K_n|, sign) at radii r, vectorized.  r = 0 gives the exact limit."""
     fam, n, rho = spec.family, spec.n, spec.rho
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0):
-        raise ValueError("radius must be >= 0")
+    if not np.all(r >= 0):
+        raise ValueError("radius must be >= 0 and not NaN")
     if not kernel_radial_supported(spec):
         raise NoPositionKernelError(
             f"{fam.value} (nu={spec.nu}) has no closed-form position kernel; "
@@ -326,16 +326,14 @@ def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray
 
 def kernel_radial(spec: KernelSpec, r: float) -> tuple[float, int]:
     """(log|K_n|, sign) at |x| = r."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
     logmag, sign = log_kernel_radial_array(spec, np.array([float(r)]))
     return float(logmag[0]), int(sign[0])
 
 
 def spectral_radial(spec: KernelSpec, xi: float) -> float:
     """Radial Fourier transform K_hat at frequency radius xi; in [0, 1)."""
-    if xi < 0:
-        raise ValueError("frequency radius must be >= 0")
+    if not xi >= 0:
+        raise ValueError("frequency radius must be >= 0 and not NaN")
     fam, n = spec.family, spec.n
     if fam == Family.POWER_EXPONENTIAL:
         a_n = effective_alpha(spec)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import Family, KernelSpec, UnsupportedFamilyError, log_kernel_radial_array
-from .quadrature import find_mode, inverse_cdf
+from .quadrature import find_mode, inverse_cdf, r_of_u
 from . import repulsion
 
 __all__ = [
@@ -75,13 +75,13 @@ def _gaussian_proposal_scale(spec: KernelSpec) -> float:
     """Proposal scale s with the |x|-mode of N(0, s^2 I_n) at the target mode.
 
     The mode of the radial log-density is found by the quadrature's mode
-    finder in u = r / (1 + r) over (0, 1), without a Jacobian, so it is the
-    mode in r.  Sharing it costs the estimate no independence: importance
+    finder on (0, 1) through the quadrature's map r_of_u, without a
+    Jacobian, so it is the mode in r.  Sharing it costs the estimate no independence: importance
     sampling is unbiased for any proposal scale.
     """
     dens = repulsion.radial_density(spec)
-    u_mode, _, _ = find_mode(lambda u: dens(u / (1.0 - u)), 0.0, 1.0)
-    return u_mode / (1.0 - u_mode) / math.sqrt(max(spec.n - 1, 1))
+    u_mode, _, _ = find_mode(lambda u: dens(r_of_u(u)))
+    return r_of_u(u_mode) / math.sqrt(max(spec.n - 1, 1))
 
 
 def cartesian_mc_integral(spec: KernelSpec, R: float, count: int,

@@ -7,7 +7,8 @@ nested Gauss7/Kronrod15 evaluator, `_k15_log`, serves every panel: the
 adaptive PanelSet and the CDF cells.  It takes arrays of panel edges,
 evaluates the log-integrand once over all their nodes, shifts each panel by
 its maximum, and returns the log value and the log |K15 - G7| error per
-panel.  Infinite upper limits go through the variable change u = r/(1+r).
+panel.  Every integral runs over r in [0, inf), the one domain of the
+radial densities, in the variable u = r/(1+r) on [0, 1].
 
 One refinement loop, `_refine`, does all adaptive bisection: the
 full-domain PanelSet, the prefixes and the CDF cells.  It refines groups
@@ -53,6 +54,7 @@ __all__ = [
     "PanelSet",
     "integrate_log_panels",
     "find_mode",
+    "r_of_u",
     "build_cdf",
     "inverse_cdf",
     "bessel_sq_moment_log",
@@ -60,6 +62,8 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+# The integrand wrapper's largest u, so that r = u / (1 - u) stays finite
+_U_MAX = 1.0 - 1e-16
 
 # Limits of the adaptive scheme, the mode scan and the CDF grid
 MAX_DEPTH = 60
@@ -107,11 +111,14 @@ class InfiniteMassError(QuadratureError):
 
 @dataclass(frozen=True)
 class LogIntegrand:
-    """log of a non-negative integrand, vectorized over the radius array."""
+    """log of a non-negative integrand on r in [0, inf), vectorized over the
+    radius array.
+
+    A thin wrapper: every evaluation of a radial integrand goes through
+    `__call__`, the one hook where a profiler can count integrand points.
+    """
 
     log_f: Callable[[np.ndarray], np.ndarray]
-    r_lo: float = 0.0
-    r_hi: float = math.inf
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self.log_f(r)
@@ -142,34 +149,9 @@ def _k15_log(g, lo, hi):
     return log_val, log_err
 
 
-class _Transform:
-    """Map between the integration variable u and the radius r."""
-
-    def __init__(self, a: float, b: float):
-        self.finite = math.isfinite(b)
-        self.a = a
-        self.b = b
-        if self.finite:
-            self.u_lo, self.u_hi = a, b
-        else:
-            self.u_lo, self.u_hi = a / (1.0 + a), 1.0
-
-    def r_of_u(self, u: np.ndarray) -> np.ndarray:
-        if self.finite:
-            return u
-        u = np.asarray(u, dtype=float)
-        return u / (1.0 - u)
-
-    def u_of_r(self, r: np.ndarray) -> np.ndarray:
-        if self.finite:
-            return r
-        r = np.minimum(r, 1e300)  # r = inf maps to 1, as every r above 1e16 does
-        return r / (1.0 + r)
-
-    def log_jacobian(self, u: np.ndarray) -> np.ndarray:
-        if self.finite:
-            return np.zeros_like(np.asarray(u, dtype=float))
-        return -2.0 * np.log1p(-np.asarray(u, dtype=float))
+def r_of_u(u):
+    """The radius r = u / (1 - u) at the integration variable u in [0, 1)."""
+    return u / (1.0 - u)
 
 
 def _k15_panels(g, lo, hi, depth):
@@ -251,14 +233,14 @@ class PanelSet:
     and bisection depths `depths`, plus running log sums, made at the first
     prefix: `cum_vals[k]` and `cum_errs[k]` sum the first k panels.  They
     are read-only, so a cached PanelSet is safe to share.  A prefix over
-    [r_lo, r] keeps the panels below the cut with their stored values (so
+    [0, r] keeps the panels below the cut with their stored values (so
     the shared error cancels in ratios) and adds the left part of the panel
     holding the cut; a prefix whose error is not yet within `rel_tol` of
     the prefix itself, not of the total, refines those panels until it is.
     """
 
-    def __init__(self, transform, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
-        self.transform, self.rel_tol, self.g = transform, rel_tol, g
+    def __init__(self, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
+        self.rel_tol, self.g = rel_tol, g
         self.u_mode, self.g_mode = u_mode, g_mode
         order = np.argsort(panels[0])
         self.lo, self.hi, self.log_vals, self.log_errs, self.depths = (p[order] for p in panels)
@@ -280,19 +262,19 @@ class PanelSet:
         return np.column_stack([self.lo, self.hi])
 
     def log_prefix(self, r_hi):
-        """log integral over [r_lo, r] for each cut r in r_hi, accurate
+        """log integral over [0, r] for each cut r in r_hi, accurate
         relative to each prefix; a float for a scalar r_hi."""
         r = np.asarray(r_hi, dtype=float)
-        tr = self.transform
-        u_q = tr.u_of_r(r.ravel())
-        out = np.where(u_q < tr.u_hi, _NEG_INF, self.log_total)
-        part = np.flatnonzero((u_q > tr.u_lo) & (u_q < tr.u_hi))
+        r_q = np.minimum(r.ravel(), 1e300)  # r = inf maps to 1, as every r above 1e16 does
+        u_q = r_q / (1.0 + r_q)
+        out = np.where(u_q < 1.0, _NEG_INF, self.log_total)
+        part = np.flatnonzero((u_q > 0.0) & (u_q < 1.0))
         if part.size:
             out[part] = self._cut_prefixes(u_q[part])
         return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
     def _cut_prefixes(self, u_q: np.ndarray) -> np.ndarray:
-        """log prefixes up to the cuts u_q, each inside (u_lo, u_hi).
+        """log prefixes up to the cuts u_q, each inside (0, 1).
 
         One searchsorted finds every cut panel and one K15 call evaluates
         their left parts; the stored panels below a cut are one lookup in
@@ -318,17 +300,18 @@ class PanelSet:
         return val
 
 
-def find_mode(g, lo: float, hi: float):
-    """Maximum of the vectorized function g on the open interval (lo, hi).
+def find_mode(g):
+    """Maximum of the vectorized function g on the open interval (0, 1).
 
     Nested grid scans: the first round evaluates g on SCAN_POINTS - 1
-    interior points of (lo, hi), each further round on as many interior
+    interior points of (0, 1), each further round on as many interior
     points of the two cells around the previous round's best point, until
-    that bracket is narrower than 1e-14 max(1, |hi|).  g is never called on
-    lo or hi.  Returns (x_mode, g_mode, g_scan_max); g_scan_max is the first
-    round's maximum.
+    that bracket is narrower than 1e-14.  g is never called on 0 or 1.
+    Returns (x_mode, g_mode, g_scan_max); g_scan_max is the first round's
+    maximum.
     """
     frac = np.arange(1, SCAN_POINTS) / SCAN_POINTS
+    lo, hi = 0.0, 1.0
     x_mode, g_mode, g_scan_max = None, _NEG_INF, None
     while True:
         x = lo + (hi - lo) * frac
@@ -340,70 +323,62 @@ def find_mode(g, lo: float, hi: float):
             x_mode, g_mode = float(x[i]), float(vals[i])
         lo = float(x[i - 1]) if i > 0 else lo
         hi = float(x[i + 1]) if i < len(x) - 1 else hi
-        if hi - lo < 1e-14 * max(1.0, abs(hi)):
+        if hi - lo < 1e-14:
             return x_mode, g_mode, g_scan_max
 
 
-def _scan_seed(g, transform):
-    """Locate the integrand maximum and seed boundaries clustered around it.
+def _scan_seed(g):
+    """Locate the integrand maximum in u and seed boundaries clustered around it.
 
     Returns (boundaries, u_mode, g_mode, g_scan_max); g_scan_max is the first
     scan's maximum, the yardstick of the growth test (a refined search would
     happily climb a divergence at u -> 1).
     """
-    u_lo, u_hi = transform.u_lo, transform.u_hi
-    span = u_hi - u_lo
-    u_mode, g_mode, g_max = find_mode(g, u_lo, u_hi)
-    # local width from a second difference, its stencil kept inside the
-    # domain; fall back to the scan spacing
-    h = max(span / (8.0 * SCAN_POINTS), 1e-13)
-    u_c = min(max(u_mode, u_lo + h), u_hi - h)
+    u_mode, g_mode, g_max = find_mode(g)
+    # local width from a second difference, its stencil kept inside [0, 1];
+    # fall back to the scan spacing
+    h = 1.0 / (8.0 * SCAN_POINTS)
+    u_c = min(max(u_mode, h), 1.0 - h)
     gm, g0, gp = g(np.array([u_c - h, u_c, u_c + h])).tolist()
     d2 = (gm - 2.0 * g0 + gp) / (h * h)
-    width = 1.0 / math.sqrt(-d2) if (np.isfinite(d2) and d2 < 0) else span / SCAN_POINTS
-    width = min(max(width, 1e-13), span)
-    bounds = {u_lo, u_hi, u_mode}
+    width = 1.0 / math.sqrt(-d2) if (np.isfinite(d2) and d2 < 0) else 1.0 / SCAN_POINTS
+    width = min(max(width, 1e-13), 1.0)
+    bounds = {0.0, 1.0, u_mode}
     for j in range(14):
         w = width * (2.0 ** j)
-        bounds.add(min(max(u_mode - w, u_lo), u_hi))
-        bounds.add(min(max(u_mode + w, u_lo), u_hi))
+        bounds.add(max(u_mode - w, 0.0))
+        bounds.add(min(u_mode + w, 1.0))
     # a light uniform scaffold so no region is a single giant panel
     for k in range(17):
-        bounds.add(u_lo + span * (k / 16))
+        bounds.add(k / 16)
     return sorted(bounds), u_mode, g_mode, g_max
 
 
 def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
-    """Adaptive run over the integrand's whole domain; returns the PanelSet."""
+    """Adaptive run over r in [0, inf), in u; returns the PanelSet.
+
+    The panels integrate g(u) = f(r(u)) + log r'(u), r'(u) = 1 / (1 - u)^2,
+    with u clamped to _U_MAX so that r stays finite.
+    """
     if not (1e-14 < rel_tol < 1e-2):
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
-    if not f.r_lo < f.r_hi:
-        raise ValueError(f"need r_lo < r_hi, got [{f.r_lo}, {f.r_hi}]")
-    transform = _Transform(f.r_lo, f.r_hi)
 
     def g(u):
-        u = np.asarray(u, dtype=float)
-        safe_u = np.minimum(u, transform.u_hi - 1e-16) if not transform.finite else u
-        r = transform.r_of_u(safe_u)
+        u = np.minimum(u, _U_MAX)
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(r), dtype=float) + transform.log_jacobian(safe_u)
+            vals = np.asarray(f(r_of_u(u)), dtype=float) - 2.0 * np.log1p(-u)
         vals[np.isnan(vals)] = _NEG_INF
         return vals
 
-    bounds, u_mode, g_mode, g_scan_max = _scan_seed(g, transform)
-    if not transform.finite:
-        # growth test: a log-integrand climbing past the scan maximum toward
-        # u = 1 means the r-integral diverges
-        uk = np.array([1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
-        uk = uk[uk > transform.u_lo]
-        if uk.size and np.any(g(uk) > g_scan_max + 5.0):
-            raise InfiniteMassError(
-                "integrand grows toward r = inf; total mass looks infinite")
+    bounds, u_mode, g_mode, g_scan_max = _scan_seed(g)
+    # growth test: a log-integrand climbing past the scan maximum toward
+    # u = 1 means the r-integral diverges
+    if np.any(g(np.array([1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])) > g_scan_max + 5.0):
+        raise InfiniteMassError("integrand grows toward r = inf; total mass looks infinite")
     edges = np.array(bounds)
     panels = _k15_panels(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
     panels, log_total, log_err = _refine(g, panels, rel_tol, np.zeros(len(edges) - 1, int), 1)
-    return PanelSet(transform, rel_tol, g, u_mode, g_mode, panels,
-                    float(log_total[0]), float(log_err[0]))
+    return PanelSet(rel_tol, g, u_mode, g_mode, panels, float(log_total[0]), float(log_err[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +417,10 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
     if ps.log_total == _NEG_INF:
         raise QuadratureError("total mass is zero; no CDF")
 
-    tr = ps.transform
     g = ps.g
     u_mode, g_mode = ps.u_mode, ps.g_mode
-    u_max = tr.u_hi - 1e-16 if not tr.finite else tr.u_hi
     edges = np.append(ps.lo, ps.hi[-1])
-    edge_vals = g(np.clip(edges, tr.u_lo + 1e-300, u_max))
+    edge_vals = g(np.clip(edges, 1e-300, _U_MAX))
 
     def outermost(side):
         # last edge (moving out from the mode) still within 750 e-folds
@@ -459,13 +432,13 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
         keep = edges[sel][edge_vals[sel] > g_mode - 750.0]
         return float(keep.max()) if keep.size else float(edges[-1])
 
-    u_cut_lo, u_cut_hi = outermost(-1), min(outermost(+1), u_max)
-    if u_cut_hi < u_max and edge_vals[np.searchsorted(edges, u_cut_hi)] > g_mode - 740.0:
+    u_cut_lo, u_cut_hi = outermost(-1), min(outermost(+1), _U_MAX)
+    if u_cut_hi < _U_MAX and edge_vals[np.searchsorted(edges, u_cut_hi)] > g_mode - 740.0:
         # heavy tail: move the cut out to the first point 760 e-folds down on
-        # a grid closing geometrically on u_max
-        u_tail = u_max - (u_max - u_cut_hi) * np.geomspace(1.0, 1e-16, SCAN_POINTS)
+        # a grid closing geometrically on _U_MAX
+        u_tail = _U_MAX - (_U_MAX - u_cut_hi) * np.geomspace(1.0, 1e-16, SCAN_POINTS)
         down = np.flatnonzero(g(u_tail) <= g_mode - 760.0)
-        u_cut_hi = float(u_tail[down[0]]) if down.size else u_max
+        u_cut_hi = float(u_tail[down[0]]) if down.size else _U_MAX
     # linear band: within ~40 e-folds of the mode
     sel_band = edge_vals > g_mode - 40.0
     if np.any(sel_band):
@@ -476,13 +449,11 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
     n_nodes = CDF_NODES
     parts = [np.linspace(u_band_lo, u_band_hi, n_nodes // 2)]
     if u_cut_lo < u_band_lo:
-        lo = max(u_cut_lo, tr.u_lo)
-        parts.append(lo + (u_band_lo - lo) * np.geomspace(1e-6, 1.0, n_nodes // 4))
-        parts.append(np.array([lo]))
+        parts.append(u_cut_lo + (u_band_lo - u_cut_lo) * np.geomspace(1e-6, 1.0, n_nodes // 4))
+        parts.append(np.array([u_cut_lo]))
     if u_cut_hi > u_band_hi:
-        hi = min(u_cut_hi, tr.u_hi)
-        parts.append(hi - (hi - u_band_hi) * np.geomspace(1e-6, 1.0, n_nodes // 4))
-        parts.append(np.array([hi]))
+        parts.append(u_cut_hi - (u_cut_hi - u_band_hi) * np.geomspace(1e-6, 1.0, n_nodes // 4))
+        parts.append(np.array([u_cut_hi]))
     u_nodes = np.unique(np.concatenate(parts + [edges[(edges >= u_cut_lo) & (edges <= u_cut_hi)]]))
 
     # the cells refine as one set of panels; each leaf adds to its cell
@@ -492,9 +463,7 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
     incs = np.full(len(u_nodes) - 1, _NEG_INF)
     np.logaddexp.at(incs, np.searchsorted(u_nodes, leaf_lo, side="right") - 1, leaf_vals)
     log_mass = np.logaddexp.accumulate(np.concatenate([[_NEG_INF], incs]))
-    nodes_r = tr.r_of_u(u_nodes)
-    return RadialCdf(nodes=np.asarray(nodes_r, dtype=float),
-                     log_mass=log_mass, log_total=float(log_mass[-1]))
+    return RadialCdf(nodes=r_of_u(u_nodes), log_mass=log_mass, log_total=float(log_mass[-1]))
 
 
 def inverse_cdf(c: RadialCdf, u) -> np.ndarray:

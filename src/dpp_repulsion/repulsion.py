@@ -97,7 +97,7 @@ def radial_density(spec: KernelSpec) -> LogIntegrand:
             out = 2.0 * logk
         return np.where(np.isnan(out), _NEG_INF, out)
 
-    return LogIntegrand(log_f=log_f, r_lo=0.0, r_hi=math.inf)
+    return LogIntegrand(log_f)
 
 
 @lru_cache(maxsize=64)
@@ -260,7 +260,7 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
         logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
         return dens(r) + k * logr
 
-    num = integrate_log_panels(LogIntegrand(weighted, 0.0, math.inf), rel_tol=rel_tol)
+    num = integrate_log_panels(LogIntegrand(weighted), rel_tol=rel_tol)
     den = _density_panels(spec, rel_tol)
     return math.exp(num.log_total - den.log_total)
 
@@ -271,8 +271,6 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
 
 def pair_correlation(spec: KernelSpec, r: float) -> float:
     """g(r) = 1 - (K(r)/K(0))^2, in [0, 1]; g(0) = 0 when K(0) equals the intensity."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
     log_k_r, sign_r = kernel_radial(spec, r)
     log_k_0, _ = kernel_radial(spec, 0.0)
     if sign_r == 0 or log_k_r == _NEG_INF:

@@ -44,21 +44,37 @@ def bessel_sq_prefix_ref_log(mu: float, lam: float, Y: float) -> float:
     maximum, so lam = 150 cannot underflow.  [0, 1e-8] is the leading power
     (y/2)^{2 mu} y^{-lam} / Gamma(mu + 1)^2, exact there to below 1e-16.
     Needs 2 mu - lam > -1 and Y > 1e-8.
+
+    Where jv underflows (below about mu / 2 at large mu) the nodes see
+    nothing.  By DLMF 10.14.4, |J_mu(t)| <= (t/2)^mu / Gamma(mu + 1), the
+    same leading power integrated up to the last such node t_u bounds the
+    mass they miss; raises FloatingPointError unless that bound is below
+    1e-16 of the result.
     """
     p = 2.0 * mu - lam + 1.0
+
+    def log_power_integral(t):
+        # int_0^t (y/2)^{2 mu} y^{-lam} dy / Gamma(mu + 1)^2
+        return p * math.log(t) - 2.0 * mu * math.log(2.0) - 2.0 * ln_gamma(mu + 1.0) - math.log(p)
+
     h = 1e-8
-    log_head = (p * math.log(h) - 2.0 * mu * math.log(2.0) - 2.0 * ln_gamma(mu + 1.0)
-                - math.log(p))
     edges = np.unique(np.concatenate([np.geomspace(h, min(1.0, Y), 60),
                                       np.arange(1.0, Y, 3.0), [Y]]))
     t, w = np.polynomial.legendre.leggauss(20)
     lo, hi = edges[:-1, None], edges[1:, None]
     y = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+    j = sp.jv(mu, y)
     with np.errstate(divide="ignore"):
-        log_f = 2.0 * np.log(np.abs(sp.jv(mu, y))) - lam * np.log(y)
+        log_f = 2.0 * np.log(np.abs(j)) - lam * np.log(y)
         log_f += np.log(0.5 * (hi - lo) * w)
     m = np.max(log_f)
-    return float(np.logaddexp(log_head, m + math.log(np.sum(np.exp(log_f - m)))))
+    out = float(np.logaddexp(log_power_integral(h), m + math.log(np.sum(np.exp(log_f - m)))))
+    lost = y[np.abs(j) < np.finfo(float).tiny]
+    if lost.size and log_power_integral(lost.max()) >= out + math.log(1e-16):
+        raise FloatingPointError(
+            f"jv({mu}, y) underflows up to y = {lost.max():.6g}, where the mass it "
+            "hides may exceed 1e-16 of the result")
+    return out
 
 
 def bessel_sq_total_log(mu: float, lam: float) -> float:
@@ -136,7 +152,7 @@ def quadrature_norm_log(spec: KernelSpec, rel_tol: float = 1e-10) -> float:
             logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), -np.inf)
         return (n - 1) * logr + 2.0 * logk
 
-    ps = integrate_log_panels(LogIntegrand(log_f, 0.0, math.inf), rel_tol=rel_tol)
+    ps = integrate_log_panels(LogIntegrand(log_f), rel_tol=rel_tol)
     return surface_log(n) + ps.log_total
 
 

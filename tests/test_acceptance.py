@@ -126,7 +126,7 @@ def test_criterion_04_power_exponential_consistency():
             return lr + 2.0 * (log_amp - (a_n * r) ** 1.5)
 
         got = (surface_log(n)
-               + integrate_log_panels(LogIntegrand(log_f, 0.0, math.inf),
+               + integrate_log_panels(LogIntegrand(log_f),
                                       rel_tol=1e-10).log_total)
         want = squared_norm_log(spec)
         worst_b = max(worst_b, abs(got - want) / max(abs(want), 1.0))

@@ -345,7 +345,7 @@ class TestSpectralRadial:
                 return out + 2.0 * (log_amp - (a_n * r) ** 1.4)
 
             got = (surface_log(n)
-                   + integrate_log_panels(LogIntegrand(log_f, 0.0, math.inf),
+                   + integrate_log_panels(LogIntegrand(log_f),
                                           rel_tol=1e-10).log_total)
             want = squared_norm_log(spec)
             assert got == approx(want, rel=1e-8, abs=1e-8)

@@ -73,15 +73,14 @@ class TestK15:
 
 class TestIntegrateLog:
     def test_unit_integrand(self):
-        got = integrate_log_panels(LogIntegrand(lambda r: np.zeros_like(r), 0.0, 1.0),
-                                   rel_tol=1e-10).log_total
+        # int_0^inf e^{-r} dr = 1
+        got = integrate_log_panels(LogIntegrand(lambda r: -r), rel_tol=1e-10).log_total
         assert got == approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (2.0, 3.0), (0.25, 7.5)])
     def test_gaussian_with_power_weight(self, a, b):
         # int_0^inf r^b e^{-a r^2} dr = (1/2) a^{-(b+1)/2} Gamma((b+1)/2)
-        f = LogIntegrand(lambda r: -a * r * r + b * np.log(np.maximum(r, 1e-300)),
-                         r_lo=0.0, r_hi=math.inf)
+        f = LogIntegrand(lambda r: -a * r * r + b * np.log(np.maximum(r, 1e-300)))
         want = math.log(0.5) - 0.5 * (b + 1.0) * math.log(a) + ln_gamma(0.5 * (b + 1.0))
         got = integrate_log_panels(f, rel_tol=1e-11).log_total
         assert got == approx(want, rel=1e-10, abs=1e-10)
@@ -89,7 +88,7 @@ class TestIntegrateLog:
     def test_sharply_peaked_high_dimension(self):
         n, alpha = 600, 0.3
         f = LogIntegrand(lambda r: (n - 1) * np.log(np.maximum(r, 1e-300))
-                         - 2.0 * r * r / alpha**2, 0.0, math.inf)
+                         - 2.0 * r * r / alpha**2)
         want = math.log(0.5) - 0.5 * n * math.log(2.0 / alpha**2) + ln_gamma(0.5 * n)
         assert integrate_log_panels(f, rel_tol=1e-11).log_total == approx(want, rel=1e-10)
 
@@ -105,28 +104,26 @@ class TestIntegrateLog:
             want = ((k - 2.0) * math.log(2.0) + (k + 1.0) * math.log(alpha)
                     - ln_gamma(k + 1.0) + ln_gamma(0.5 * (1 + k) + nu)
                     + 2.0 * ln_gamma(0.5 * (k + 1.0)) + ln_gamma(0.5 * (1 + k) - nu))
-            got = integrate_log_panels(LogIntegrand(log_f, 0.0, math.inf), rel_tol=1e-10)
+            got = integrate_log_panels(LogIntegrand(log_f), rel_tol=1e-10)
             assert got.log_total == approx(want, rel=1e-9)
 
     @given(st.floats(min_value=-500.0, max_value=500.0))
     @settings(max_examples=40, deadline=None)
     def test_shift_invariance(self, shift):
-        f0 = LogIntegrand(lambda r: -3.0 * (r - 1.0) ** 2, 0.0, math.inf)
-        f1 = LogIntegrand(lambda r: -3.0 * (r - 1.0) ** 2 + shift, 0.0, math.inf)
+        f0 = LogIntegrand(lambda r: -3.0 * (r - 1.0) ** 2)
+        f1 = LogIntegrand(lambda r: -3.0 * (r - 1.0) ** 2 + shift)
         a = integrate_log_panels(f0, rel_tol=1e-10).log_total
         b = integrate_log_panels(f1, rel_tol=1e-10).log_total
         assert b - a == approx(shift, rel=1e-12, abs=1e-9)
 
     def test_rel_tol_domain(self):
         with pytest.raises(ValueError):
-            integrate_log_panels(LogIntegrand(lambda r: np.zeros_like(r), 0.0, 1.0), rel_tol=0.5)
-        with pytest.raises(ValueError):
-            integrate_log_panels(LogIntegrand(lambda r: np.zeros_like(r), 1.0, 1.0), rel_tol=1e-8)
+            integrate_log_panels(LogIntegrand(lambda r: -r), rel_tol=0.5)
 
     def test_nonconvergence_carries_partial(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
         monkeypatch.setattr(quadrature, "SCAN_POINTS", 8)
-        f = LogIntegrand(lambda r: np.cos(40.0 * r) - r, 0.0, 1.0)
+        f = LogIntegrand(lambda r: np.cos(40.0 * r) - r)
         with pytest.raises(QuadratureError) as err:
             integrate_log_panels(f, rel_tol=1e-13)
         assert math.isfinite(err.value.log_error_bound)
@@ -134,8 +131,7 @@ class TestIntegrateLog:
 
     def test_unconverged_prefix_batch_carries_partial(self, monkeypatch):
         # prefixes refined together as groups raise like a single run
-        ps = integrate_log_panels(LogIntegrand(lambda r: np.cos(40.0 * r) - r, 0.0, 1.0),
-                                  rel_tol=1e-8)
+        ps = integrate_log_panels(LogIntegrand(lambda r: np.cos(40.0 * r) - r), rel_tol=1e-8)
         ps.rel_tol = 1e-13
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
         with pytest.raises(QuadratureError) as err:
@@ -148,7 +144,7 @@ class TestIntegrateLog:
         # prefixes into several batches
         spec = example_spec(Family.LAGUERRE_GAUSS, n=50)
         ps = integrate_log_panels(repulsion.radial_density(spec), rel_tol=1e-8)
-        r = ps.transform.r_of_u(np.linspace(ps.transform.u_lo, ps.transform.u_hi, 62)[1:-1])
+        r = quadrature.r_of_u(np.linspace(0.0, 1.0, 62)[1:-1])
         monkeypatch.setattr(quadrature, "MAX_PANELS", 3 * len(ps.lo))
         batches = []
         refine = quadrature._refine
@@ -166,18 +162,19 @@ class TestIntegrateLog:
         np.testing.assert_allclose(batched, one, rtol=0, atol=1e-12)
 
     def test_mode_at_domain_edge_stays_inside_domain(self):
-        # the mode sits at r = 0, so the curvature stencil must not probe r < 0
+        # the mode in u sits at u = 0 (r = 0), so the curvature stencil must
+        # not probe u < 0, where r < 0, nor u = 1, where r = inf
         def log_f(r):
-            if np.any((r < 0.0) | (r > 1.0)):
-                raise ValueError("outside [0, 1]")
+            if not np.all((r >= 0.0) & (r < math.inf)):
+                raise ValueError("outside [0, inf)")
             return -5.0 * r
-        got = integrate_log_panels(LogIntegrand(log_f, 0.0, 1.0), rel_tol=1e-10).log_total
-        assert got == approx(math.log(-math.expm1(-5.0) / 5.0), abs=1e-13)
+        got = integrate_log_panels(LogIntegrand(log_f), rel_tol=1e-10).log_total
+        assert got == approx(-math.log(5.0), abs=1e-13)
 
     def test_prefix_matches_incomplete_gamma_deep_tail(self):
         n, alpha = 600, 0.3
         f = LogIntegrand(lambda r: (n - 1) * np.log(np.maximum(r, 1e-300))
-                         - 2.0 * r * r / alpha**2, 0.0, math.inf)
+                         - 2.0 * r * r / alpha**2)
         ps = integrate_log_panels(f, rel_tol=1e-11)
         for rq in (0.9, 2.0, 4.5):
             t = 2.0 * rq * rq / alpha**2
@@ -202,7 +199,7 @@ class TestCdf:
     @staticmethod
     def gaussian_density(n=12, alpha=0.5):
         return LogIntegrand(lambda r: (n - 1) * np.log(np.maximum(r, 1e-300))
-                            - 2.0 * r * r / alpha**2, 0.0, math.inf), n, alpha
+                            - 2.0 * r * r / alpha**2), n, alpha
 
     def test_gaussian_cdf_matches_incomplete_gamma_at_nodes(self):
         # the node-level contract; between nodes only interpolation accuracy holds
@@ -227,30 +224,36 @@ class TestCdf:
         assert np.all(np.diff(cdf.log_mass[1:]) >= 0.0)
 
     def test_below_support_is_zero(self):
-        f = LogIntegrand(lambda r: np.where(r >= 1.0, -(r - 2.0) ** 2, -np.inf),
-                         r_lo=0.0, r_hi=math.inf)
+        f = LogIntegrand(lambda r: np.where(r >= 1.0, -(r - 2.0) ** 2, -np.inf))
         cdf = build_cdf(f, rel_tol=1e-8)
         assert cdf.cdf(0.5) == approx(0.0, abs=1e-13)
 
     def test_refined_cells_match_recursive_bisection(self, monkeypatch):
-        # cdf_nodes=16 leaves cells too coarse for cos(30 r), so some bisect
-        f = LogIntegrand(lambda r: np.cos(30.0 * r), 0.0, 1.0)
+        # cdf_nodes=16 leaves cells too coarse for cos(30 r), so some bisect;
+        # the decay e^{-5 r} leaves little mass near u = 1, where cos(30 r)
+        # oscillates too fast in u for either refinement to resolve it
+        f = LogIntegrand(lambda r: np.cos(30.0 * r) - 5.0 * r)
         monkeypatch.setattr(quadrature, "CDF_NODES", 16)
         cdf = build_cdf(f, rel_tol=1e-10)
         log_total = integrate_log_panels(f, rel_tol=1e-10).log_total
         log_budget = math.log(1e-10) + log_total - math.log(len(cdf.nodes))
         split = []
 
+        def g(u):
+            # the integrand in u = r / (1 + r), with the Jacobian 1 / (1 - u)^2
+            return f(quadrature.r_of_u(u)) - 2.0 * np.log1p(-u)
+
         def cell_log(lo, hi, depth=0):
             # the recursive per-cell refinement build_cdf used to run
-            log_val, log_err = _k15_scalar_log(f, lo, hi)
+            log_val, log_err = _k15_scalar_log(g, lo, hi)
             if log_err > log_budget and depth < 24:
                 split.append((lo, hi))
                 mid = 0.5 * (lo + hi)
                 return np.logaddexp(cell_log(lo, mid, depth + 1), cell_log(mid, hi, depth + 1))
             return log_val
 
-        incs = [cell_log(lo, hi) for lo, hi in zip(cdf.nodes[:-1], cdf.nodes[1:])]
+        u_nodes = cdf.nodes / (1.0 + cdf.nodes)
+        incs = [cell_log(lo, hi) for lo, hi in zip(u_nodes[:-1], u_nodes[1:])]
         want = np.logaddexp.accumulate([-np.inf, *incs])
         assert split
         assert cdf.log_mass[0] == -np.inf
@@ -260,15 +263,15 @@ class TestCdf:
         # cells are evaluated in one call per bisection level, not one per cell
         f, *_ = self.gaussian_density()
         calls = []
-        build_cdf(LogIntegrand(lambda r: calls.append(1) or f(r), f.r_lo, f.r_hi), rel_tol=1e-10)
+        build_cdf(LogIntegrand(lambda r: calls.append(1) or f(r)), rel_tol=1e-10)
         assert len(calls) <= 150
 
     def test_panels_from_few_vectorized_calls(self):
         # the mode search scans grids: no golden-section loop of single points
         f, *_ = self.gaussian_density()
         sizes = []
-        integrate_log_panels(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r),
-                                          f.r_lo, f.r_hi), rel_tol=1e-10)
+        integrate_log_panels(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r)),
+                             rel_tol=1e-10)
         assert len(sizes) <= 12
         assert min(sizes) > 1
 
@@ -279,7 +282,7 @@ class TestCdf:
         # the heavy-tail cut scans one grid: no bisection of single points
         f = repulsion.radial_density(example_spec(fam, n=50))
         sizes = []
-        build_cdf(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r), f.r_lo, f.r_hi),
+        build_cdf(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r)),
                   rel_tol=repulsion.PRODUCTION_REL_TOL)
         assert len(sizes) <= 15
         assert min(sizes) > 1
@@ -288,8 +291,7 @@ class TestCdf:
         # cells that never meet the tolerance raise instead of stopping at a depth cap
         rng = np.random.default_rng(0)
         noisy = []
-        f = LogIntegrand(lambda r: -r + (1e-3 * rng.standard_normal(np.shape(r)) if noisy else 0.0),
-                         0.0, 1.0)
+        f = LogIntegrand(lambda r: -r + (1e-3 * rng.standard_normal(np.shape(r)) if noisy else 0.0))
         run = quadrature.integrate_log_panels
         monkeypatch.setattr(quadrature, "integrate_log_panels",
                             lambda *a, **k: (run(*a, **k), noisy.append(1))[0])
@@ -299,7 +301,7 @@ class TestCdf:
         assert math.isfinite(err.value.log_error_bound)
 
     def test_infinite_mass_detected(self):
-        f = LogIntegrand(lambda r: np.zeros_like(r), 0.0, math.inf)
+        f = LogIntegrand(lambda r: np.zeros_like(r))
         with pytest.raises(InfiniteMassError):
             build_cdf(f, rel_tol=1e-8)
 
@@ -512,11 +514,18 @@ class TestBesselPrefixArray:
         # frozen 30-digit mpmath quadrature on 40 equal panels of [0, y]
         (1001.8028421082009, 1776.040165375396, 1001.8028421082009, -11947.214055312523),
         (1928.770549656915, 3808.54109931383, 1466.339333931584, -27746.142648724715),
+        (1928.77, 3808.54, 1466.34, -27746.133577687236),
     ])
     def test_lam_near_two_mu_matches_mpmath(self, mu, lam, y, want):
         # the weights outgrow J^2 for many orders past the turning point here;
         # a series cut 12 y^{1/3} + 40 orders past it was off by 76 in the log
         assert bessel_sq_prefix_log(mu, lam, y) == approx(want, rel=1e-14)
+
+    def test_reference_refuses_where_jv_underflows(self):
+        # jv(mu, y) underflows below y = 1072 here, and the bound on the mass
+        # hidden there exceeds the prefix itself (-27746.13 above)
+        with pytest.raises(FloatingPointError, match="underflows"):
+            bessel_sq_prefix_ref_log(1928.77, 3808.54, 1466.34)
 
     def test_large_mu_curve_is_bounded_in_memory(self):
         # mu = 50002.5: every cut runs about 5e4 orders below mu; the blocks

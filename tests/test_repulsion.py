@@ -20,7 +20,9 @@ from dpp_repulsion.kernels import (
     UnsupportedFamilyError,
     effective_alpha,
     kernel_radial,
+    log_kernel_radial_array,
     max_param,
+    spectral_radial,
     squared_norm_log,
 )
 from dpp_repulsion.repulsion import (
@@ -159,6 +161,16 @@ class TestBallRatio:
             log_eta_ball_ratio(spec, math.nan)
         with pytest.raises(ValueError, match="NaN"):
             eta_ball_ratio(spec, math.nan)
+        # the kernel-level radii too: NaN fails every comparison, so only a
+        # test of r >= 0 rejects it
+        with pytest.raises(ValueError, match="NaN"):
+            pair_correlation(spec, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            kernel_radial(spec, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            log_kernel_radial_array(spec, np.array([0.5, math.nan]))
+        with pytest.raises(ValueError, match="NaN"):
+            spectral_radial(spec, math.nan)
 
     @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
     def test_infinite_radius_holds_all_mass(self, fam):
