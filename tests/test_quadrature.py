@@ -291,7 +291,8 @@ class TestCdf:
         # cells that never meet the tolerance raise instead of stopping at a depth cap
         rng = np.random.default_rng(0)
         noisy = []
-        f = LogIntegrand(lambda r: -r + (1e-3 * rng.standard_normal(np.shape(r)) if noisy else 0.0))
+        f = LogIntegrand(lambda r: -r + (1e-3 * rng.standard_normal(np.shape(r))
+                                         if noisy else 0.0))
         run = quadrature.integrate_log_panels
         monkeypatch.setattr(quadrature, "integrate_log_panels",
                             lambda *a, **k: (run(*a, **k), noisy.append(1))[0])
