@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
-# The integrand wrapper's largest u, so that r = u / (1 - u) stays finite
+# The integrand wrapper's largest u, 1 - 2^-53, where r = u / (1 - u) is 2^53 - 1
 _U_MAX = 1.0 - 1e-16
 
 # Limits of the adaptive scheme, the mode scan and the CDF grid
@@ -261,10 +261,10 @@ class PanelSet:
         """The panels as rows [lo, hi] in u."""
         return np.column_stack([self.lo, self.hi])
 
-    def log_prefix(self, r_hi):
-        """log integral over [0, r] for each cut r in r_hi, accurate
-        relative to each prefix; a float for a scalar r_hi."""
-        r = np.asarray(r_hi, dtype=float)
+    def log_prefix(self, cuts):
+        """log integral over [0, r] for each cut r in cuts, accurate
+        relative to each prefix; a float for a scalar cut."""
+        r = np.asarray(cuts, dtype=float)
         r_q = np.minimum(r.ravel(), 1e300)  # r = inf maps to 1, as every r above 1e16 does
         u_q = r_q / (1.0 + r_q)
         out = np.where(u_q < 1.0, _NEG_INF, self.log_total)
@@ -358,7 +358,7 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
     """Adaptive run over r in [0, inf), in u; returns the PanelSet.
 
     The panels integrate g(u) = f(r(u)) + log r'(u), r'(u) = 1 / (1 - u)^2,
-    with u clamped to _U_MAX so that r stays finite.
+    with u clamped to _U_MAX, where r = 2^53 - 1.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
