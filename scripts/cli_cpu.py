@@ -6,7 +6,9 @@ IndicatorSpectral spec and a BesselType spec at n = 1000), LaguerreGauss
 n = 1000 (one batch of prefixes over one panel decomposition), and both
 shapes of Bessel-square prefix traffic: a 50-point BesselType curve at
 sigma = 1e5, whose cuts run about 5e4 orders below mu side by side, and
-a single IndicatorSpectral cut, which pays one numpy call per order alone.
+a single IndicatorSpectral cut, which pays one numpy call per order alone;
+and `sample` at WhittleMatern n = 3, whose radial law holds about 5 % of
+its mass below r = 0.065, so the CDF grid must start at r = 0.
 
 Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
@@ -53,6 +55,8 @@ COMMANDS = [
     ("eta BesselType sigma=1e5", "eta --family BesselType --n 5 --sigma 1e5 --alpha 0.1"
                                  " --R-grid 0.05:1:50"),
     ("eta IndicatorSpectral one cut", "eta --family IndicatorSpectral --n 40 --c 0.5 --R 1.0"),
+    ("sample WhittleMatern n=3", "sample --family WhittleMatern --n 3 --nu 0.5 --alpha 0.1536"
+                                 " --samples 100000 --seed 7 --out {out}/radii_low_n.csv"),
 ]
 
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

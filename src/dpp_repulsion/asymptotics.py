@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .kernels import Family, KernelSpec, UnsupportedFamilyError, validate
+from .kernels import Family, KernelSpec, UnsupportedFamilyError, max_param, validate
 from .kernels import _laguerre_double_sum_log  # exact f(n, m) for the table
 from .special import ln_gamma, ln_gamma_ratio
 
@@ -147,9 +147,13 @@ def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
             exceeds=False, r_star=r_star, threshold=thresh,
             note="alpha/2 stays below the threshold for every valid alpha (4 > sqrt(2e))")
     if fam == Family.CAUCHY:
+        # max_param bounds alpha_n = alpha sqrt(n); R* = alpha
+        hi = max_param(spec) / math.sqrt(spec.n)
         return ReachCertificate(
-            exceeds=False, r_star=r_star, threshold=thresh,
-            note="the existence bound forces R* = alpha < threshold")
+            exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
+            interval=(thresh, hi) if thresh < hi else None,
+            note="admissible alpha window (threshold, existence bound at this n) "
+                 "closes as n grows: the bound tends to the threshold")
     raise UnsupportedFamilyError(fam.value)
 
 

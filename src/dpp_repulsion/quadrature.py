@@ -3,24 +3,24 @@
 Radial integrands of the form r^{n-1} f(r)^2 with n up to ~1e3 span
 thousands of e-folds, so every integrand is a *log*-integrand: a callable
 returning log of a non-negative value (-inf at zeros).  One vectorized
-nested Gauss7/Kronrod15 evaluator, `_k15_log`, serves every panel: the
-adaptive PanelSet and the CDF cells.  It takes arrays of panel edges,
+nested Gauss7/Kronrod15 evaluator, `_k15_log`, serves every panel of the
+adaptive PanelSet and of its prefixes.  It takes arrays of panel edges,
 evaluates the log-integrand once over all their nodes, shifts each panel by
 its maximum, and returns the log value and the log |K15 - G7| error per
 panel.  Every integral runs over r in [0, inf), the one domain of the
 radial densities, in the variable u = r/(1+r) on [0, 1].
 
 One refinement loop, `_refine`, does all adaptive bisection: the
-full-domain PanelSet, the prefixes and the CDF cells.  It refines groups
-of panels side by side; each round, every group whose summed error is not
-within rel_tol of its sum splits its panels with error at or above the
-group's mean, and the splits of all groups are one K15 call.  The
-full-domain run and the CDF cells are one group.  A PanelSet's panels
-never change once built; running log sums of them are made at its first
-prefix.  Prefixes come in batches: one searchsorted finds every cut panel, one K15 call evaluates
-their left parts, the stored panels below each cut are one lookup in the
-running sums, and only the prefixes that miss their own tolerance refine,
-together, one group each.
+full-domain PanelSet (one group) and the prefixes (one group each).  Each
+round, every group whose summed error is not within rel_tol of its sum
+splits its panels with error at or above the group's mean, and the splits
+of all groups are one K15 call.  A PanelSet's panels never change once
+built; running log sums of them are made at its first prefix.  Prefixes
+come in batches: one searchsorted finds every cut panel, one K15 call
+evaluates their left parts, the stored panels below each cut are one
+lookup in the running sums, and only the prefixes that miss their own
+tolerance refine.  A RadialCdf is a view of the same panels: its node
+masses are these prefixes unrefined, each within rel_tol of the total.
 
 Panels seed around the integrand's peak, located by `find_mode`: nested
 grid scans, each a single vectorized call on interior points of the
@@ -180,12 +180,12 @@ def _refine(g, panels, rel_tol, group, n_groups: int):
 
     The module's one adaptive loop, on the panel arrays of `_k15_panels`;
     `group` gives each panel's group in range(n_groups).  The full-domain
-    run and the CDF cells are one group, a batch of prefixes one group per
-    prefix.  Each round, every group that misses its tolerance splits each
-    of its panels whose error is at or above the group's mean panel error
-    (so its worst one always splits), just as it would refined alone; the
-    splits of all groups are one K15 call.  The left half takes the panel's
-    place, the right half is appended.  The input arrays are not modified.
+    run is one group, a batch of prefixes one group per prefix.  Each
+    round, every group that misses its tolerance splits each of its panels
+    whose error is at or above the group's mean panel error (so its worst
+    one always splits), just as it would refined alone; the splits of all
+    groups are one K15 call.  The left half takes the panel's place, the
+    right half is appended.  The input arrays are not modified.
     Returns (panels, log_total, log_err_total), the totals one per group.
     """
     log_tol = math.log(rel_tol)
@@ -273,20 +273,21 @@ class PanelSet:
             out[part] = self._cut_prefixes(u_q[part])
         return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
-    def _cut_prefixes(self, u_q: np.ndarray) -> np.ndarray:
-        """log prefixes up to the cuts u_q, each inside (0, 1).
-
-        One searchsorted finds every cut panel and one K15 call evaluates
-        their left parts; the stored panels below a cut are one lookup in
-        the running sums.  The prefixes that miss their tolerance refine
-        together in `_refine`, one group each, in batches of at most
-        MAX_PANELS stored panels.
-        """
+    def _cut_sums(self, u_q: np.ndarray):
+        """(panels below each cut, cut panels' left parts, log value, log error)
+        of the unrefined prefixes up to the cuts u_q, each inside (0, 1): one
+        searchsorted, one K15 call and one lookup in the running sums."""
         k = np.searchsorted(self.hi, u_q, side="right")  # panels below each cut
         # the left part of each cut panel; empty (value -inf) for a cut on an edge
         cut = _k15_panels(self.g, self.lo[k], u_q, self.depths[k])
-        val = np.logaddexp(self.cum_vals[k], cut[2])
-        err = np.logaddexp(self.cum_errs[k], cut[3])
+        return (k, cut, np.logaddexp(self.cum_vals[k], cut[2]),
+                np.logaddexp(self.cum_errs[k], cut[3]))
+
+    def _cut_prefixes(self, u_q: np.ndarray) -> np.ndarray:
+        """log prefixes up to the cuts u_q, each inside (0, 1), each within
+        rel_tol of itself: the `_cut_sums` that miss it refine together in
+        `_refine`, one group each, in batches of at most MAX_PANELS stored panels."""
+        k, cut, val, err = self._cut_sums(u_q)
         miss = np.flatnonzero(err > val + math.log(self.rel_tol))
         stored = (self.lo, self.hi, self.log_vals, self.log_errs, self.depths)
         step = max(1, MAX_PANELS // len(self.lo))  # a prefix holds at most len(lo) of them
@@ -405,65 +406,38 @@ class RadialCdf:
 
 
 def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
-    """CDF of exp(f) on a geometric-plus-linear grid centered on the mode.
+    """CDF of exp(f): the full-domain PanelSet's unrefined prefixes at a node
+    at r = 0, a linear band around the mode and two geometric tails.
 
-    The grid cells are refined together by `_refine`, so their summed error
-    is within rel_tol of the mass and F is within rel_tol at every node.
-    Raises InfiniteMassError when the growth test fails (integrand mass
-    looks infinite) and QuadratureError for a zero-mass integrand or cells
-    that do not converge.
+    On each side of the mode one scan of SCAN_POINTS points closes
+    geometrically on u = 0 or _U_MAX; its first point 40 e-folds below the
+    mode is the band edge, its first 760 below the cut (else the end).  The
+    band gets CDF_NODES // 2 linear nodes, each tail CDF_NODES // 4 closing
+    on its cut.  Each node mass is held to rel_tol of the total.  Raises
+    InfiniteMassError when the growth test fails and QuadratureError for a
+    zero-mass integrand or a node that misses its tolerance.
     """
     ps = integrate_log_panels(f, rel_tol=rel_tol)
     if ps.log_total == _NEG_INF:
         raise QuadratureError("total mass is zero; no CDF")
-
-    g = ps.g
-    u_mode, g_mode = ps.u_mode, ps.g_mode
-    edges = np.append(ps.lo, ps.hi[-1])
-    edge_vals = g(np.clip(edges, 1e-300, _U_MAX))
-
-    def outermost(side):
-        # last edge (moving out from the mode) still within 750 e-folds
-        if side < 0:
-            sel = edges <= u_mode
-            keep = edges[sel][edge_vals[sel] > g_mode - 750.0]
-            return float(keep.min()) if keep.size else float(edges[0])
-        sel = edges >= u_mode
-        keep = edges[sel][edge_vals[sel] > g_mode - 750.0]
-        return float(keep.max()) if keep.size else float(edges[-1])
-
-    u_cut_lo, u_cut_hi = outermost(-1), min(outermost(+1), _U_MAX)
-    if u_cut_hi < _U_MAX and edge_vals[np.searchsorted(edges, u_cut_hi)] > g_mode - 740.0:
-        # heavy tail: move the cut out to the first point 760 e-folds down on
-        # a grid closing geometrically on _U_MAX
-        u_tail = _U_MAX - (_U_MAX - u_cut_hi) * np.geomspace(1.0, 1e-16, SCAN_POINTS)
-        down = np.flatnonzero(g(u_tail) <= g_mode - 760.0)
-        u_cut_hi = float(u_tail[down[0]]) if down.size else _U_MAX
-    # linear band: within ~40 e-folds of the mode
-    sel_band = edge_vals > g_mode - 40.0
-    if np.any(sel_band):
-        u_band_lo = float(edges[sel_band].min())
-        u_band_hi = float(edges[sel_band].max())
-    else:
-        u_band_lo, u_band_hi = u_cut_lo, u_cut_hi
-    n_nodes = CDF_NODES
-    parts = [np.linspace(u_band_lo, u_band_hi, n_nodes // 2)]
-    if u_cut_lo < u_band_lo:
-        parts.append(u_cut_lo + (u_band_lo - u_cut_lo) * np.geomspace(1e-6, 1.0, n_nodes // 4))
-        parts.append(np.array([u_cut_lo]))
-    if u_cut_hi > u_band_hi:
-        parts.append(u_cut_hi - (u_cut_hi - u_band_hi) * np.geomspace(1e-6, 1.0, n_nodes // 4))
-        parts.append(np.array([u_cut_hi]))
-    u_nodes = np.unique(np.concatenate(parts + [edges[(edges >= u_cut_lo) & (edges <= u_cut_hi)]]))
-
-    # the cells refine as one set of panels; each leaf adds to its cell
-    cells = _k15_panels(g, u_nodes[:-1], u_nodes[1:], np.zeros(len(u_nodes) - 1, dtype=int))
-    (leaf_lo, _, leaf_vals, _, _), _, _ = _refine(g, cells, rel_tol,
-                                                  np.zeros(len(u_nodes) - 1, int), 1)
-    incs = np.full(len(u_nodes) - 1, _NEG_INF)
-    np.logaddexp.at(incs, np.searchsorted(u_nodes, leaf_lo, side="right") - 1, leaf_vals)
-    log_mass = np.logaddexp.accumulate(np.concatenate([[_NEG_INF], incs]))
-    return RadialCdf(nodes=r_of_u(u_nodes), log_mass=log_mass, log_total=float(log_mass[-1]))
+    tail = np.geomspace(1.0, 1e-6, CDF_NODES // 4)
+    band, tails = [], []
+    for end in (0.0, _U_MAX):
+        scan = end - (end - ps.u_mode) * np.geomspace(1.0, 1e-16, SCAN_POINTS)
+        down = ps.g_mode - ps.g(scan)
+        edge, cut = (scan[np.argmax(down >= d)] if (down >= d).any() else end
+                     for d in (40.0, 760.0))
+        band.append(edge)
+        tails += [cut + (edge - cut) * tail, [cut]]
+    u_nodes = np.unique(np.concatenate([[0.0], np.linspace(*band, CDF_NODES // 2), *tails]))
+    _, _, log_mass, log_err = ps._cut_sums(u_nodes[1:])
+    i = int(np.argmax(log_err))  # the worst node
+    if log_err[i] > ps.log_total + math.log(rel_tol):
+        raise QuadratureError(
+            f"CDF node at r = {r_of_u(u_nodes[i + 1]):.6g} misses rel_tol of the total",
+            log_partial=float(log_mass[i]), log_error_bound=float(log_err[i]))
+    return RadialCdf(nodes=r_of_u(u_nodes), log_mass=np.append(_NEG_INF, log_mass),
+                     log_total=ps.log_total)
 
 
 def inverse_cdf(c: RadialCdf, u) -> np.ndarray:

@@ -164,7 +164,7 @@ def ln_bessel_j_ratio(order: float, y) -> tuple[np.ndarray, np.ndarray]:
     if order < 0:
         raise ValueError("order must be >= 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y < 0):
+    if not np.all(y >= 0):  # NaN fails the test too
         raise ValueError("y must be >= 0")
     log_out = np.full(y.shape, _NEG_INF)
     sign_out = np.zeros(y.shape, dtype=int)

@@ -17,7 +17,7 @@ from dpp_repulsion.asymptotics import (
     summary_table,
 )
 from dpp_repulsion.examples import example_spec, example_specs
-from dpp_repulsion.kernels import Family, KernelSpec, UnsupportedFamilyError
+from dpp_repulsion.kernels import Family, KernelSpec, UnsupportedFamilyError, max_param
 from dpp_repulsion.repulsion import radial_moment
 
 NN_THRESHOLD_RHO0 = 0.2419707245191433497978302  # (2 pi e)^{-1/2}, 40-digit value
@@ -162,15 +162,35 @@ class TestReachExceedsNn:
         spec = KernelSpec(Family.LAGUERRE_GAUSS, n=10, rho=0.0, m=1, alpha=0.4)
         assert not reach_exceeds_nn(spec).exceeds
 
-    def test_cauchy_always_false(self):
+    def test_cauchy_below_threshold_false(self):
         spec = KernelSpec(Family.CAUCHY, n=10, rho=0.0, nu=1.0, alpha=0.2,
                           alpha_rule="scaled")
         assert not reach_exceeds_nn(spec).exceeds
 
+    def test_cauchy_true_case_at_low_n(self):
+        # R* = alpha = 0.4514 passes the threshold 0.242 at n = 2, inside the
+        # existence bound on alpha, 0.564
+        spec = KernelSpec(Family.CAUCHY, n=2, rho=0.0, nu=2.0, alpha=0.4514,
+                          alpha_rule="scaled")
+        cert = reach_exceeds_nn(spec)
+        assert cert.exceeds
+        lo, hi = cert.interval
+        assert lo == cert.threshold < 0.4514 < hi
+        assert hi == approx(max_param(spec) / math.sqrt(2.0), rel=1e-15)
+
+    def test_cauchy_window_closes_as_n_grows(self):
+        his = []
+        for n in (2, 10, 100, 1000, 10**4):
+            spec = KernelSpec(Family.CAUCHY, n=n, rho=0.0, nu=1.0, alpha=0.2,
+                              alpha_rule="scaled")
+            lo, hi = reach_exceeds_nn(spec).interval
+            his.append(hi)
+            assert lo < hi
+        assert np.all(np.diff(his) < 0) and his[-1] - nn_threshold(0.0) < 1e-3
+
     def test_whittle_always_false(self):
         # even pushing alpha to 99% of the existence bound cannot cross
         for n in (2, 30, 200):
-            from dpp_repulsion.kernels import max_param
             probe = KernelSpec(Family.WHITTLE_MATERN, n=n, rho=0.0, nu=1.0, alpha=1.0)
             spec = KernelSpec(Family.WHITTLE_MATERN, n=n, rho=0.0, nu=1.0,
                               alpha=0.99 * max_param(probe))

@@ -538,7 +538,8 @@ class TestReadmeCommands:
         # the README's command-line examples (then three oscillatory eta runs,
         # the last at n = 1000, LaguerreGauss moments at m = 60, a dense
         # LaguerreGauss eta curve at n = 1000, a BesselType curve at
-        # sigma = 1e5 and a single IndicatorSpectral cut)
+        # sigma = 1e5, a single IndicatorSpectral cut and a WhittleMatern
+        # sample at n = 3)
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
         cli_cpu = importlib.util.module_from_spec(spec)
@@ -553,4 +554,4 @@ class TestReadmeCommands:
             ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"],
             ["eta", "--family", "BesselType"], ["moments", "--family", "LaguerreGauss"],
             ["eta", "--family", "LaguerreGauss"], ["eta", "--family", "BesselType"],
-            ["eta", "--family", "IndicatorSpectral"]]
+            ["eta", "--family", "IndicatorSpectral"], ["sample", "--family", "WhittleMatern"]]

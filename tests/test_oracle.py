@@ -78,6 +78,22 @@ class TestMcBallRatio:
         est = mc_ball_ratio(gauss_spec(), 0.0, 5000, seed=3)
         assert est.value == 0.0
 
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(Family.WHITTLE_MATERN, n=3, rho=0.0, nu=0.5, alpha=0.1536),
+        KernelSpec(Family.LAGUERRE_GAUSS, n=4, rho=0.0, m=1, alpha=0.2257),
+        KernelSpec(Family.POWER_EXPONENTIAL, n=5, rho=0.0, nu=2.0, alpha=0.5317,
+                   alpha_rule="scaled"),
+        KernelSpec(Family.CAUCHY, n=3, rho=0.0, nu=0.5, alpha=0.1346, alpha_rule="scaled"),
+    ], ids=lambda s: s.family.value)
+    def test_mass_near_the_origin_is_sampled(self, spec):
+        # low-n specs with mass below r = 0.05: the CDF starts at r = 0, so
+        # the sampler draws radii there too
+        R, count = 0.05 / math.sqrt(spec.n), 100000
+        want = eta_ball_ratio(spec, R)
+        est = mc_ball_ratio(spec, R, count, seed=11)
+        assert 0.0 < want < 1.0
+        assert abs(est.value - want) <= 5.0 * math.sqrt(want * (1.0 - want) / count)
+
     @pytest.mark.parametrize("n", [3, 10, 50])
     def test_matches_quadrature_within_3se(self, n):
         spec = gauss_spec(n=n)

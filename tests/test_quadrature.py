@@ -228,39 +228,34 @@ class TestCdf:
         cdf = build_cdf(f, rel_tol=1e-8)
         assert cdf.cdf(0.5) == approx(0.0, abs=1e-13)
 
-    def test_refined_cells_match_recursive_bisection(self, monkeypatch):
-        # cdf_nodes=16 leaves cells too coarse for cos(30 r), so some bisect;
-        # the decay e^{-5 r} leaves little mass near u = 1, where cos(30 r)
-        # oscillates too fast in u for either refinement to resolve it
-        f = LogIntegrand(lambda r: np.cos(30.0 * r) - 5.0 * r)
-        monkeypatch.setattr(quadrature, "CDF_NODES", 16)
-        cdf = build_cdf(f, rel_tol=1e-10)
-        log_total = integrate_log_panels(f, rel_tol=1e-10).log_total
-        log_budget = math.log(1e-10) + log_total - math.log(len(cdf.nodes))
-        split = []
+    @pytest.mark.parametrize("log_f,rel_tol", [
+        (lambda r: np.cos(30.0 * r) - 5.0 * r, 1e-10),
+        (lambda r: 11.0 * np.log(np.maximum(r, 1e-300)) - 8.0 * r * r, 1e-9),
+        (lambda r: -2.5 * np.log1p(r * r), 1e-8),
+    ], ids=["oscillating", "gaussian", "heavy_tail"])
+    def test_node_masses_match_refined_prefixes(self, log_f, rel_tol):
+        # the nodes take the panel set's unrefined prefixes, each within
+        # rel_tol of the total; log_prefix refines each to rel_tol of itself
+        cdf = build_cdf(LogIntegrand(log_f), rel_tol=rel_tol)
+        ps = integrate_log_panels(LogIntegrand(log_f), rel_tol=rel_tol)
+        assert cdf.nodes[0] == 0.0 and cdf.log_mass[0] == -np.inf
+        want = np.exp(ps.log_prefix(cdf.nodes) - ps.log_total)
+        got = np.exp(cdf.log_mass - cdf.log_total)
+        assert np.max(np.abs(got - want)) <= rel_tol
 
-        def g(u):
-            # the integrand in u = r / (1 + r), with the Jacobian 1 / (1 - u)^2
-            return f(quadrature.r_of_u(u)) - 2.0 * np.log1p(-u)
-
-        def cell_log(lo, hi, depth=0):
-            # the recursive per-cell refinement build_cdf used to run
-            log_val, log_err = _k15_scalar_log(g, lo, hi)
-            if log_err > log_budget and depth < 24:
-                split.append((lo, hi))
-                mid = 0.5 * (lo + hi)
-                return np.logaddexp(cell_log(lo, mid, depth + 1), cell_log(mid, hi, depth + 1))
-            return log_val
-
-        u_nodes = cdf.nodes / (1.0 + cdf.nodes)
-        incs = [cell_log(lo, hi) for lo, hi in zip(u_nodes[:-1], u_nodes[1:])]
-        want = np.logaddexp.accumulate([-np.inf, *incs])
-        assert split
-        assert cdf.log_mass[0] == -np.inf
-        assert cdf.log_mass[1:] == approx(want[1:], abs=1e-12)
+    @given(st.sampled_from([Family.LAGUERRE_GAUSS, Family.POWER_EXPONENTIAL,
+                            Family.WHITTLE_MATERN, Family.CAUCHY]),
+           st.integers(min_value=2, max_value=200))
+    @settings(max_examples=16, deadline=None)
+    def test_levels_match_ball_ratios(self, fam, n):
+        # the CDF of |X_n| at its nodes is the ball ratio at R = r / sqrt(n)
+        spec = example_spec(fam, n=n)
+        cdf = repulsion.radial_cdf(spec)
+        want = np.exp(repulsion.log_eta_ball_ratio(spec, cdf.nodes / math.sqrt(n)))
+        assert np.max(np.abs(cdf.levels() - want)) <= 3.0 * repulsion.PRODUCTION_REL_TOL
 
     def test_integrand_calls_bounded(self):
-        # cells are evaluated in one call per bisection level, not one per cell
+        # the node masses are one evaluator call over all cut panels, not one per node
         f, *_ = self.gaussian_density()
         calls = []
         build_cdf(LogIntegrand(lambda r: calls.append(1) or f(r)), rel_tol=1e-10)
@@ -279,7 +274,7 @@ class TestCdf:
                                      Family.WHITTLE_MATERN, Family.CAUCHY],
                              ids=lambda f: f.value)
     def test_cdf_from_few_vectorized_calls(self, fam):
-        # the heavy-tail cut scans one grid: no bisection of single points
+        # each side's band edge and cut come from one scan: no bisection of single points
         f = repulsion.radial_density(example_spec(fam, n=50))
         sizes = []
         build_cdf(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r)),
@@ -287,8 +282,9 @@ class TestCdf:
         assert len(sizes) <= 15
         assert min(sizes) > 1
 
-    def test_unconverged_cells_raise(self, monkeypatch):
-        # cells that never meet the tolerance raise instead of stopping at a depth cap
+    def test_unconverged_nodes_raise(self, monkeypatch):
+        # node masses whose error misses rel_tol of the total raise with the
+        # partial and the bound
         rng = np.random.default_rng(0)
         noisy = []
         f = LogIntegrand(lambda r: -r + (1e-3 * rng.standard_normal(np.shape(r))

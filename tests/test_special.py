@@ -154,10 +154,10 @@ class TestBesselJ:
     def test_frozen_references(self, order, x, ref):
         assert _jv_via_ratio(order, x) == approx(ref, rel=1e-10)
 
-    @pytest.mark.parametrize("order,x", [(-1.0, 1.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("order,x", [(-1.0, 1.0), (1.0, -1.0), (2.5, math.nan)])
     def test_domain(self, order, x):
         with pytest.raises(ValueError):
-            ln_bessel_j_ratio(order, np.array([x]))
+            ln_bessel_j_ratio(order, np.array([x, 1.0]))
 
     def test_half_order_identity_on_grid(self):
         for x in np.geomspace(0.1, 100.0, 50):
