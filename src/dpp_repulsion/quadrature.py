@@ -420,7 +420,7 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
     ps = integrate_log_panels(f, rel_tol=rel_tol)
     if ps.log_total == _NEG_INF:
         raise QuadratureError("total mass is zero; no CDF")
-    tail = np.geomspace(1.0, 1e-6, CDF_NODES // 4)
+    tail = np.append(np.geomspace(1.0, 1e-6, CDF_NODES // 4), 0.0)  # band edge to cut
     band, tails = [], []
     for end in (0.0, _U_MAX):
         scan = end - (end - ps.u_mode) * np.geomspace(1.0, 1e-16, SCAN_POINTS)
@@ -428,7 +428,7 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
         edge, cut = (scan[np.argmax(down >= d)] if (down >= d).any() else end
                      for d in (40.0, 760.0))
         band.append(edge)
-        tails += [cut + (edge - cut) * tail, [cut]]
+        tails.append(cut + (edge - cut) * tail)
     u_nodes = np.unique(np.concatenate([[0.0], np.linspace(*band, CDF_NODES // 2), *tails]))
     _, _, log_mass, log_err = ps._cut_sums(u_nodes[1:])
     i = int(np.argmax(log_err))  # the worst node
