@@ -515,8 +515,10 @@ def bessel_sq_prefix_log(mu: float, lam: float, y_hi):
             out[x == math.inf] = bessel_sq_moment_log(mu, lam)
         # the first term and J_mu's first power; the rest add below x^2
         tiny = (x > 0) & (x <= 1e-8)
-        out[tiny] = (2.0 * (mu * np.log(0.5 * x[tiny]) - ln_gamma(mu + 1.0))
-                     - a * np.log(x[tiny]) - math.log(2.0 * mu - a))
+        # log x - log 2, not log(x / 2): halving the least subnormal gives 0
+        log_x = np.log(x[tiny])
+        out[tiny] = (2.0 * (mu * (log_x - math.log(2.0)) - ln_gamma(mu + 1.0))
+                     - a * log_x - math.log(2.0 * mu - a))
         live = np.flatnonzero((x > 1e-8) & (x < math.inf))
         top = (np.maximum(x[live] - mu, 0.0) + 12.0 * x[live] ** (1.0 / 3.0) + 40.0).astype(int)
         while live.size:

@@ -486,6 +486,14 @@ class TestBesselPrefixArray:
         assert np.array_equal(got.ravel(), bessel_sq_prefix_log(mu, lam, cuts.ravel()))
         assert bessel_sq_prefix_log(mu, lam, cuts[:0]).shape == (0, 2)
 
+    @pytest.mark.parametrize("mu, lam", [(1.0, 0.0), (0.5, -0.9), (30.0, 40.0)])
+    def test_subnormal_cut_follows_the_first_term(self, mu, lam):
+        # the prefix grows like y^(2 mu + 1 - lam) near 0, down to the least subnormal
+        lo, hi = bessel_sq_prefix_log(mu, lam, np.array([5e-324, 1e-300]))
+        assert math.isfinite(lo)
+        assert hi - lo == pytest.approx((2.0 * mu + 1.0 - lam) * (math.log(1e-300) - math.log(5e-324)),
+                                        rel=1e-12)
+
     @given(st.floats(min_value=0.5, max_value=100.0),
            st.lists(_CUT_FACTORS, min_size=1, max_size=6), st.integers(min_value=0, max_value=6))
     @settings(max_examples=20, deadline=None)
