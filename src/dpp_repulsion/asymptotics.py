@@ -143,9 +143,13 @@ def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
             interval=(lo, hi),
             note=f"admissible alpha window is {word} (needs nu > 1)")
     if fam == Family.WHITTLE_MATERN:
+        # R* = alpha / 2; max_param bounds alpha itself (fixed rule)
+        lo, hi = 2.0 * thresh, max_param(spec)
         return ReachCertificate(
-            exceeds=False, r_star=r_star, threshold=thresh,
-            note="alpha/2 stays below the threshold for every valid alpha (4 > sqrt(2e))")
+            exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
+            interval=(lo, hi) if lo < hi else None,
+            note="admissible alpha window (twice the threshold, existence bound at this n); "
+                 "at fixed nu it closes as n grows: the bound falls like n^{-1/2}")
     if fam == Family.CAUCHY:
         # max_param bounds alpha_n = alpha sqrt(n); R* = alpha
         hi = max_param(spec) / math.sqrt(spec.n)

@@ -225,9 +225,8 @@ def validate(spec: KernelSpec) -> ValidationReport:
             bad.append(("sigma", f"sigma must be >= 0, got {spec.sigma}"))
         elif spec.sigma == 0.0:
             notes.append("sigma = 0 accepted, but the no-reach statement assumes sigma > 0")
-    if fam in (Family.POWER_EXPONENTIAL, Family.CAUCHY):
-        pass  # both alpha rules are legal here
-    elif spec.alpha_rule != "fixed":
+    # both alpha rules are legal for PowerExponential and Cauchy only
+    if fam not in (Family.POWER_EXPONENTIAL, Family.CAUCHY) and spec.alpha_rule != "fixed":
         bad.append(("alpha_rule", f"'scaled' is undefined for {fam.value}"))
     if bad:
         return ValidationReport(False, tuple(bad), tuple(notes))

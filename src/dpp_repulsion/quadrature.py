@@ -6,9 +6,9 @@ returning log of a non-negative value (-inf at zeros).  One vectorized
 nested Gauss7/Kronrod15 evaluator, `_k15_log`, serves every panel of the
 adaptive PanelSet and of its prefixes.  It takes arrays of panel edges,
 evaluates the log-integrand once over all their nodes, shifts each panel by
-its maximum, and returns the log value and the log |K15 - G7| error per
-panel.  Every integral runs over r in [0, inf), the one domain of the
-radial densities, in the variable u = r/(1+r) on [0, 1].
+its maximum, and returns the panel arrays with the log value and the log
+|K15 - G7| error per panel.  Every integral runs over r in [0, inf), the
+one domain of the radial densities, in the variable u = r/(1+r) on [0, 1].
 
 One refinement loop, `_refine`, does all adaptive bisection: the
 full-domain PanelSet (one group) and the prefixes (one group each).  Each
@@ -19,7 +19,7 @@ built; running log sums of them are made at its first prefix.  Prefixes
 come in batches: one searchsorted finds every cut panel, one K15 call
 evaluates their left parts, the stored panels below each cut are one
 lookup in the running sums, and only the prefixes that miss their own
-tolerance refine.  A RadialCdf is a view of the same panels: its node
+tolerance refine.  A RadialCdf is a view of a built PanelSet: its node
 masses are these prefixes unrefined, each within rel_tol of the total.
 
 Panels seed around the integrand's peak, located by `find_mode`: nested
@@ -124,8 +124,8 @@ class LogIntegrand:
         return self.log_f(r)
 
 
-def _k15_log(g, lo, hi):
-    """log K15 value and log |K15 - G7| error of log-integrand g on each [lo_i, hi_i].
+def _k15_log(g, lo, hi, depth):
+    """Panel arrays (lo, hi, log K15 value, log |K15 - G7| error, depth) of g on each [lo_i, hi_i].
 
     The module's one Gauss7/Kronrod15 rule: g is called once on the nodes
     of all panels, and each panel is shifted by its own maximum before the
@@ -146,17 +146,12 @@ def _k15_log(g, lo, hi):
     with np.errstate(divide="ignore"):
         log_val = np.where(live, m + np.log(k15 * half), _NEG_INF)
         log_err = np.where(live, m + np.log(np.abs(k15 - e @ _GW) * half), _NEG_INF)
-    return log_val, log_err
+    return lo, hi, log_val, log_err, depth
 
 
 def r_of_u(u):
     """The radius r = u / (1 - u) at the integration variable u in [0, 1)."""
     return u / (1.0 - u)
-
-
-def _k15_panels(g, lo, hi, depth):
-    """The panel arrays (lo, hi, log value, log error, depth) of K15 on each [lo_i, hi_i]."""
-    return (lo, hi, *_k15_log(g, lo, hi), depth)
 
 
 def _group_logsumexp(log_val, log_err, group, n_groups: int):
@@ -178,7 +173,7 @@ def _group_logsumexp(log_val, log_err, group, n_groups: int):
 def _refine(g, panels, rel_tol, group, n_groups: int):
     """Bisect panels until each group's summed error is within rel_tol of its sum.
 
-    The module's one adaptive loop, on the panel arrays of `_k15_panels`;
+    The module's one adaptive loop, on the panel arrays of `_k15_log`;
     `group` gives each panel's group in range(n_groups).  The full-domain
     run is one group, a batch of prefixes one group per prefix.  Each
     round, every group that misses its tolerance splits each of its panels
@@ -209,8 +204,8 @@ def _refine(g, panels, rel_tol, group, n_groups: int):
                 log_partial=float(log_total[b]), log_error_bound=float(log_err_total[b]))
         mid = 0.5 * (lo[i] + hi[i])
         deeper = depth[i] + 1
-        halves = _k15_panels(g, np.concatenate([lo[i], mid]), np.concatenate([mid, hi[i]]),
-                             np.concatenate([deeper, deeper]))
+        halves = _k15_log(g, np.concatenate([lo[i], mid]), np.concatenate([mid, hi[i]]),
+                          np.concatenate([deeper, deeper]))
         k = len(i)
         panels = tuple(np.concatenate([p, h[k:]]) for p, h in zip(panels, halves))
         for p, h in zip(panels, halves):
@@ -279,7 +274,7 @@ class PanelSet:
         searchsorted, one K15 call and one lookup in the running sums."""
         k = np.searchsorted(self.hi, u_q, side="right")  # panels below each cut
         # the left part of each cut panel; empty (value -inf) for a cut on an edge
-        cut = _k15_panels(self.g, self.lo[k], u_q, self.depths[k])
+        cut = _k15_log(self.g, self.lo[k], u_q, self.depths[k])
         return (k, cut, np.logaddexp(self.cum_vals[k], cut[2]),
                 np.logaddexp(self.cum_errs[k], cut[3]))
 
@@ -377,7 +372,7 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
     if np.any(g(np.array([1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])) > g_scan_max + 5.0):
         raise InfiniteMassError("integrand grows toward r = inf; total mass looks infinite")
     edges = np.array(bounds)
-    panels = _k15_panels(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
+    panels = _k15_log(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
     panels, log_total, log_err = _refine(g, panels, rel_tol, np.zeros(len(edges) - 1, int), 1)
     return PanelSet(rel_tol, g, u_mode, g_mode, panels, float(log_total[0]), float(log_err[0]))
 
@@ -405,19 +400,18 @@ class RadialCdf:
         return np.interp(r, self.nodes, self.levels())
 
 
-def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
-    """CDF of exp(f): the full-domain PanelSet's unrefined prefixes at a node
+def build_cdf(ps: PanelSet) -> RadialCdf:
+    """CDF of the integrand of PanelSet ps: its unrefined prefixes at a node
     at r = 0, a linear band around the mode and two geometric tails.
 
     On each side of the mode one scan of SCAN_POINTS points closes
     geometrically on u = 0 or _U_MAX; its first point 40 e-folds below the
     mode is the band edge, its first 760 below the cut (else the end).  The
     band gets CDF_NODES // 2 linear nodes, each tail CDF_NODES // 4 closing
-    on its cut.  Each node mass is held to rel_tol of the total.  Raises
-    InfiniteMassError when the growth test fails and QuadratureError for a
+    on its cut; the grid ends at the first node at level 1.  Each node mass
+    is held to ps.rel_tol of the total.  Raises QuadratureError for a
     zero-mass integrand or a node that misses its tolerance.
     """
-    ps = integrate_log_panels(f, rel_tol=rel_tol)
     if ps.log_total == _NEG_INF:
         raise QuadratureError("total mass is zero; no CDF")
     tail = np.append(np.geomspace(1.0, 1e-6, CDF_NODES // 4), 0.0)  # band edge to cut
@@ -432,16 +426,19 @@ def build_cdf(f: LogIntegrand, rel_tol: float = 1e-8) -> RadialCdf:
     u_nodes = np.unique(np.concatenate([[0.0], np.linspace(*band, CDF_NODES // 2), *tails]))
     _, _, log_mass, log_err = ps._cut_sums(u_nodes[1:])
     i = int(np.argmax(log_err))  # the worst node
-    if log_err[i] > ps.log_total + math.log(rel_tol):
+    if log_err[i] > ps.log_total + math.log(ps.rel_tol):
         raise QuadratureError(
             f"CDF node at r = {r_of_u(u_nodes[i + 1]):.6g} misses rel_tol of the total",
             log_partial=float(log_mass[i]), log_error_bound=float(log_err[i]))
-    return RadialCdf(nodes=r_of_u(u_nodes), log_mass=np.append(_NEG_INF, log_mass),
-                     log_total=ps.log_total)
+    cdf = RadialCdf(nodes=r_of_u(u_nodes), log_mass=np.append(_NEG_INF, log_mass),
+                    log_total=ps.log_total)
+    end = int(np.argmax(cdf.levels() == 1.0)) + 1  # levels() is 1 at the last node
+    return RadialCdf(cdf.nodes[:end], cdf.log_mass[:end], cdf.log_total)
 
 
 def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
-    """Smallest grid-interpolated radius with CDF >= u; monotone in u."""
+    """Smallest grid-interpolated radius with CDF >= u; monotone in u.  u = 1
+    gives the first node at level 1, the grid's last; u = 0 the last at level 0."""
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u > 1)):
         raise ValueError("u must lie in [0, 1]")

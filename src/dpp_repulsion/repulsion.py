@@ -80,6 +80,11 @@ def eta_total_log(spec: KernelSpec) -> float:
 # Radial density of |X_n| and its panel decomposition
 # ---------------------------------------------------------------------------
 
+def _log_r(r: np.ndarray) -> np.ndarray:
+    """log r elementwise, -inf at r = 0."""
+    return np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
+
+
 def radial_density(spec: KernelSpec) -> LogIntegrand:
     """log of the unnormalized radial density r^{n-1} K_n(r)^2."""
     n = spec.n
@@ -91,10 +96,7 @@ def radial_density(spec: KernelSpec) -> LogIntegrand:
     def log_f(r):
         r = np.asarray(r, dtype=float)
         logk, _ = log_kernel_radial_array(spec, r)
-        logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
-        out = (n - 1) * logr + 2.0 * logk
-        if n == 1:
-            out = 2.0 * logk
+        out = 2.0 * logk if n == 1 else (n - 1) * _log_r(r) + 2.0 * logk
         return np.where(np.isnan(out), _NEG_INF, out)
 
     return LogIntegrand(log_f)
@@ -147,13 +149,13 @@ def eta_ball_ratio(spec: KernelSpec, R: float,
 
 
 def radial_cdf(spec: KernelSpec, rel_tol: float = PRODUCTION_REL_TOL):
-    """RadialCdf of |X_n| (grid form, used by the sampling oracle)."""
+    """RadialCdf of |X_n| on the spec's cached PanelSet (used by the sampling oracle)."""
     if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
         raise UnsupportedFamilyError(
             f"{spec.family.value}: oscillatory radial density with an algebraic "
             "tail; no faithful CDF grid is offered")
     kn._require_valid(spec)
-    return build_cdf(radial_density(spec), rel_tol=rel_tol)
+    return build_cdf(_density_panels(spec, rel_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +256,7 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
                         - ln_gamma_ratio(0.5 * (lam - k), 0.5)
                         + ln_gamma_ratio(g, h) + ln_gamma_ratio(g + lam - h, h))
     dens = radial_density(spec)
-
-    def weighted(r):
-        r = np.asarray(r, dtype=float)
-        logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
-        return dens(r) + k * logr
-
-    num = integrate_log_panels(LogIntegrand(weighted), rel_tol=rel_tol)
+    num = integrate_log_panels(LogIntegrand(lambda r: dens(r) + k * _log_r(r)), rel_tol=rel_tol)
     den = _density_panels(spec, rel_tol)
     return math.exp(num.log_total - den.log_total)
 

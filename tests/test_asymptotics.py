@@ -198,6 +198,23 @@ class TestReachExceedsNn:
             assert not cert.exceeds
             assert cert.r_star < cert.threshold
 
+    @pytest.mark.parametrize("n,nu", [(1, 0.01), (2, 0.05)])
+    def test_whittle_true_case_at_low_n(self, n, nu):
+        # R* = alpha / 2 passes the threshold 0.242 once the existence bound
+        # on alpha passes twice the threshold, as it does at small n and nu
+        probe = KernelSpec(Family.WHITTLE_MATERN, n=n, rho=0.0, nu=nu, alpha=1.0)
+        alpha = 0.9 * max_param(probe)
+        cert = reach_exceeds_nn(KernelSpec(Family.WHITTLE_MATERN, n=n, rho=0.0, nu=nu,
+                                           alpha=alpha))
+        assert cert.exceeds and cert.r_star > cert.threshold
+        lo, hi = cert.interval
+        assert lo == 2.0 * cert.threshold < alpha < hi == max_param(probe)
+
+    def test_whittle_window_empty_at_larger_n(self):
+        spec = KernelSpec(Family.WHITTLE_MATERN, n=30, rho=0.0, nu=0.05, alpha=0.1)
+        assert max_param(spec) < 2.0 * nn_threshold(0.0)
+        assert reach_exceeds_nn(spec).interval is None
+
     def test_bessel_rejected(self):
         with pytest.raises(UnsupportedFamilyError):
             reach_exceeds_nn(example_spec(Family.BESSEL_TYPE, n=5))

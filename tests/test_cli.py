@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from dpp_repulsion import asymptotics, oracle
+from dpp_repulsion import asymptotics, oracle, repulsion
 from dpp_repulsion.cli import _COMMANDS, _SETTINGS, _mass, build_parser, main
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
@@ -250,10 +250,15 @@ class TestSampleCmd:
         assert "Traceback" not in err and out == ""
 
     def test_fixed_seed_identical_files(self, tmp_path, capsys):
+        # the CDF reads the spec's cached PanelSet: the first run builds it
+        # (cold cache), the second reads it (warm), and both write the same bytes
         args = ["sample", *GAUSS, "--samples", "64", "--seed", "5"]
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        repulsion._density_panels.cache_clear()
         assert run([*args, "--out", str(f1)], capsys)[0] == 0
+        assert repulsion._density_panels.cache_info()[:2] == (0, 1)  # (hits, misses)
         assert run([*args, "--out", str(f2)], capsys)[0] == 0
+        assert repulsion._density_panels.cache_info()[:2] == (1, 1)
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_csv_rows_and_json_radii(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from conftest import bessel_sq_prefix_ref_log, bessel_sq_total_log
-from dpp_repulsion import quadrature, repulsion
+from dpp_repulsion import oracle, quadrature, repulsion
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.quadrature import (
@@ -55,7 +55,7 @@ class TestK15:
         (lambda y: quadrature._bessel_sq_log(26.0, y, 3.0), 40.0 + math.pi * np.arange(41)),
     ], ids=["smooth", "bessel_sq"])
     def test_matches_scalar_panel_rule(self, g, edges):
-        log_val, log_err = quadrature._k15_log(g, edges[:-1], edges[1:])
+        _, _, log_val, log_err, _ = quadrature._k15_log(g, edges[:-1], edges[1:], 0)
         for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             want_val, want_err = _k15_scalar_log(g, lo, hi)
             assert log_val[i] == approx(want_val, abs=1e-14)
@@ -64,11 +64,12 @@ class TestK15:
                                                              abs=1e-14)
 
     def test_zero_panel_and_divergence(self):
-        log_val, log_err = quadrature._k15_log(lambda u: np.full(u.shape, -np.inf),
-                                               [0.0, 1.0], [1.0, 2.0])
+        _, _, log_val, log_err, _ = quadrature._k15_log(lambda u: np.full(u.shape, -np.inf),
+                                                        [0.0, 1.0], [1.0, 2.0], 0)
         assert np.all(log_val == -np.inf) and np.all(log_err == -np.inf)
         with pytest.raises(InfiniteMassError):
-            quadrature._k15_log(lambda u: np.where(u > 1.5, np.inf, 0.0), [0.0, 1.0], [1.0, 2.0])
+            quadrature._k15_log(lambda u: np.where(u > 1.5, np.inf, 0.0),
+                                [0.0, 1.0], [1.0, 2.0], 0)
 
 
 class TestIntegrateLog:
@@ -204,7 +205,7 @@ class TestCdf:
     def test_gaussian_cdf_matches_incomplete_gamma_at_nodes(self):
         # the node-level contract; between nodes only interpolation accuracy holds
         f, n, alpha = self.gaussian_density()
-        cdf = build_cdf(f, rel_tol=1e-10)
+        cdf = build_cdf(integrate_log_panels(f, rel_tol=1e-10))
         nodes = cdf.nodes[(cdf.nodes > 0.05) & (cdf.nodes < 2.0)]
         want = sp.gammainc(0.5 * n, 2.0 * nodes**2 / alpha**2)
         got = cdf.cdf(nodes)
@@ -212,20 +213,20 @@ class TestCdf:
 
     def test_gaussian_cdf_interpolated_between_nodes(self):
         f, n, alpha = self.gaussian_density()
-        cdf = build_cdf(f, rel_tol=1e-10)
+        cdf = build_cdf(integrate_log_panels(f, rel_tol=1e-10))
         rs = np.linspace(0.2, 1.2, 41)
         want = sp.gammainc(0.5 * n, 2.0 * rs**2 / alpha**2)
         assert cdf.cdf(rs) == approx(want, abs=2e-5)
 
     def test_total_normalizes_to_one(self):
         f, *_ = self.gaussian_density()
-        cdf = build_cdf(f, rel_tol=1e-9)
+        cdf = build_cdf(integrate_log_panels(f, rel_tol=1e-9))
         assert cdf.cdf(np.array([cdf.nodes[-1]]))[0] == approx(1.0, abs=1e-12)
         assert np.all(np.diff(cdf.log_mass[1:]) >= 0.0)
 
     def test_below_support_is_zero(self):
         f = LogIntegrand(lambda r: np.where(r >= 1.0, -(r - 2.0) ** 2, -np.inf))
-        cdf = build_cdf(f, rel_tol=1e-8)
+        cdf = build_cdf(integrate_log_panels(f, rel_tol=1e-8))
         assert cdf.cdf(0.5) == approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("log_f,rel_tol", [
@@ -236,7 +237,7 @@ class TestCdf:
     def test_node_masses_match_refined_prefixes(self, log_f, rel_tol):
         # the nodes take the panel set's unrefined prefixes, each within
         # rel_tol of the total; log_prefix refines each to rel_tol of itself
-        cdf = build_cdf(LogIntegrand(log_f), rel_tol=rel_tol)
+        cdf = build_cdf(integrate_log_panels(LogIntegrand(log_f), rel_tol=rel_tol))
         ps = integrate_log_panels(LogIntegrand(log_f), rel_tol=rel_tol)
         assert cdf.nodes[0] == 0.0 and cdf.log_mass[0] == -np.inf
         want = np.exp(ps.log_prefix(cdf.nodes) - ps.log_total)
@@ -254,11 +255,32 @@ class TestCdf:
         want = np.exp(repulsion.log_eta_ball_ratio(spec, cdf.nodes / math.sqrt(n)))
         assert np.max(np.abs(cdf.levels() - want)) <= 3.0 * repulsion.PRODUCTION_REL_TOL
 
+    def test_one_panel_set_per_spec(self, monkeypatch):
+        # ball ratios, the CDF, sampled radii and the Monte Carlo oracle on
+        # one spec read one cached PanelSet between them
+        builds = []
+        run = quadrature.integrate_log_panels
+
+        def spy(*args, **kwargs):
+            builds.append(1)
+            return run(*args, **kwargs)
+
+        for module in (quadrature, repulsion):
+            monkeypatch.setattr(module, "integrate_log_panels", spy)
+        repulsion._density_panels.cache_clear()
+        spec = example_spec(Family.CAUCHY, n=10)
+        repulsion.log_eta_ball_ratio(spec, np.array([0.05, 0.1, 0.2]))
+        repulsion.radial_cdf(spec)
+        oracle.sample_radius(spec, 1000, 1)
+        oracle.mc_ball_ratio(spec, 0.1, 1000, 2)
+        assert len(builds) == 1
+
     def test_integrand_calls_bounded(self):
         # the node masses are one evaluator call over all cut panels, not one per node
         f, *_ = self.gaussian_density()
         calls = []
-        build_cdf(LogIntegrand(lambda r: calls.append(1) or f(r)), rel_tol=1e-10)
+        build_cdf(integrate_log_panels(LogIntegrand(lambda r: calls.append(1) or f(r)),
+                                       rel_tol=1e-10))
         assert len(calls) <= 150
 
     def test_panels_from_few_vectorized_calls(self):
@@ -277,42 +299,48 @@ class TestCdf:
         # each side's band edge and cut come from one scan: no bisection of single points
         f = repulsion.radial_density(example_spec(fam, n=50))
         sizes = []
-        build_cdf(LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r)),
-                  rel_tol=repulsion.PRODUCTION_REL_TOL)
+        spy = LogIntegrand(lambda r: sizes.append(np.size(r)) or f(r))
+        build_cdf(integrate_log_panels(spy, rel_tol=repulsion.PRODUCTION_REL_TOL))
         assert len(sizes) <= 15
         assert min(sizes) > 1
 
-    def test_unconverged_nodes_raise(self, monkeypatch):
+    def test_unconverged_nodes_raise(self):
         # node masses whose error misses rel_tol of the total raise with the
-        # partial and the bound
+        # partial and the bound; the noise starts once the panels are built
         rng = np.random.default_rng(0)
         noisy = []
         f = LogIntegrand(lambda r: -r + (1e-3 * rng.standard_normal(np.shape(r))
                                          if noisy else 0.0))
-        run = quadrature.integrate_log_panels
-        monkeypatch.setattr(quadrature, "integrate_log_panels",
-                            lambda *a, **k: (run(*a, **k), noisy.append(1))[0])
+        ps = integrate_log_panels(f, rel_tol=1e-8)
+        noisy.append(1)
         with pytest.raises(QuadratureError) as err:
-            build_cdf(f, rel_tol=1e-8)
+            build_cdf(ps)
         assert math.isfinite(err.value.log_partial)
         assert math.isfinite(err.value.log_error_bound)
 
     def test_infinite_mass_detected(self):
         f = LogIntegrand(lambda r: np.zeros_like(r))
         with pytest.raises(InfiniteMassError):
-            build_cdf(f, rel_tol=1e-8)
+            build_cdf(integrate_log_panels(f, rel_tol=1e-8))
 
-    def test_inverse_cdf_endpoints(self):
-        f, *_ = self.gaussian_density()
-        cdf = build_cdf(f, rel_tol=1e-9)
-        assert inverse_cdf(cdf, 0.0) == approx(cdf.nodes[0])
-        assert inverse_cdf(cdf, 1.0) == approx(cdf.nodes[-1])
+    @pytest.mark.parametrize("make_cdf", [
+        lambda: build_cdf(integrate_log_panels(TestCdf.gaussian_density()[0], rel_tol=1e-9)),
+        lambda: repulsion.radial_cdf(example_spec(Family.CAUCHY, n=400)),
+    ], ids=["gaussian", "cauchy_n400"])
+    def test_inverse_cdf_endpoints(self, make_cdf):
+        # u = 0 gives the last node at level 0; u = 1 the first node at
+        # level 1, which ends the grid
+        cdf = make_cdf()
+        levels = cdf.levels()
+        assert inverse_cdf(cdf, 0.0) == cdf.nodes[levels == 0.0][-1]
+        assert inverse_cdf(cdf, 1.0) == cdf.nodes[-1]
+        assert levels[-2] < levels[-1] == 1.0
         with pytest.raises(ValueError):
             inverse_cdf(cdf, 1.5)
 
     def test_inverse_cdf_median_matches_gammaincinv(self):
         f, n, alpha = self.gaussian_density()
-        cdf = build_cdf(f, rel_tol=1e-10)
+        cdf = build_cdf(integrate_log_panels(f, rel_tol=1e-10))
         want = math.sqrt(float(sp.gammaincinv(0.5 * n, 0.5)) * alpha**2 / 2.0)
         assert inverse_cdf(cdf, 0.5) == approx(want, rel=1e-6)
 
@@ -337,7 +365,8 @@ class TestCdf:
         assert np.all(np.diff(rs) >= -1e-15)
 
 
-TestCdf._CDF_CACHE = build_cdf(TestCdf.gaussian_density()[0], rel_tol=1e-10)
+TestCdf._CDF_CACHE = build_cdf(integrate_log_panels(TestCdf.gaussian_density()[0],
+                                                     rel_tol=1e-10))
 
 
 class TestBesselSquared:
