@@ -269,58 +269,71 @@ def kernel_radial_supported(spec: KernelSpec) -> bool:
     return spec.family != Family.POWER_EXPONENTIAL or spec.nu == 2.0
 
 
-def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray]:
-    """(log|K_n|, sign) at radii r, vectorized.  r = 0 gives the exact limit."""
-    fam, n, rho = spec.family, spec.n, spec.rho
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(r >= 0):
-        raise ValueError("radius must be >= 0 and not NaN")
+def _bind_log_kernel(spec: KernelSpec):
+    """log_k(r) -> (log|K_n|, s) on a 1-d radius array r >= 0 (not checked),
+    with the spec's constants computed once; s carries the sign (1 for a
+    positive kernel).  Each family's one formula: `log_kernel_radial_array`
+    and the radial density both call it."""
+    fam, n = spec.family, spec.n
     if not kernel_radial_supported(spec):
         raise NoPositionKernelError(
             f"{fam.value} (nu={spec.nu}) has no closed-form position kernel; "
             "use the spectral side")
-    nrho = n * rho
+    nrho = n * spec.rho
     if fam == Family.LAGUERRE_GAUSS:
-        m, alpha = spec.m, spec.alpha
-        u = r * r / (m * alpha * alpha)
-        lag = np.atleast_1d(laguerre(m - 1, 0.5 * n, u))
-        lb = ln_binom(m - 1 + 0.5 * n, m - 1)
-        with np.errstate(divide="ignore"):
-            logmag = nrho - lb + np.log(np.abs(lag)) - u
-        return np.where(lag == 0, _NEG_INF, logmag), np.sign(lag).astype(int)
-    if fam == Family.POWER_EXPONENTIAL:  # nu == 2: Gaussian closed form
+        m, scale = spec.m, spec.m * spec.alpha * spec.alpha
+        c = nrho - ln_binom(m - 1 + 0.5 * n, m - 1)
+
+        def log_k(r):
+            u = r * r / scale
+            lag = laguerre(m - 1, 0.5 * n, u)
+            log_lag = np.log(np.abs(lag), out=np.full(lag.shape, _NEG_INF), where=lag != 0)
+            return c + log_lag - u, lag
+    elif fam == Family.POWER_EXPONENTIAL:  # nu == 2: Gaussian closed form
         a_n = effective_alpha(spec)
-        logmag = nrho - (math.pi * r / a_n) ** 2
-        return logmag, np.ones(r.shape, dtype=int)
-    if fam == Family.CAUCHY:
-        a_n = effective_alpha(spec)
-        logmag = nrho - (spec.nu + 0.5 * n) * np.log1p((r / a_n) ** 2)
-        return logmag, np.ones(r.shape, dtype=int)
-    if fam == Family.WHITTLE_MATERN:
+
+        def log_k(r):
+            return nrho - (math.pi * r / a_n) ** 2, 1
+    elif fam == Family.CAUCHY:
+        a_n, p = effective_alpha(spec), spec.nu + 0.5 * n
+
+        def log_k(r):
+            return nrho - p * np.log1p((r / a_n) ** 2), 1
+    elif fam == Family.WHITTLE_MATERN:
         nu, alpha = spec.nu, spec.alpha
-        z = r / alpha
-        logmag = np.full(r.shape, nrho)
-        sign = np.ones(r.shape, dtype=int)
-        pos = z > 0
-        if np.any(pos):
-            zp = z[pos]
-            logmag[pos] = (nrho + (1.0 - nu) * math.log(2.0) - ln_gamma(nu)
-                           + nu * np.log(zp) + ln_bessel_k(nu, zp))
-        return logmag, sign
-    if fam == Family.BESSEL_TYPE:
-        s, alpha = spec.sigma, spec.alpha
-        mu = 0.5 * (s + n)
-        y = (2.0 / alpha) * math.sqrt(mu) * r
-        log_ratio, sign = ln_bessel_j_ratio(mu, y)
-        logmag = nrho + mu * math.log(2.0) + ln_gamma(mu + 1.0) + log_ratio
-        return logmag, sign
-    # IndicatorSpectral: inverse transform of sqrt(c) 1_{B(r_n)}
-    r_n = indicator_radius(spec)
-    y = 2.0 * math.pi * r_n * r
-    log_ratio, sign = ln_bessel_j_ratio(0.5 * n, y)
-    logmag = (0.5 * math.log(spec.c) + 0.5 * n * math.log(2.0 * math.pi * r_n * r_n)
-              + log_ratio)
-    return logmag, sign
+        c = nrho + (1.0 - nu) * math.log(2.0) - ln_gamma(nu)
+
+        def log_k(r):
+            z = r / alpha
+            logmag = np.full(r.shape, nrho)
+            pos = z > 0
+            if np.any(pos):
+                zp = z[pos]
+                logmag[pos] = c + nu * np.log(zp) + ln_bessel_k(nu, zp)
+            return logmag, 1
+    else:
+        if fam == Family.BESSEL_TYPE:
+            mu = 0.5 * (spec.sigma + n)
+            scale = (2.0 / spec.alpha) * math.sqrt(mu)
+            c = nrho + mu * math.log(2.0) + ln_gamma(mu + 1.0)
+        else:  # IndicatorSpectral: inverse transform of sqrt(c) 1_{B(r_n)}
+            r_n = indicator_radius(spec)
+            mu, scale = 0.5 * n, 2.0 * math.pi * r_n
+            c = 0.5 * math.log(spec.c) + 0.5 * n * math.log(2.0 * math.pi * r_n * r_n)
+
+        def log_k(r):
+            log_ratio, sign = ln_bessel_j_ratio(mu, scale * r)
+            return c + log_ratio, sign
+    return log_k
+
+
+def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray]:
+    """(log|K_n|, sign) at radii r, vectorized.  r = 0 gives the exact limit."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all(r >= 0):
+        raise ValueError("radius must be >= 0 and not NaN")
+    logmag, s = _bind_log_kernel(spec)(r)
+    return logmag, np.broadcast_to(np.sign(s), r.shape).astype(int)
 
 
 def kernel_radial(spec: KernelSpec, r: float) -> tuple[float, int]:

@@ -326,16 +326,20 @@ def find_mode(g):
 def _scan_seed(g):
     """Locate the integrand maximum in u and seed boundaries clustered around it.
 
-    Returns (boundaries, u_mode, g_mode, g_scan_max); g_scan_max is the first
-    scan's maximum, the yardstick of the growth test (a refined search would
-    happily climb a divergence at u -> 1).
+    Returns (boundaries, u_mode, g_mode).  One call of g takes the curvature
+    stencil at the mode and the growth test: g climbing 5 e-folds past the
+    first scan's maximum toward u = 1 (a refined search would happily climb
+    a divergence there) means infinite mass and raises InfiniteMassError.
     """
-    u_mode, g_mode, g_max = find_mode(g)
+    u_mode, g_mode, g_scan_max = find_mode(g)
     # local width from a second difference, its stencil kept inside [0, 1];
     # fall back to the scan spacing
     h = 1.0 / (8.0 * SCAN_POINTS)
     u_c = min(max(u_mode, h), 1.0 - h)
-    gm, g0, gp = g(np.array([u_c - h, u_c, u_c + h])).tolist()
+    gm, g0, gp, *far = g(np.array([u_c - h, u_c, u_c + h,
+                                   1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])).tolist()
+    if max(far) > g_scan_max + 5.0:
+        raise InfiniteMassError("integrand grows toward r = inf; total mass looks infinite")
     d2 = (gm - 2.0 * g0 + gp) / (h * h)
     width = 1.0 / math.sqrt(-d2) if (np.isfinite(d2) and d2 < 0) else 1.0 / SCAN_POINTS
     width = min(max(width, 1e-13), 1.0)
@@ -347,7 +351,7 @@ def _scan_seed(g):
     # a light uniform scaffold so no region is a single giant panel
     for k in range(17):
         bounds.add(k / 16)
-    return sorted(bounds), u_mode, g_mode, g_max
+    return sorted(bounds), u_mode, g_mode
 
 
 def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
@@ -362,15 +366,11 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
     def g(u):
         u = np.minimum(u, _U_MAX)
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(r_of_u(u)), dtype=float) - 2.0 * np.log1p(-u)
+            vals = f(r_of_u(u)) - 2.0 * np.log1p(-u)
         vals[np.isnan(vals)] = _NEG_INF
         return vals
 
-    bounds, u_mode, g_mode, g_scan_max = _scan_seed(g)
-    # growth test: a log-integrand climbing past the scan maximum toward
-    # u = 1 means the r-integral diverges
-    if np.any(g(np.array([1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])) > g_scan_max + 5.0):
-        raise InfiniteMassError("integrand grows toward r = inf; total mass looks infinite")
+    bounds, u_mode, g_mode = _scan_seed(g)
     edges = np.array(bounds)
     panels = _k15_log(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
     panels, log_total, log_err = _refine(g, panels, rel_tol, np.zeros(len(edges) - 1, int), 1)
@@ -442,8 +442,13 @@ def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u > 1)):
         raise ValueError("u must lie in [0, 1]")
-    out = np.interp(u, c.levels(), c.nodes)
-    return out if out.ndim else float(out)
+    # np.interp searches from the previous hit, so sorted draws run faster;
+    # it works element by element, so the radii are the same
+    flat = u.ravel()
+    order = np.argsort(flat)
+    out = np.empty(flat.shape)
+    out[order] = np.interp(flat[order], c.levels(), c.nodes)
+    return out.reshape(u.shape) if u.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------

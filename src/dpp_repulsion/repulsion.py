@@ -30,7 +30,6 @@ from .kernels import (
     indicator_radius,
     intensity_log,
     kernel_radial,
-    log_kernel_radial_array,
     squared_norm_log,
 )
 from .quadrature import (
@@ -81,23 +80,26 @@ def eta_total_log(spec: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def _log_r(r: np.ndarray) -> np.ndarray:
-    """log r elementwise, -inf at r = 0."""
-    return np.where(r > 0, np.log(np.maximum(r, 1e-300)), _NEG_INF)
+    """log r elementwise, exact down to the least subnormal; -inf at r = 0."""
+    return np.log(r, out=np.full(r.shape, _NEG_INF), where=r > 0)
 
 
 def radial_density(spec: KernelSpec) -> LogIntegrand:
-    """log of the unnormalized radial density r^{n-1} K_n(r)^2."""
+    """log of the unnormalized radial density r^{n-1} K_n(r)^2 at radii r >= 0
+    (not checked; NaN gives -inf), with the kernel bound to the spec once."""
     n = spec.n
     if not kn.kernel_radial_supported(spec):
         raise NoPositionKernelError(
             f"{spec.family.value} with nu={spec.nu} has no position kernel; "
             "its concentration is certified via exact moments plus Chebyshev")
+    log_k = kn._bind_log_kernel(spec)
 
     def log_f(r):
-        r = np.asarray(r, dtype=float)
-        logk, _ = log_kernel_radial_array(spec, r)
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        logk = log_k(r)[0]
         out = 2.0 * logk if n == 1 else (n - 1) * _log_r(r) + 2.0 * logk
-        return np.where(np.isnan(out), _NEG_INF, out)
+        out[np.isnan(out)] = _NEG_INF
+        return out
 
     return LogIntegrand(log_f)
 

@@ -172,6 +172,36 @@ class TestIntegrateLog:
         got = integrate_log_panels(LogIntegrand(log_f), rel_tol=1e-10).log_total
         assert got == approx(-math.log(5.0), abs=1e-13)
 
+    @pytest.mark.parametrize("fam", [Family.LAGUERRE_GAUSS, Family.POWER_EXPONENTIAL,
+                                     Family.WHITTLE_MATERN, Family.CAUCHY],
+                             ids=lambda f: f.value)
+    def test_integrand_hook_sees_every_point(self, fam, monkeypatch):
+        # every point the wrapped integrand g receives, in the mode scan, the
+        # seeding, the panels and the prefixes, enters the radial law through
+        # LogIntegrand.__call__, the hook that profilers count
+        hooked, received = [], []
+        call = LogIntegrand.__call__
+        monkeypatch.setattr(LogIntegrand, "__call__",
+                            lambda self, r: hooked.append(np.size(r)) or call(self, r))
+
+        def spying(fn):
+            def wrapper(g, *args):
+                def g_spy(u):
+                    received.append(np.size(u))
+                    return g(u)
+                return fn(g_spy, *args)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "_scan_seed", spying(quadrature._scan_seed))
+        monkeypatch.setattr(quadrature, "_k15_log", spying(quadrature._k15_log))
+        ps = integrate_log_panels(repulsion.radial_density(example_spec(fam, n=50)),
+                                  rel_tol=repulsion.PRODUCTION_REL_TOL)
+        ps.log_prefix(np.linspace(0.01, 10.0, 50))
+        assert sum(received) > 0
+        assert hooked == received
+        # the curvature stencil and the growth test are one call of six points
+        assert 6 in received and 3 not in received
+
     def test_prefix_matches_incomplete_gamma_deep_tail(self):
         n, alpha = 600, 0.3
         f = LogIntegrand(lambda r: (n - 1) * np.log(np.maximum(r, 1e-300))
@@ -343,6 +373,28 @@ class TestCdf:
         cdf = build_cdf(integrate_log_panels(f, rel_tol=1e-10))
         want = math.sqrt(float(sp.gammaincinv(0.5 * n, 0.5)) * alpha**2 / 2.0)
         assert inverse_cdf(cdf, 0.5) == approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("make_cdf", [
+        lambda: TestCdf._CDF_CACHE,
+        lambda: repulsion.radial_cdf(example_spec(Family.CAUCHY, n=400)),
+    ], ids=["gaussian", "cauchy_n400"])
+    def test_inverse_cdf_matches_interp_on_unsorted_draws(self, make_cdf):
+        # the draws are interpolated in sorted order and put back: the radii
+        # are those of one np.interp call on the draws as given
+        cdf = make_cdf()
+        u = np.random.default_rng(5).random(2001)
+        u[[3, 700, 1500]] = 0.0, 1.0, 0.5
+        u[1000:1010] = u[17]  # repeated draws
+        u[1800:1805] = 0.0
+        want = np.interp(u, cdf.levels(), cdf.nodes)
+        got = inverse_cdf(cdf, u)
+        assert got.tobytes() == want.tobytes()
+        grid = u[:2000].reshape(40, 50)
+        assert inverse_cdf(cdf, grid).tobytes() == want[:2000].reshape(40, 50).tobytes()
+        for x in (0.0, 1.0, u[17]):
+            got_one = inverse_cdf(cdf, x)
+            assert isinstance(got_one, float)
+            assert got_one == float(np.interp(x, cdf.levels(), cdf.nodes))
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)

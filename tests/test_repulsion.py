@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -90,6 +91,50 @@ class TestEtaTotal:
         bound = (ln_gamma(s + 1.0) + ln_gamma(0.5 * s + 0.5 * n + 1.0)
                  - ln_gamma(0.5 * s + 1.0) - ln_gamma(s + 0.5 * n + 1.0))
         assert eta_total_log(bt) < bound
+
+
+def _reference_log_density(spec, r):
+    """The radial log-density as first written: the public kernel function,
+    log r clamped at 1e-300, and the NaN scrub.  Exact for r >= 1e-300."""
+    logk, _ = log_kernel_radial_array(spec, r)
+    log_r = np.where(r > 0, np.log(np.maximum(r, 1e-300)), -np.inf)
+    out = 2.0 * logk if spec.n == 1 else (spec.n - 1) * log_r + 2.0 * logk
+    return np.where(np.isnan(out), -np.inf, out)
+
+
+class TestRadialDensity:
+    @pytest.mark.parametrize("n", [1, 2, 10, 200])
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    def test_bound_density_equals_the_reference_formula(self, fam, n):
+        # bit for bit, from r = 0 through the mode's scale to 1e300
+        spec = example_spec(fam, n=n)
+        r = np.concatenate([[0.0, 1e-300, 1e-250, 1e-20],
+                            np.geomspace(1e-6, 1e6, 61) * math.sqrt(n), [1e300]])
+        if fam not in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
+            ps = repulsion._density_panels(spec, repulsion.PRODUCTION_REL_TOL)
+            r = np.append(r, quadrature.r_of_u(ps.u_mode))
+        with np.errstate(all="ignore"):  # r^2 overflows at 1e300
+            got = repulsion.radial_density(spec)(r)
+            want = _reference_log_density(spec, r)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fam", [Family.LAGUERRE_GAUSS, Family.CAUCHY,
+                                     Family.WHITTLE_MATERN], ids=lambda f: f.value)
+    def test_log_r_is_exact_below_1e_300(self, fam):
+        # r^{n-1} keeps falling below r = 1e-300 instead of freezing there,
+        # and r = 0 is -inf without a warning
+        spec = example_spec(fam, n=2)
+        f = repulsion.radial_density(spec)
+        logk, _ = log_kernel_radial_array(spec, np.array([1e-310, 5e-324]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(np.array([1e-310, 5e-324, 0.0]))
+            one = f(1e-310)
+        assert got[0] == math.log(1e-310) + 2.0 * logk[0]
+        assert got[1] == math.log(5e-324) + 2.0 * logk[1]
+        assert got[2] == -math.inf
+        assert one.tobytes() == got[:1].tobytes()
+        assert got[0] < f(np.array([1e-300]))[0] - 20.0
 
 
 class TestBallRatio:
