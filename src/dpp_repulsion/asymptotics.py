@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .kernels import Family, KernelSpec, UnsupportedFamilyError, max_param, validate
 from .kernels import _laguerre_double_sum_log  # exact f(n, m) for the table
-from .special import ln_gamma, ln_gamma_ratio
+from .special import ln_binom, ln_gamma_ratio
 
 __all__ = [
     "ReachCertificate",
@@ -127,38 +127,31 @@ def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
     thresh = nn_threshold(rho)
     if fam == Family.LAGUERRE_GAUSS:
         scale = math.exp(rho) * math.sqrt(spec.m * math.pi)
-        lo, hi = math.sqrt(2.0 / math.e) / scale, 1.0 / scale
-        return ReachCertificate(
-            exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
-            interval=(lo, hi),
-            note="reach passes the threshold iff sqrt(2/e) < e^rho sqrt(m pi) alpha < 1")
-    if fam == Family.POWER_EXPONENTIAL:
+        interval = (math.sqrt(2.0 / math.e) / scale, 1.0 / scale)
+        note = "reach passes the threshold iff sqrt(2/e) < e^rho sqrt(m pi) alpha < 1"
+    elif fam == Family.POWER_EXPONENTIAL:
         nu = spec.nu
         lo = 4.0 * math.pi / ((2.0 * nu) ** (1.0 / nu) * math.exp(rho)
                               * math.sqrt(2.0 * math.pi * math.e))
         hi = math.sqrt(2.0 * math.pi * math.e) / (math.exp(rho) * (nu * math.e) ** (1.0 / nu))
-        word = "non-empty" if nu > 1.0 else "empty"
-        return ReachCertificate(
-            exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
-            interval=(lo, hi),
-            note=f"admissible alpha window is {word} (needs nu > 1)")
-    if fam == Family.WHITTLE_MATERN:
+        interval = (lo, hi)
+        note = f"admissible alpha window is {'non-empty' if nu > 1.0 else 'empty'} (needs nu > 1)"
+    elif fam == Family.WHITTLE_MATERN:
         # R* = alpha / 2; max_param bounds alpha itself (fixed rule)
         lo, hi = 2.0 * thresh, max_param(spec)
-        return ReachCertificate(
-            exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
-            interval=(lo, hi) if lo < hi else None,
-            note="admissible alpha window (twice the threshold, existence bound at this n); "
-                 "at fixed nu it closes as n grows: the bound falls like n^{-1/2}")
-    if fam == Family.CAUCHY:
+        interval = (lo, hi) if lo < hi else None
+        note = ("admissible alpha window (twice the threshold, existence bound at this n); "
+                "at fixed nu it closes as n grows: the bound falls like n^{-1/2}")
+    elif fam == Family.CAUCHY:
         # max_param bounds alpha_n = alpha sqrt(n); R* = alpha
         hi = max_param(spec) / math.sqrt(spec.n)
-        return ReachCertificate(
-            exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
-            interval=(thresh, hi) if thresh < hi else None,
-            note="admissible alpha window (threshold, existence bound at this n) "
-                 "closes as n grows: the bound tends to the threshold")
-    raise UnsupportedFamilyError(fam.value)
+        interval = (thresh, hi) if thresh < hi else None
+        note = ("admissible alpha window (threshold, existence bound at this n) "
+                "closes as n grows: the bound tends to the threshold")
+    else:
+        raise UnsupportedFamilyError(fam.value)
+    return ReachCertificate(exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
+                            interval=interval, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +163,7 @@ def _eta_bound_log(spec: KernelSpec) -> tuple[str, float]:
     fam, n = spec.family, spec.n
     if fam == Family.LAGUERRE_GAUSS:
         m = spec.m
-        log_f = (_laguerre_double_sum_log(n, m)
-                 - (ln_gamma(m + 0.5 * n) - ln_gamma(float(m)) - ln_gamma(0.5 * n + 1.0)))
+        log_f = _laguerre_double_sum_log(n, m) - ln_binom(m - 1 + 0.5 * n, m - 1)
         return ("2^{-n/2} f(n,m)", -0.5 * n * math.log(2.0) + log_f)
     if fam == Family.POWER_EXPONENTIAL:
         return ("2^{-n/nu}", -(n / spec.nu) * math.log(2.0))
@@ -222,12 +214,7 @@ def summary_table(specs: Sequence[KernelSpec]) -> SummaryTable:
         if r_star is None:
             reach_cell, exceed_cell = "N/A", "N/A"
         else:
-            reach_cell = f"{r_star:.6g}"
-            try:
-                cert = reach_exceeds_nn(spec)
-                exceed_cell = str(cert.exceeds)
-            except UnsupportedFamilyError:
-                exceed_cell = "N/A"
+            reach_cell, exceed_cell = f"{r_star:.6g}", str(reach_exceeds_nn(spec).exceeds)
         rows.append((spec.family.value, spec.n, expr,
                      f"{math.exp(log_bound):.6g}" if log_bound > -700 else f"exp({log_bound:.4g})",
                      reach_cell, _RATE_TYPE[spec.family], exceed_cell))

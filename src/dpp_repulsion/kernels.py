@@ -263,22 +263,18 @@ def _require_valid(spec: KernelSpec):
 # Radial kernel and spectral side
 # ---------------------------------------------------------------------------
 
-def kernel_radial_supported(spec: KernelSpec) -> bool:
-    # of the PowerExponential spectra only the Gaussian one (nu = 2) has a
-    # closed position kernel
-    return spec.family != Family.POWER_EXPONENTIAL or spec.nu == 2.0
-
-
 def _bind_log_kernel(spec: KernelSpec):
     """log_k(r) -> (log|K_n|, s) on a 1-d radius array r >= 0 (not checked),
     with the spec's constants computed once; s carries the sign (1 for a
     positive kernel).  Each family's one formula: `log_kernel_radial_array`
     and the radial density both call it."""
     fam, n = spec.family, spec.n
-    if not kernel_radial_supported(spec):
+    # of the PowerExponential spectra only the Gaussian one (nu = 2) has a
+    # closed position kernel
+    if fam == Family.POWER_EXPONENTIAL and spec.nu != 2.0:
         raise NoPositionKernelError(
-            f"{fam.value} (nu={spec.nu}) has no closed-form position kernel; "
-            "use the spectral side")
+            f"{fam.value} with nu={spec.nu} has no position kernel; "
+            "its concentration is certified via exact moments plus Chebyshev")
     nrho = n * spec.rho
     if fam == Family.LAGUERRE_GAUSS:
         m, scale = spec.m, spec.m * spec.alpha * spec.alpha

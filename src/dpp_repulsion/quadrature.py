@@ -15,7 +15,7 @@ full-domain PanelSet (one group) and the prefixes (one group each).  Each
 round, every group whose summed error is not within rel_tol of its sum
 splits its panels with error at or above the group's mean, and the splits
 of all groups are one K15 call.  A PanelSet's panels never change once
-built; running log sums of them are made at its first prefix.  Prefixes
+built, nor do the running log sums of them made with it.  Prefixes
 come in batches: one searchsorted finds every cut panel, one K15 call
 evaluates their left parts, the stored panels below each cut are one
 lookup in the running sums, and only the prefixes that miss their own
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -225,13 +224,13 @@ class PanelSet:
 
     The full-domain run fixes the panels in u as arrays sorted by `lo`:
     edges `lo` and `hi`, K15 log values `log_vals`, log errors `log_errs`
-    and bisection depths `depths`, plus running log sums, made at the first
-    prefix: `cum_vals[k]` and `cum_errs[k]` sum the first k panels.  They
-    are read-only, so a cached PanelSet is safe to share.  A prefix over
-    [0, r] keeps the panels below the cut with their stored values (so
-    the shared error cancels in ratios) and adds the left part of the panel
-    holding the cut; a prefix whose error is not yet within `rel_tol` of
-    the prefix itself, not of the total, refines those panels until it is.
+    and bisection depths `depths`, plus running log sums: `cum_vals[k]`
+    and `cum_errs[k]` sum the first k panels.  They are read-only, so a
+    cached PanelSet is safe to share.  A prefix over [0, r] keeps the
+    panels below the cut with their stored values (so the shared error
+    cancels in ratios) and adds the left part of the panel holding the
+    cut; a prefix whose error is not yet within `rel_tol` of the prefix
+    itself, not of the total, refines those panels until it is.
     """
 
     def __init__(self, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
@@ -242,14 +241,8 @@ class PanelSet:
         for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths):
             p.flags.writeable = False
         self.log_total, self.log_err = log_total, log_err
-
-    @cached_property
-    def cum_vals(self) -> np.ndarray:
-        return _running_log_sum(self.log_vals)
-
-    @cached_property
-    def cum_errs(self) -> np.ndarray:
-        return _running_log_sum(self.log_errs)
+        self.cum_vals = _running_log_sum(self.log_vals)
+        self.cum_errs = _running_log_sum(self.log_errs)
 
     @property
     def panels(self) -> np.ndarray:
@@ -258,8 +251,11 @@ class PanelSet:
 
     def log_prefix(self, cuts):
         """log integral over [0, r] for each cut r in cuts, accurate
-        relative to each prefix; a float for a scalar cut."""
+        relative to each prefix; a float for a scalar cut.  r = inf gives
+        the total; a NaN or negative cut raises ValueError."""
         r = np.asarray(cuts, dtype=float)
+        if not np.all(r >= 0):
+            raise ValueError("cut must be >= 0 and not NaN")
         r_q = np.minimum(r.ravel(), 1e300)  # r = inf maps to 1, as every r above 1e16 does
         u_q = r_q / (1.0 + r_q)
         out = np.where(u_q < 1.0, _NEG_INF, self.log_total)
@@ -440,7 +436,7 @@ def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
     """Smallest grid-interpolated radius with CDF >= u; monotone in u.  u = 1
     gives the first node at level 1, the grid's last; u = 0 the last at level 0."""
     u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u > 1)):
+    if not np.all((u >= 0) & (u <= 1)):  # NaN fails the test too
         raise ValueError("u must lie in [0, 1]")
     # np.interp searches from the previous hit, so sorted draws run faster;
     # it works element by element, so the radii are the same

@@ -24,7 +24,6 @@ from . import kernels as kn
 from .kernels import (
     Family,
     KernelSpec,
-    NoPositionKernelError,
     UnsupportedFamilyError,
     effective_alpha,
     indicator_radius,
@@ -88,10 +87,6 @@ def radial_density(spec: KernelSpec) -> LogIntegrand:
     """log of the unnormalized radial density r^{n-1} K_n(r)^2 at radii r >= 0
     (not checked; NaN gives -inf), with the kernel bound to the spec once."""
     n = spec.n
-    if not kn.kernel_radial_supported(spec):
-        raise NoPositionKernelError(
-            f"{spec.family.value} with nu={spec.nu} has no position kernel; "
-            "its concentration is certified via exact moments plus Chebyshev")
     log_k = kn._bind_log_kernel(spec)
 
     def log_f(r):
@@ -123,7 +118,9 @@ def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL)
 
     R may be an array of radii, answered by one prefix pass over the cached
     panels; a scalar R gives a float.  R = inf gives 0.0 (ratio 1); a NaN R
-    raises ValueError.
+    raises ValueError.  rel_tol reaches only the smooth families'
+    quadrature: BesselType and IndicatorSpectral sum their series to
+    rounding and ignore it.
     """
     R_arr = np.asarray(R, dtype=float)
     if not (R_arr >= 0).all():
@@ -145,19 +142,18 @@ def _ratio(log_ratio: float) -> float:
     return min(math.exp(log_ratio), 1.0) if log_ratio > _NEG_INF else 0.0
 
 
-def eta_ball_ratio(spec: KernelSpec, R: float,
-                   rel_tol: float = PRODUCTION_REL_TOL) -> float:
-    return _ratio(log_eta_ball_ratio(spec, R, rel_tol=rel_tol))
+def eta_ball_ratio(spec: KernelSpec, R: float) -> float:
+    return _ratio(log_eta_ball_ratio(spec, R))
 
 
-def radial_cdf(spec: KernelSpec, rel_tol: float = PRODUCTION_REL_TOL):
+def radial_cdf(spec: KernelSpec):
     """RadialCdf of |X_n| on the spec's cached PanelSet (used by the sampling oracle)."""
     if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
         raise UnsupportedFamilyError(
             f"{spec.family.value}: oscillatory radial density with an algebraic "
             "tail; no faithful CDF grid is offered")
     kn._require_valid(spec)
-    return build_cdf(_density_panels(spec, rel_tol))
+    return build_cdf(_density_panels(spec, PRODUCTION_REL_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +231,7 @@ def radial_moment(spec: KernelSpec, k: int) -> float:
     raise UnsupportedFamilyError(fam.value)
 
 
-def radial_moment_quadrature(spec: KernelSpec, k: int,
-                             rel_tol: float = CHECK_REL_TOL) -> float:
+def radial_moment_quadrature(spec: KernelSpec, k: int) -> float:
     """E[|X_n|^k] by direct radial quadrature; the verification route.
 
     The oscillatory families (Bessel-type, indicator-spectral) have no
@@ -258,8 +253,9 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
                         - ln_gamma_ratio(0.5 * (lam - k), 0.5)
                         + ln_gamma_ratio(g, h) + ln_gamma_ratio(g + lam - h, h))
     dens = radial_density(spec)
-    num = integrate_log_panels(LogIntegrand(lambda r: dens(r) + k * _log_r(r)), rel_tol=rel_tol)
-    den = _density_panels(spec, rel_tol)
+    num = integrate_log_panels(LogIntegrand(lambda r: dens.log_f(r) + k * _log_r(r)),
+                               rel_tol=CHECK_REL_TOL)
+    den = _density_panels(spec, CHECK_REL_TOL)
     return math.exp(num.log_total - den.log_total)
 
 
@@ -269,9 +265,9 @@ def radial_moment_quadrature(spec: KernelSpec, k: int,
 
 def pair_correlation(spec: KernelSpec, r: float) -> float:
     """g(r) = 1 - (K(r)/K(0))^2, in [0, 1]; g(0) = 0 when K(0) equals the intensity."""
-    log_k_r, sign_r = kernel_radial(spec, r)
+    log_k_r, _ = kernel_radial(spec, r)
     log_k_0, _ = kernel_radial(spec, 0.0)
-    if sign_r == 0 or log_k_r == _NEG_INF:
+    if log_k_r == _NEG_INF:
         return 1.0
     g = -math.expm1(2.0 * (log_k_r - log_k_0))
     return min(max(g, 0.0), 1.0)
@@ -313,20 +309,18 @@ def nn_bounds(spec: KernelSpec, R: float) -> NnBounds:
     return NnBounds(p_lo=p_lo, p_hi=p_hi, e_lo=e_lo, e_hi=e_hi, log_e_hi=log_e_hi)
 
 
-def log_boolean_degree_ratio(spec: KernelSpec, R: float,
-                             rel_tol: float = PRODUCTION_REL_TOL) -> float:
+def log_boolean_degree_ratio(spec: KernelSpec, R: float) -> float:
     """log of E[eta_n(B_n(sqrt(n) R))] / E[Phi_n(B_n(sqrt(n) R))]."""
     if not R > 0:
         raise ValueError("R must be > 0")
     n = spec.n
-    log_eta_ball = eta_total_log(spec) + log_eta_ball_ratio(spec, R, rel_tol=rel_tol)
+    log_eta_ball = eta_total_log(spec) + log_eta_ball_ratio(spec, R)
     log_phi_ball = intensity_log(spec) + ln_ball_volume(n, math.sqrt(n) * R)
     return min(log_eta_ball - log_phi_ball, 0.0)
 
 
-def boolean_degree_ratio(spec: KernelSpec, R: float,
-                         rel_tol: float = PRODUCTION_REL_TOL) -> float:
-    return math.exp(log_boolean_degree_ratio(spec, R, rel_tol=rel_tol))
+def boolean_degree_ratio(spec: KernelSpec, R: float) -> float:
+    return math.exp(log_boolean_degree_ratio(spec, R))
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,36 @@ class TestIntegrateLog:
         # the curvature stencil and the growth test are one call of six points
         assert 6 in received and 3 not in received
 
+    def test_moment_quadrature_hook_counts_each_point_once(self, monkeypatch):
+        # the moment integrand reads the radial law through its log_f, so
+        # the hook counts each point the quadrature evaluates once
+        hooked, received = [], []
+        call = LogIntegrand.__call__
+        monkeypatch.setattr(LogIntegrand, "__call__",
+                            lambda self, r: hooked.append(np.size(r)) or call(self, r))
+
+        def spying(fn):
+            def wrapper(g, *args):
+                def g_spy(u):
+                    received.append(np.size(u))
+                    return g(u)
+                return fn(g_spy, *args)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "_scan_seed", spying(quadrature._scan_seed))
+        monkeypatch.setattr(quadrature, "_k15_log", spying(quadrature._k15_log))
+        repulsion.radial_moment_quadrature(example_spec(Family.CAUCHY, n=10), 2)
+        assert sum(received) > 0
+        assert hooked == received
+
+    def test_prefix_rejects_nan_and_negative_cuts(self):
+        ps = repulsion._density_panels(example_spec(Family.CAUCHY, n=10),
+                                       repulsion.PRODUCTION_REL_TOL)
+        for cut in (-2.0, -1.0, math.nan, -math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError):
+                ps.log_prefix(cut)
+        assert ps.log_prefix(math.inf) == ps.log_total
+
     def test_prefix_matches_incomplete_gamma_deep_tail(self):
         n, alpha = 600, 0.3
         f = LogIntegrand(lambda r: (n - 1) * np.log(np.maximum(r, 1e-300))
@@ -367,6 +397,12 @@ class TestCdf:
         assert levels[-2] < levels[-1] == 1.0
         with pytest.raises(ValueError):
             inverse_cdf(cdf, 1.5)
+
+    def test_inverse_cdf_rejects_nan_draws(self):
+        cdf = repulsion.radial_cdf(example_spec(Family.CAUCHY, n=10))
+        for u in (math.nan, np.array([0.25, math.nan])):
+            with pytest.raises(ValueError):
+                inverse_cdf(cdf, u)
 
     def test_inverse_cdf_median_matches_gammaincinv(self):
         f, n, alpha = self.gaussian_density()
