@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .kernels import Family, KernelSpec, UnsupportedFamilyError, max_param, validate
+from .kernels import Family, KernelSpec, UnsupportedFamilyError, _require_valid, max_param
 from .kernels import _laguerre_double_sum_log  # exact f(n, m) for the table
 from .special import ln_binom, ln_gamma_ratio
 
@@ -63,9 +63,7 @@ def reach(spec: KernelSpec) -> Optional[float]:
                 "Cauchy R* is stated for alpha_n ~ alpha sqrt(n); "
                 "set alpha_rule='scaled'")
         return spec.alpha
-    if fam in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
-        return None
-    raise UnsupportedFamilyError(fam.value)
+    return None  # BesselType, IndicatorSpectral
 
 
 def nn_threshold(rho: float) -> float:
@@ -142,14 +140,11 @@ def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
         interval = (lo, hi) if lo < hi else None
         note = ("admissible alpha window (twice the threshold, existence bound at this n); "
                 "at fixed nu it closes as n grows: the bound falls like n^{-1/2}")
-    elif fam == Family.CAUCHY:
-        # max_param bounds alpha_n = alpha sqrt(n); R* = alpha
+    else:  # Cauchy: max_param bounds alpha_n = alpha sqrt(n); R* = alpha
         hi = max_param(spec) / math.sqrt(spec.n)
         interval = (thresh, hi) if thresh < hi else None
         note = ("admissible alpha window (threshold, existence bound at this n) "
                 "closes as n grows: the bound tends to the threshold")
-    else:
-        raise UnsupportedFamilyError(fam.value)
     return ReachCertificate(exceeds=r_star > thresh, r_star=r_star, threshold=thresh,
                             interval=interval, note=note)
 
@@ -173,9 +168,7 @@ def _eta_bound_log(spec: KernelSpec) -> tuple[str, float]:
         return ("G(s+1)G(s/2+n/2+1)/(G(s/2+1)G(s+n/2+1))", val)
     if fam in (Family.WHITTLE_MATERN, Family.CAUCHY):
         return ("2^{-n/2}", -0.5 * n * math.log(2.0))
-    if fam == Family.INDICATOR_SPECTRAL:
-        return ("c (exact, all n)", math.log(spec.c))
-    raise UnsupportedFamilyError(fam.value)
+    return ("c (exact, all n)", math.log(spec.c))  # IndicatorSpectral
 
 
 @dataclass(frozen=True)
@@ -203,18 +196,13 @@ def summary_table(specs: Sequence[KernelSpec]) -> SummaryTable:
                "R_star", "rate_type", "reach_exceeds_nn")
     rows = []
     for spec in specs:
-        rep = validate(spec)
-        if not rep.ok:
-            raise ValueError(f"invalid spec in summary: {rep.violations}")
+        _require_valid(spec)
         expr, log_bound = _eta_bound_log(spec)
         try:
-            r_star = reach(spec)
+            cert = reach_exceeds_nn(spec)
+            reach_cell, exceed_cell = f"{cert.r_star:.6g}", str(cert.exceeds)
         except UnsupportedFamilyError:
-            r_star = None
-        if r_star is None:
-            reach_cell, exceed_cell = "N/A", "N/A"
-        else:
-            reach_cell, exceed_cell = f"{r_star:.6g}", str(reach_exceeds_nn(spec).exceeds)
+            reach_cell = exceed_cell = "N/A"
         rows.append((spec.family.value, spec.n, expr,
                      f"{math.exp(log_bound):.6g}" if log_bound > -700 else f"exp({log_bound:.4g})",
                      reach_cell, _RATE_TYPE[spec.family], exceed_cell))

@@ -28,6 +28,7 @@ from .kernels import (
     KernelSpec,
     NoPositionKernelError,
     UnsupportedFamilyError,
+    _require_valid,
     max_param,
     spec_from_dict,
     spec_to_dict,
@@ -289,6 +290,7 @@ def cmd_eta(cfg: dict) -> int:
 
 def cmd_reach(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
+    _require_valid(spec)
     r_star = asymptotics.reach(spec)
     thresh = asymptotics.nn_threshold(spec.rho)
     payload = {"R_star": r_star, "nn_threshold": thresh}
@@ -308,6 +310,7 @@ def cmd_reach(cfg: dict) -> int:
 
 def cmd_rate(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
+    _require_valid(spec)
     if spec.family != Family.LAGUERRE_GAUSS:
         raise UnsupportedFamilyError(
             "closed-form rate curves are stated for the Laguerre-Gauss family only")

@@ -17,7 +17,7 @@ import enum
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -87,10 +87,18 @@ _FIELDS_BY_FAMILY = {
 }
 
 
+def _family(value) -> Family:
+    try:
+        return Family(value)
+    except ValueError:
+        raise InvalidSpecError(f"unknown family {value!r}") from None
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One DPP family instance: family tag, dimension, intensity exponent,
-    and the family's parameters.  Fields irrelevant to the family stay None.
+    and exactly the parameters its family reads (`_FIELDS_BY_FAMILY`): a
+    missing one, or any other set (not None; alpha_rule not "fixed"), raises.
     """
 
     family: Family
@@ -104,10 +112,16 @@ class KernelSpec:
     c: float = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "family", Family(self.family))
-        except ValueError:
-            raise InvalidSpecError(f"unknown family {self.family!r}") from None
+        object.__setattr__(self, "family", fam := _family(self.family))
+        reads, params = _FIELDS_BY_FAMILY[fam], fields(self)[3:]  # after family, n, rho
+        missing = [f"{fam.value} requires {p.name}" for p in params
+                   if p.name in reads and getattr(self, p.name) is None]
+        if missing:
+            raise InvalidSpecError("; ".join(missing))
+        unread = sorted(p.name for p in params
+                        if p.name not in reads and getattr(self, p.name) != p.default)
+        if unread:
+            raise InvalidSpecError(f"{fam.value} does not read fields {unread}")
         for name in ("n", "m") if self.m is not None else ("n",):
             val = getattr(self, name)
             if isinstance(val, bool) or not (isinstance(val, numbers.Integral)
@@ -147,9 +161,7 @@ def effective_alpha(spec: KernelSpec) -> float:
         return float(spec.alpha)
     if fam == Family.POWER_EXPONENTIAL:
         return spec.alpha * spec.n ** (1.0 / spec.nu - 0.5)
-    if fam == Family.CAUCHY:
-        return spec.alpha * math.sqrt(spec.n)
-    raise InvalidSpecError(f"alpha_rule='scaled' undefined for {fam.value}")
+    return spec.alpha * math.sqrt(spec.n)  # Cauchy, the other scaled family
 
 
 def indicator_radius(spec: KernelSpec) -> float:
@@ -185,9 +197,7 @@ def max_param(spec: KernelSpec, n_uniform: bool = False) -> float:
     if fam == Family.CAUCHY:
         return math.exp(ln_gamma_ratio(spec.nu, 0.5 * n) / n
                         - 0.5 * math.log(math.pi) - rho)
-    if fam == Family.INDICATOR_SPECTRAL:
-        return 1.0
-    raise UnsupportedFamilyError(fam.value)
+    return 1.0  # IndicatorSpectral
 
 
 @dataclass(frozen=True)
@@ -195,9 +205,6 @@ class ValidationReport:
     ok: bool
     violations: tuple = ()
     notes: tuple = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 _SHAPE_BY_FAMILY = {Family.WHITTLE_MATERN: "nu", Family.CAUCHY: "nu",
@@ -208,26 +215,16 @@ def validate(spec: KernelSpec) -> ValidationReport:
     """Existence check: spectrum strictly inside [0, 1) plus parameter domains."""
     fam = spec.family
     bad, notes = [], []
-    required = _FIELDS_BY_FAMILY[fam]
-    for name in ("m", "alpha", "nu", "sigma", "c"):
-        val = getattr(spec, name)
-        if name in required and val is None:
-            bad.append((name, f"{fam.value} requires {name}"))
-    if bad:
-        return ValidationReport(False, tuple(bad))
     if fam == Family.LAGUERRE_GAUSS and spec.m < 1:
         bad.append(("m", f"m must be a positive integer, got {spec.m}"))
     for name in ("alpha", "nu"):
-        if name in required and not getattr(spec, name) > 0:
+        if name in _FIELDS_BY_FAMILY[fam] and not getattr(spec, name) > 0:
             bad.append((name, f"{name} must be > 0, got {getattr(spec, name)}"))
     if fam == Family.BESSEL_TYPE:
         if spec.sigma < 0:
             bad.append(("sigma", f"sigma must be >= 0, got {spec.sigma}"))
         elif spec.sigma == 0.0:
             notes.append("sigma = 0 accepted, but the no-reach statement assumes sigma > 0")
-    # both alpha rules are legal for PowerExponential and Cauchy only
-    if fam not in (Family.POWER_EXPONENTIAL, Family.CAUCHY) and spec.alpha_rule != "fixed":
-        bad.append(("alpha_rule", f"'scaled' is undefined for {fam.value}"))
     if bad:
         return ValidationReport(False, tuple(bad), tuple(notes))
     # norms and moments take ln Gamma at up to n + 2 nu (n + 2 sigma bounds
@@ -245,8 +242,7 @@ def validate(spec: KernelSpec) -> ValidationReport:
         if not (0.0 < spec.c < 1.0):
             bad.append(("c", f"need 0 < c < 1 (spectrum strictly below 1), got {spec.c}"))
         return ValidationReport(not bad, tuple(bad), tuple(notes))
-    a_eff = effective_alpha(spec)
-    bound = max_param(spec)
+    a_eff, bound = effective_alpha(spec), max_param(spec)
     if not a_eff < bound:
         bad.append(("alpha", f"effective scale {a_eff:.6g} >= existence bound "
                              f"{bound:.6g} at n={spec.n} (excess {a_eff - bound:.3g})"))
@@ -429,9 +425,7 @@ def squared_norm_log(spec: KernelSpec) -> float:
         a_n = effective_alpha(spec)
         return (2.0 * n * rho + 0.5 * n * math.log(math.pi) + n * math.log(a_n)
                 - ln_gamma_ratio(2.0 * spec.nu + 0.5 * n, 0.5 * n))
-    if fam == Family.INDICATOR_SPECTRAL:
-        return math.log(spec.c) + n * rho
-    raise UnsupportedFamilyError(fam.value)
+    return math.log(spec.c) + n * rho  # IndicatorSpectral
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +444,7 @@ def spec_from_dict(d: dict) -> KernelSpec:
     """The spec of a flat object; a field its family does not read is invalid."""
     if "family" not in d or "n" not in d:
         raise InvalidSpecError("KernelSpec JSON requires 'family' and 'n'")
-    fam = KernelSpec(d["family"], n=1).family  # an unknown family raises here
+    fam = _family(d["family"])
     unread = set(d) - {"family", "n", "rho", *_FIELDS_BY_FAMILY[fam]}
     if unread:
         raise InvalidSpecError(f"{fam.value} does not read fields {sorted(unread)}")

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import Family, KernelSpec, UnsupportedFamilyError, log_kernel_radial_array
+from .kernels import (Family, KernelSpec, UnsupportedFamilyError, _require_valid,
+                      log_kernel_radial_array)
 from .quadrature import find_mode, inverse_cdf, r_of_u
 from . import repulsion
 
@@ -53,10 +54,14 @@ def _generator(seed: int, stream: int = 0) -> np.random.Generator:
                                                 + (int(stream) << 64)))
 
 
+def _require_count(count) -> None:
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+
+
 def sample_radius(spec: KernelSpec, count: int, seed: int) -> np.ndarray:
     """i.i.d. draws of |X_n| by inverse transform on the numeric radial CDF."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _require_count(count)
     cdf = repulsion.radial_cdf(spec)
     u = _generator(seed, stream=0).random(count)
     return np.asarray(inverse_cdf(cdf, u))
@@ -64,6 +69,7 @@ def sample_radius(spec: KernelSpec, count: int, seed: int) -> np.ndarray:
 
 def mc_ball_ratio(spec: KernelSpec, R: float, count: int, seed: int) -> McEstimate:
     """Fraction of sampled radii inside sqrt(n) R, with binomial standard error."""
+    repulsion._radii(R)
     radii = sample_radius(spec, count, seed)
     hits = int(np.count_nonzero(radii <= math.sqrt(spec.n) * R))
     p = hits / count
@@ -93,6 +99,7 @@ def cartesian_mc_integral(spec: KernelSpec, R: float, count: int,
     reduction, so it shares the quadrature's mode finder but none of its
     integration.
     """
+    _require_valid(spec)
     n = spec.n
     if n > 8:
         raise UnsupportedFamilyError("cartesian_mc_integral is limited to n <= 8 (cost)")
@@ -104,10 +111,9 @@ def cartesian_mc_integral(spec: KernelSpec, R: float, count: int,
         raise UnsupportedFamilyError(
             "IndicatorSpectral excluded: no tail control for the position-kernel "
             "Cartesian estimate")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _require_count(count)
+    r_cut = math.sqrt(n) * repulsion._radii(R)
     s = _gaussian_proposal_scale(spec)
-    r_cut = math.sqrt(n) * R
     log_norm = -0.5 * n * math.log(2.0 * math.pi * s * s)
     nrho = n * spec.rho
     total = 0.0

@@ -113,6 +113,14 @@ def _bessel_y_scale(spec: KernelSpec) -> tuple[float, float, float]:
     return 0.5 * spec.n, 1.0, 1.0 / (2.0 * math.pi * r_n)
 
 
+def _radii(R) -> np.ndarray:
+    """R as a float array; a NaN or negative radius raises ValueError."""
+    R_arr = np.asarray(R, dtype=float)
+    if not (R_arr >= 0).all():
+        raise ValueError("R must not be NaN" if np.isnan(R_arr).any() else "R must be >= 0")
+    return R_arr
+
+
 def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL):
     """log of E[eta_n(B_n(sqrt(n) R))] / E[eta_n(R^n)] = log P(|X_n| <= sqrt(n) R).
 
@@ -122,11 +130,8 @@ def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL)
     quadrature: BesselType and IndicatorSpectral sum their series to
     rounding and ignore it.
     """
-    R_arr = np.asarray(R, dtype=float)
-    if not (R_arr >= 0).all():
-        raise ValueError("R must not be NaN" if np.isnan(R_arr).any() else "R must be >= 0")
+    r_cut = math.sqrt(spec.n) * _radii(R)
     kn._require_valid(spec)
-    r_cut = math.sqrt(spec.n) * R_arr
     if spec.family in (Family.BESSEL_TYPE, Family.INDICATOR_SPECTRAL):
         mu, lam, s = _bessel_y_scale(spec)
         log_num = bessel_sq_prefix_log(mu, lam, r_cut / s)
@@ -167,15 +172,19 @@ def _laguerre_moment_log(n: int, m: int, k: int) -> float:
     return (num - den) + ln_gamma(0.5 * (n + k)) - ln_gamma(0.5 * n)
 
 
+def _moment_order(k) -> int:
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError("k must be a non-negative integer")
+    return int(k)
+
+
 def radial_moment(spec: KernelSpec, k: int) -> float:
     """E[|X_n|^k] via the family's exact finite-n closed form."""
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
+    k = _moment_order(k)
     kn._require_valid(spec)
     if k == 0:
         return 1.0
     fam, n = spec.family, spec.n
-    k = int(k)
     if fam == Family.LAGUERRE_GAUSS:
         m, alpha = spec.m, spec.alpha
         return math.exp(0.5 * k * math.log(0.5 * m * alpha * alpha)
@@ -224,11 +233,9 @@ def radial_moment(spec: KernelSpec, k: int) -> float:
                 f"Cauchy moment E|X|^{k} diverges unless k < n + 4 nu = {n + 4 * nu}")
         return math.exp(k * math.log(a_n) + ln_gamma_ratio(0.5 * n, 0.5 * k)
                         - ln_gamma_ratio(2.0 * nu + 0.5 * (n - k), 0.5 * k))
-    if fam == Family.INDICATOR_SPECTRAL:
-        raise MomentDivergesError(
-            "IndicatorSpectral |X_n| has no finite moments of order >= 1 "
-            "(the J^2 tail integral does not converge)")
-    raise UnsupportedFamilyError(fam.value)
+    raise MomentDivergesError(
+        "IndicatorSpectral |X_n| has no finite moments of order >= 1 "
+        "(the J^2 tail integral does not converge)")
 
 
 def radial_moment_quadrature(spec: KernelSpec, k: int) -> float:
@@ -238,6 +245,7 @@ def radial_moment_quadrature(spec: KernelSpec, k: int) -> float:
     quadrature here: their J^2 y^{-lam} totals are closed forms, and the
     tests check those against quadrature prefixes plus an asymptotic tail.
     """
+    k = _moment_order(k)
     kn._require_valid(spec)
     if k == 0:
         return 1.0

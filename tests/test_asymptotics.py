@@ -19,6 +19,7 @@ from dpp_repulsion.asymptotics import (
 from dpp_repulsion.examples import example_spec, example_specs
 from dpp_repulsion.kernels import (
     Family,
+    InvalidSpecError,
     KernelSpec,
     UnsupportedFamilyError,
     max_param,
@@ -324,4 +325,10 @@ class TestSummaryTable:
     def test_invalid_spec_rejected(self):
         bad = KernelSpec(Family.LAGUERRE_GAUSS, n=4, rho=0.0, m=1, alpha=5.0)
         with pytest.raises(ValueError):
+            summary_table([bad])
+
+    def test_invalid_spec_raises_the_spec_error(self):
+        # the existence bound at n = 3, m = 2 is 0.54
+        bad = KernelSpec(Family.LAGUERRE_GAUSS, n=3, rho=0.0, m=2, alpha=5.0)
+        with pytest.raises(InvalidSpecError, match="existence bound"):
             summary_table([bad])

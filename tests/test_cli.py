@@ -161,6 +161,28 @@ class TestEta:
         assert "nan" not in out + err
 
 
+class TestSpecBoundary:
+    # a missing field, a field the family does not read, and alpha = 5 past
+    # the existence bound 0.54 at n = 3, m = 2
+    BAD_SPECS = {"missing alpha": [],
+                 "unread nu": ["--alpha", "0.1", "--nu", "2"],
+                 "past the bound": ["--alpha", "5"]}
+
+    @pytest.mark.parametrize("bad", list(BAD_SPECS))
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_invalid_spec_exit_2(self, command, bad, capsys):
+        argv = [command, "--family", "LaguerreGauss", "--n", "3", "--m", "2",
+                *self.BAD_SPECS[bad], *(["--R", "0.5"] if command in ("eta", "rate") else [])]
+        code, out, err = run(argv, capsys)  # an escaping exception fails the test
+        assert code == 2
+        if command == "check" and bad == "past the bound":
+            # check reports domain violations on stdout
+            assert "violation [alpha]: effective scale 5 >= existence bound" in out
+            assert err == ""
+        else:
+            assert err.startswith("invalid spec: ") and err.count("\n") == 1
+
+
 class TestReachCmd:
     def test_values(self, tmp_path, capsys):
         out = tmp_path / "reach.json"

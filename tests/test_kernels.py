@@ -145,13 +145,13 @@ class TestValidate:
         assert rep.ok and rep.notes
 
     def test_missing_field(self):
-        rep = validate(KernelSpec(Family.WHITTLE_MATERN, n=4, rho=0.0, alpha=0.1))
-        assert not rep.ok
+        with pytest.raises(InvalidSpecError, match="WhittleMatern requires nu"):
+            KernelSpec(Family.WHITTLE_MATERN, n=4, rho=0.0, alpha=0.1)
 
     def test_scaled_rule_only_where_defined(self):
-        rep = validate(KernelSpec(Family.WHITTLE_MATERN, n=4, rho=0.0, nu=1.0,
-                                  alpha=0.05, alpha_rule="scaled"))
-        assert not rep.ok
+        with pytest.raises(InvalidSpecError, match=r"does not read fields \['alpha_rule'\]"):
+            KernelSpec(Family.WHITTLE_MATERN, n=4, rho=0.0, nu=1.0,
+                       alpha=0.05, alpha_rule="scaled")
 
     @given(st.sampled_from([2, 3, 10, 77]), st.floats(min_value=-0.5, max_value=0.5),
            st.integers(min_value=1, max_value=4))

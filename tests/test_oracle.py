@@ -6,7 +6,8 @@ from pytest import approx
 from scipy import special as sp
 
 from dpp_repulsion.examples import example_spec
-from dpp_repulsion.kernels import Family, KernelSpec, UnsupportedFamilyError, effective_alpha
+from dpp_repulsion.kernels import (Family, InvalidSpecError, KernelSpec, UnsupportedFamilyError,
+                                   effective_alpha)
 from dpp_repulsion.oracle import (
     _gaussian_proposal_scale,
     cartesian_mc_integral,
@@ -68,6 +69,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_radius(gauss_spec(), 0, seed=1)
 
+    @pytest.mark.parametrize("count", [1.5, 10.0])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            sample_radius(gauss_spec(), count, seed=1)
+
 
 class TestMcBallRatio:
     def test_huge_radius(self):
@@ -107,7 +113,22 @@ class TestMcBallRatio:
         assert d["samples"] == 1000 and d["seed"] == 2
 
 
+@pytest.mark.parametrize("R,message", [(math.nan, "R must not be NaN"),
+                                       (-1.0, "R must be >= 0")])
+@pytest.mark.parametrize("estimate", [mc_ball_ratio, cartesian_mc_integral])
+def test_bad_radius_rejected(estimate, R, message):
+    # both used to return 0.0 here
+    with pytest.raises(ValueError, match=message):
+        estimate(gauss_spec(n=3), R, 1000, seed=1)
+
+
 class TestCartesianMc:
+    def test_invalid_spec_rejected(self):
+        # alpha = 5 is far past the existence bound 0.54; the estimate read 0.0 +- 0.0
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=3, rho=0.0, m=2, alpha=5.0)
+        with pytest.raises(InvalidSpecError, match="existence bound"):
+            cartesian_mc_integral(spec, 0.3, 1000, seed=1)
+
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedFamilyError):
             cartesian_mc_integral(gauss_spec(n=9), 0.3, 1000, seed=1)

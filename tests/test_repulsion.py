@@ -335,6 +335,13 @@ class TestOscillatoryRatio:
 
 
 class TestMoments:
+    @pytest.mark.parametrize("moment", [radial_moment, radial_moment_quadrature])
+    @pytest.mark.parametrize("k", [-1, 1.5, math.nan, math.inf])
+    def test_order_must_be_a_non_negative_integer(self, moment, k):
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=3, rho=0.0, m=2, alpha=0.1)
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            moment(spec, k)
+
     def test_cauchy_second_moment_reference_value(self):
         # alpha_n = 1 with rho = -1 keeps the spec valid; moments ignore rho
         spec = KernelSpec(Family.CAUCHY, n=2, rho=-1.0, nu=1.0, alpha=1.0,
