@@ -38,6 +38,8 @@ COMMANDS = [
     ("reach", "reach --family Cauchy --n 100 --nu 1 --alpha 0.15 --alpha-rule scaled"),
     ("rate", "rate --family LaguerreGauss --n 1 --m 1 --alpha 0.3"
              " --R 0.075 --n-list 100,300,600 --out {out}/rate.csv"),
+    ("rate Cauchy", "rate --family Cauchy --n 1 --nu 1 --alpha 0.15 --alpha-rule scaled"
+                    " --R-grid 0.05:0.3:6 --quantity eta_boolean_ratio --format json"),
     ("table", "table --out {out}/table.csv"),
     ("moments", "moments --family WhittleMatern --n 50 --nu 1 --alpha 0.02 --k 2,4"),
     ("sample", "sample --family Cauchy --n 5 --nu 1 --alpha 0.15 --alpha-rule scaled"

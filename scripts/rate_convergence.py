@@ -6,12 +6,11 @@ given, and the summary lines to stderr."""
 
 import argparse
 import csv
-import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from dpp_repulsion.asymptotics import boolean_rate, laguerre_eta_rate
+from dpp_repulsion.asymptotics import limit_rate, reach
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import empirical_rate
 
@@ -27,16 +26,16 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, help="CSV file (default: stdout)")
     args = ap.parse_args(argv)
 
-    r_star = math.sqrt(args.m) * args.alpha / 2.0
-    R = args.R_frac * r_star
     spec = KernelSpec(Family.LAGUERRE_GAUSS, n=2, rho=args.rho, m=args.m,
                       alpha=args.alpha)
+    r_star = reach(spec)
+    R = args.R_frac * r_star
     n_list = [int(v) for v in args.n_list.split(",")]
 
     eta_rows = empirical_rate(spec, R, n_list, quantity="eta_ball")
     bool_rows = empirical_rate(spec, R, n_list, quantity="eta_boolean_ratio")
-    eta_limit = laguerre_eta_rate(R, args.m, args.alpha, args.rho)
-    bool_limit = boolean_rate(R, args.m, args.alpha)
+    eta_limit = limit_rate(spec, R, "eta_ball")
+    bool_limit = limit_rate(spec, R, "eta_boolean_ratio")
 
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
         w = csv.writer(fh, lineterminator="\n")

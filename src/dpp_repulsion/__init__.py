@@ -12,7 +12,7 @@ from .repulsion import (
     nn_bounds,
     boolean_degree_ratio,
 )
-from .asymptotics import reach, nn_threshold, laguerre_rate, summary_table
+from .asymptotics import reach, nn_threshold, radius_rate, limit_rate, summary_table
 from .examples import example_spec, example_specs
 
 __all__ = [
@@ -29,7 +29,8 @@ __all__ = [
     "boolean_degree_ratio",
     "reach",
     "nn_threshold",
-    "laguerre_rate",
+    "radius_rate",
+    "limit_rate",
     "summary_table",
     "example_spec",
     "example_specs",

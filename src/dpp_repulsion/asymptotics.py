@@ -1,8 +1,11 @@
 """Closed-form asymptotics: reach of repulsion, thresholds, and rates.
 
 All quantities are exact expressions evaluated in double precision; no
-series truncation.  Piecewise rates return the shared two-branch limit at
-the transition radius itself (the branches agree there algebraically).
+series truncation.  Every limit rate composes two closed forms: the LDP
+rate I of |X_n|/sqrt(n), a function of x / R* alone, and the total-mass
+rate tau = lim -(1/n) log E[eta_n(R^n)].  The eta-ball rate is tau + I(R)
+below R* and tau at or above it (I vanishes at R*); the Boolean degree
+rate adds the Poisson ball exponent rho + ln(2 pi e)/2 + ln R.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .kernels import Family, KernelSpec, UnsupportedFamilyError, _require_valid, max_param
-from .kernels import _laguerre_double_sum_log  # exact f(n, m) for the table
+from .kernels import (Family, KernelSpec, NoPositionKernelError, UnsupportedFamilyError,
+                      _laguerre_double_sum_log, _require_valid, max_param)
 from .special import ln_binom, ln_gamma_ratio
 
 __all__ = [
@@ -22,9 +25,9 @@ __all__ = [
     "SummaryTable",
     "reach",
     "nn_threshold",
-    "laguerre_rate",
-    "laguerre_eta_rate",
-    "boolean_rate",
+    "RATE_QUANTITIES",
+    "radius_rate",
+    "limit_rate",
     "reach_exceeds_nn",
     "summary_table",
 ]
@@ -46,6 +49,12 @@ def reach(spec: KernelSpec) -> Optional[float]:
     IndicatorSpectral (no finite second moment).  PowerExponential and
     Cauchy state R* only under the scaled alpha rule.
     """
+    _require_valid(spec)
+    return _reach(spec)
+
+
+def _reach(spec: KernelSpec) -> Optional[float]:
+    """`reach` on a spec already validated."""
     fam = spec.family
     if fam == Family.LAGUERRE_GAUSS:
         return math.sqrt(spec.m) * spec.alpha / 2.0
@@ -71,38 +80,59 @@ def nn_threshold(rho: float) -> float:
     return math.exp(-rho) / math.sqrt(2.0 * math.pi * math.e)
 
 
-def laguerre_rate(x: float, m: int, alpha: float) -> float:
-    """LDP rate of |X_n|/sqrt(n) for the Laguerre-Gauss family.
-
-    2 x^2 / (alpha^2 m) - 1/2 + (1/2) log(alpha^2 m / (4 x^2)); nonnegative,
-    strictly convex in x^2, zero exactly at x = sqrt(m) alpha / 2.
-    """
-    if not x > 0:
-        raise ValueError("x must be > 0")
-    a2m = alpha * alpha * m
-    return 2.0 * x * x / a2m - 0.5 + 0.5 * math.log(a2m / (4.0 * x * x))
+# the quantities a limit or empirical rate is stated for
+RATE_QUANTITIES = ("eta_ball", "eta_boolean_ratio")
 
 
-def laguerre_eta_rate(R: float, m: int, alpha: float, rho: float) -> float:
-    """Analytic limit of -(1/n) log E[eta_n(B_n(sqrt(n) R))], piecewise in R."""
+def _rate_law(spec: KernelSpec):
+    """(R*, radius rate as a function of t = (x / R*)^2, tau) of a valid spec."""
+    _require_valid(spec)
+    fam = spec.family
+    if fam == Family.POWER_EXPONENTIAL and spec.nu != 2.0:
+        raise NoPositionKernelError(
+            f"{fam.value} with nu={spec.nu} has no position kernel and no stated rate; "
+            "its concentration is certified via exact moments plus Chebyshev")
+    if fam == Family.WHITTLE_MATERN:
+        raise UnsupportedFamilyError(
+            "WhittleMatern has no stated rate: at fixed alpha its law does not "
+            "concentrate at alpha / 2")
+    r_star = _reach(spec)
+    if r_star is None:
+        raise UnsupportedFamilyError(f"{fam.value} has no finite R* on the sqrt(n) scale")
+    tau = -spec.rho - math.log(spec.alpha)
+    if fam == Family.CAUCHY:  # |X|^2 / alpha_n^2 follows a beta-prime law
+        return (r_star, lambda t: math.log((1.0 + t) / (2.0 * math.sqrt(t))),
+                tau - 0.5 * math.log(0.5 * math.pi * math.e))
+    c = (0.5 * math.log(0.5 * spec.m * math.pi) if fam == Family.LAGUERRE_GAUSS
+         else -0.5 * math.log(2.0 * math.pi))  # PowerExponential at nu = 2
+    return r_star, lambda t: 0.5 * (t - 1.0 - math.log(t)), tau - c
+
+
+def radius_rate(spec: KernelSpec, x: float) -> float:
+    """LDP rate of |X_n|/sqrt(n) at x > 0, zero exactly at R*.  With t = (x / R*)^2:
+    (t - 1 - ln t) / 2 for LaguerreGauss and PowerExponential (nu = 2, scaled),
+    ln((1 + t) / (2 sqrt t)) for Cauchy (scaled); other families raise."""
+    if not 0 < x < math.inf:
+        raise ValueError("x must be finite and > 0")
+    r_star, shape, _ = _rate_law(spec)
+    return shape((x / r_star) ** 2)
+
+
+def limit_rate(spec: KernelSpec, R: float, quantity: str) -> float:
+    """Limit of -(1/n) log of `quantity` at radius sqrt(n) R: E[eta_n(B_n)] for
+    eta_ball, E[eta_n(B_n)] / E[Phi_n(B_n)] for eta_boolean_ratio.  tau is
+    -rho - ln alpha - c, with c = ln(m pi / 2)/2 (LaguerreGauss), -ln(2 pi)/2
+    (PowerExponential) or ln(pi e / 2)/2 (Cauchy)."""
+    if quantity not in RATE_QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
     if not R > 0:
         raise ValueError("R must be > 0")
-    r_star = math.sqrt(m) * alpha / 2.0
+    r_star, shape, rate = _rate_law(spec)
     if R < r_star:
-        return (-rho - 0.5 * math.log(2.0 * math.pi * math.e)
-                + 2.0 * R * R / (alpha * alpha * m) - math.log(R))
-    return -rho - math.log(alpha) - 0.5 * math.log(0.5 * m * math.pi)
-
-
-def boolean_rate(R: float, m: int, alpha: float) -> float:
-    """Analytic limit of -(1/n) log of the Boolean degree ratio, piecewise in R."""
-    if not R > 0:
-        raise ValueError("R must be > 0")
-    r_star = math.sqrt(m) * alpha / 2.0
-    if R < r_star:
-        return 2.0 * R * R / (alpha * alpha * m)
-    return (0.5 + math.log(2.0) - math.log(alpha)
-            - 0.5 * math.log(m) + math.log(R))
+        rate += shape((R / r_star) ** 2)
+    if quantity == "eta_boolean_ratio":
+        rate += spec.rho + 0.5 * math.log(2.0 * math.pi * math.e) + math.log(R)
+    return rate
 
 
 @dataclass(frozen=True)
@@ -118,8 +148,9 @@ class ReachCertificate:
 
 def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
     """Whether R* > R~, with the family's admissible alpha window if any."""
+    _require_valid(spec)
     fam, rho = spec.family, spec.rho
-    r_star = reach(spec)
+    r_star = _reach(spec)
     if r_star is None:
         raise UnsupportedFamilyError(f"{fam.value} has no finite R* on the sqrt(n) scale")
     thresh = nn_threshold(rho)
@@ -196,13 +227,12 @@ def summary_table(specs: Sequence[KernelSpec]) -> SummaryTable:
                "R_star", "rate_type", "reach_exceeds_nn")
     rows = []
     for spec in specs:
-        _require_valid(spec)
-        expr, log_bound = _eta_bound_log(spec)
-        try:
+        try:  # the spec's one validation, before any value of it is formed
             cert = reach_exceeds_nn(spec)
             reach_cell, exceed_cell = f"{cert.r_star:.6g}", str(cert.exceeds)
         except UnsupportedFamilyError:
             reach_cell = exceed_cell = "N/A"
+        expr, log_bound = _eta_bound_log(spec)
         rows.append((spec.family.value, spec.n, expr,
                      f"{math.exp(log_bound):.6g}" if log_bound > -700 else f"exp({log_bound:.4g})",
                      reach_cell, _RATE_TYPE[spec.family], exceed_cell))

@@ -28,7 +28,6 @@ from .kernels import (
     KernelSpec,
     NoPositionKernelError,
     UnsupportedFamilyError,
-    _require_valid,
     max_param,
     spec_from_dict,
     spec_to_dict,
@@ -176,7 +175,7 @@ _SETTINGS = [
     _entry("seed", "--seed", 1, _int, "an integer"),
     _entry("rel_tol", "--rel-tol", repulsion.PRODUCTION_REL_TOL, _real, "in (1e-14, 1e-2)",
            lambda t: 1e-14 < t < 1e-2),
-    _entry("quantity", "--quantity", "eta_ball", choices=["eta_ball", "eta_boolean_ratio"]),
+    _entry("quantity", "--quantity", "eta_ball", choices=list(asymptotics.RATE_QUANTITIES)),
     _entry("format", "--format", "csv", choices=["csv", "json"]),
     _entry("out", "--out", None, rule="a file path"),
 ]
@@ -290,7 +289,6 @@ def cmd_eta(cfg: dict) -> int:
 
 def cmd_reach(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
-    _require_valid(spec)
     r_star = asymptotics.reach(spec)
     thresh = asymptotics.nn_threshold(spec.rho)
     payload = {"R_star": r_star, "nn_threshold": thresh}
@@ -310,18 +308,10 @@ def cmd_reach(cfg: dict) -> int:
 
 def cmd_rate(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
-    _require_valid(spec)
-    if spec.family != Family.LAGUERRE_GAUSS:
-        raise UnsupportedFamilyError(
-            "closed-form rate curves are stated for the Laguerre-Gauss family only")
     rs = _radii(cfg)
     if not min(rs) > 0:
         raise UsageError("rates need R > 0")
-    if cfg["quantity"] == "eta_ball":
-        grid = [(r, asymptotics.laguerre_eta_rate(r, spec.m, spec.alpha, spec.rho))
-                for r in rs]
-    else:
-        grid = [(r, asymptotics.boolean_rate(r, spec.m, spec.alpha)) for r in rs]
+    grid = [(r, asymptotics.limit_rate(spec, r, cfg["quantity"])) for r in rs]
     payload = {"quantity": cfg["quantity"],
                "grid": [{"R": r, "analytic_rate": v} for r, v in grid]}
     lines = ["R,analytic_rate"] + [f"{_fmt(r)},{_fmt(v)}" for r, v in grid]

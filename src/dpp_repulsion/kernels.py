@@ -2,9 +2,8 @@
 
 A `KernelSpec` pins one family instance at one dimension n with intensity
 e^{n rho}.  The module knows, per family: the existence bound on the scale
-parameter, radial kernel values (signed log), the radial Fourier transform
-where available, and the closed-form squared L2 norm that drives every
-repulsion quantity.
+parameter, radial kernel values (signed log), and the closed-form squared
+L2 norm that drives every repulsion quantity.
 
 Fourier convention: ordinary frequency, unitary, i.e.
 K_hat(xi) = int K(x) exp(-2 pi i x.xi) dx.  All family formulas are
@@ -14,7 +13,6 @@ normalized in this convention and the Parseval test in the suite asserts it.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -46,11 +44,9 @@ __all__ = [
     "indicator_radius",
     "kernel_radial",
     "log_kernel_radial_array",
-    "spectral_radial",
     "squared_norm_log",
     "spec_to_dict",
     "spec_from_dict",
-    "spec_from_json",
 ]
 
 _NEG_INF = float("-inf")
@@ -256,7 +252,7 @@ def _require_valid(spec: KernelSpec):
 
 
 # ---------------------------------------------------------------------------
-# Radial kernel and spectral side
+# Radial kernel
 # ---------------------------------------------------------------------------
 
 def _bind_log_kernel(spec: KernelSpec):
@@ -332,27 +328,6 @@ def kernel_radial(spec: KernelSpec, r: float) -> tuple[float, int]:
     """(log|K_n|, sign) at |x| = r."""
     logmag, sign = log_kernel_radial_array(spec, np.array([float(r)]))
     return float(logmag[0]), int(sign[0])
-
-
-def spectral_radial(spec: KernelSpec, xi: float) -> float:
-    """Radial Fourier transform K_hat at frequency radius xi; in [0, 1)."""
-    if not xi >= 0:
-        raise ValueError("frequency radius must be >= 0 and not NaN")
-    fam, n = spec.family, spec.n
-    if fam == Family.POWER_EXPONENTIAL:
-        a_n = effective_alpha(spec)
-        log_amp = (n * spec.rho + ln_gamma(0.5 * n + 1.0) + n * math.log(a_n)
-                   - 0.5 * n * math.log(math.pi) - ln_gamma(n / spec.nu + 1.0))
-        return math.exp(log_amp - (a_n * xi) ** spec.nu)
-    if fam == Family.INDICATOR_SPECTRAL:
-        return math.sqrt(spec.c) if xi <= indicator_radius(spec) else 0.0
-    if fam == Family.LAGUERRE_GAUSS and spec.m == 1:
-        alpha = spec.alpha
-        log_amp = n * spec.rho + 0.5 * n * math.log(math.pi * alpha * alpha)
-        return math.exp(log_amp - (math.pi * alpha * xi) ** 2)
-    raise UnsupportedFamilyError(
-        f"spectral form implemented for PowerExponential, IndicatorSpectral, "
-        f"LaguerreGauss(m=1); got {fam.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +424,3 @@ def spec_from_dict(d: dict) -> KernelSpec:
     if unread:
         raise InvalidSpecError(f"{fam.value} does not read fields {sorted(unread)}")
     return KernelSpec(**d)
-
-
-def spec_from_json(text: str) -> KernelSpec:
-    return spec_from_dict(json.loads(text))

@@ -6,9 +6,11 @@ split deterministically by (seed, stream-index) as key = seed + (stream << 64),
 so results are bit-reproducible from (spec, count, seed) no matter how the
 work is chunked.  Reduction order is fixed.
 
-This module never consults the closed forms in `kernels`/`repulsion` for its
-own estimates; it shares only kernel evaluation, the numeric CDF and the
-mode finder.
+The sampling and Cartesian estimates never consult the closed forms in
+`kernels`/`repulsion`; they share only kernel evaluation, the numeric CDF
+and the mode finder.  `empirical_rate` samples nothing: it reads the
+closed-form total `eta_total_log` and the quadrature ball ratios, to set
+finite-n rates against `asymptotics.limit_rate`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .kernels import (Family, KernelSpec, UnsupportedFamilyError, _require_valid,
                       log_kernel_radial_array)
+from .asymptotics import RATE_QUANTITIES
 from .quadrature import find_mode, inverse_cdf, r_of_u
 from . import repulsion
 
@@ -144,7 +147,7 @@ def empirical_rate(spec: KernelSpec, R: float, n_list,
 
     Quadrature only, no sampling.
     """
-    if quantity not in ("eta_ball", "eta_boolean_ratio"):
+    if quantity not in RATE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     rows = []
     for n in n_list:

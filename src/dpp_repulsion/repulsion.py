@@ -273,6 +273,7 @@ def radial_moment_quadrature(spec: KernelSpec, k: int) -> float:
 
 def pair_correlation(spec: KernelSpec, r: float) -> float:
     """g(r) = 1 - (K(r)/K(0))^2, in [0, 1]; g(0) = 0 when K(0) equals the intensity."""
+    kn._require_valid(spec)
     log_k_r, _ = kernel_radial(spec, r)
     log_k_0, _ = kernel_radial(spec, 0.0)
     if log_k_r == _NEG_INF:

@@ -8,6 +8,7 @@ from scipy import special as sp
 from dpp_repulsion.kernels import (
     Family,
     KernelSpec,
+    effective_alpha,
     indicator_radius,
     log_kernel_radial_array,
 )
@@ -18,6 +19,24 @@ from dpp_repulsion.special import ln_gamma
 def surface_log(n: int) -> float:
     """log of the (n-1)-sphere surface area 2 pi^{n/2} / Gamma(n/2)."""
     return math.log(2.0) + 0.5 * n * math.log(math.pi) - ln_gamma(0.5 * n)
+
+
+def spectral_radial(spec: KernelSpec, xi: float) -> float:
+    """Radial Fourier transform K_hat at frequency radius xi, in the unitary
+    ordinary-frequency convention: the spectral side of the Parseval checks,
+    for the three families whose spectrum is a closed form here."""
+    fam, n = spec.family, spec.n
+    if fam == Family.POWER_EXPONENTIAL:
+        a_n = effective_alpha(spec)
+        log_amp = (n * spec.rho + ln_gamma(0.5 * n + 1.0) + n * math.log(a_n)
+                   - 0.5 * n * math.log(math.pi) - ln_gamma(n / spec.nu + 1.0))
+        return math.exp(log_amp - (a_n * xi) ** spec.nu)
+    if fam == Family.INDICATOR_SPECTRAL:
+        return math.sqrt(spec.c) if xi <= indicator_radius(spec) else 0.0
+    assert fam == Family.LAGUERRE_GAUSS and spec.m == 1, fam
+    alpha = spec.alpha
+    log_amp = n * spec.rho + 0.5 * n * math.log(math.pi * alpha * alpha)
+    return math.exp(log_amp - (math.pi * alpha * xi) ** 2)
 
 
 def bessel_sq_tail_log(mu: float, lam: float, Y: float) -> float:

@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from conftest import surface_log
-from dpp_repulsion.asymptotics import (
-    boolean_rate,
-    laguerre_eta_rate,
-    nn_threshold,
-)
+from conftest import spectral_radial, surface_log
+from dpp_repulsion.asymptotics import limit_rate, nn_threshold
 from dpp_repulsion.examples import example_spec, example_specs
 from dpp_repulsion.kernels import (
     Family,
@@ -24,7 +20,6 @@ from dpp_repulsion.kernels import (
     _laguerre_double_sum_log,
     effective_alpha,
     ln_binom,
-    spectral_radial,
     squared_norm_log,
     validate,
 )
@@ -154,10 +149,10 @@ def test_criterion_05_ldp_rate_convergence():
         alpha, rho = 0.3, 0.0
         r_star = math.sqrt(m) * alpha / 2.0
         R = 0.5 * r_star
-        analytic = laguerre_eta_rate(R, m, alpha, rho)
         gaps = {}
         for n in (150, 600):
             spec = KernelSpec(Family.LAGUERRE_GAUSS, n=n, rho=rho, m=m, alpha=alpha)
+            analytic = limit_rate(spec, R, "eta_ball")
             emp = -(eta_total_log(spec) + log_eta_ball_ratio(spec, R)) / n
             gaps[n] = abs(emp - analytic)
         ok &= gaps[600] < 0.05 and gaps[600] < gaps[150]
@@ -230,11 +225,11 @@ def test_criterion_08_boolean_model_rate():
             R = mult * r_star
             spec = KernelSpec(Family.LAGUERRE_GAUSS, n=n, rho=0.0, m=m, alpha=alpha)
             emp = -log_boolean_degree_ratio(spec, R) / n
-            gap = abs(emp - boolean_rate(R, m, alpha))
+            gap = abs(emp - limit_rate(spec, R, "eta_boolean_ratio"))
             ok &= gap < 0.05
             details.append(f"m={m},R={mult}R*: gap {gap:.4f}")
-        below = boolean_rate(r_star * (1 - 1e-13), m, alpha)
-        above = boolean_rate(r_star * (1 + 1e-13), m, alpha)
+        below = limit_rate(spec, r_star * (1 - 1e-13), "eta_boolean_ratio")
+        above = limit_rate(spec, r_star * (1 + 1e-13), "eta_boolean_ratio")
         ok &= abs(below - above) < 1e-12
     report(8, ok, "Boolean degree rate at n=600: " + "; ".join(details),
            60.0, time.time() - t0)

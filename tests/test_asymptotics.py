@@ -8,10 +8,9 @@ from pytest import approx
 from scipy import optimize
 
 from dpp_repulsion.asymptotics import (
-    boolean_rate,
-    laguerre_eta_rate,
-    laguerre_rate,
+    limit_rate,
     nn_threshold,
+    radius_rate,
     reach,
     reach_exceeds_nn,
     summary_table,
@@ -21,13 +20,34 @@ from dpp_repulsion.kernels import (
     Family,
     InvalidSpecError,
     KernelSpec,
+    NoPositionKernelError,
     UnsupportedFamilyError,
     max_param,
     validate,
 )
-from dpp_repulsion.repulsion import log_eta_ball_ratio, radial_moment
+from dpp_repulsion.oracle import empirical_rate
+from dpp_repulsion.repulsion import eta_total_log, log_eta_ball_ratio, radial_moment
 
 NN_THRESHOLD_RHO0 = 0.2419707245191433497978302  # (2 pi e)^{-1/2}, 40-digit value
+
+# a spec past its existence bound: 5 >= 0.54 at n = 3
+PAST_BOUND = KernelSpec(Family.LAGUERRE_GAUSS, n=3, rho=0.0, m=2, alpha=5.0)
+
+
+def lg(m, alpha, rho=0.0):
+    """A LaguerreGauss spec for the rates, which do not depend on n; n = 1
+    has the widest existence bound."""
+    return KernelSpec(Family.LAGUERRE_GAUSS, n=1, rho=rho, m=m, alpha=alpha)
+
+
+# one spec per stated radius rate beside LaguerreGauss
+POWER_EXP = KernelSpec(Family.POWER_EXPONENTIAL, n=1, rho=0.1, nu=2.0, alpha=0.8,
+                       alpha_rule="scaled")
+CAUCHY = KernelSpec(Family.CAUCHY, n=1, rho=0.1, nu=1.0, alpha=0.15, alpha_rule="scaled")
+
+
+def spec_id(spec):
+    return spec.family.value
 
 
 class TestReach:
@@ -55,6 +75,10 @@ class TestReach:
     def test_indicator_none(self):
         assert reach(example_spec(Family.INDICATOR_SPECTRAL, n=5)) is None
 
+    def test_invalid_spec_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            reach(PAST_BOUND)
+
     @pytest.mark.parametrize("fam", [Family.POWER_EXPONENTIAL, Family.CAUCHY])
     def test_fixed_rule_rejected(self, fam):
         spec = KernelSpec(fam, n=5, rho=0.0, nu=2.0, alpha=0.1, alpha_rule="fixed")
@@ -73,22 +97,23 @@ class TestNnThreshold:
         assert nn_threshold(50.0) < 1e-20
 
 
-class TestLaguerreRate:
-    def test_zero_exactly_at_reach(self):
-        for m, alpha in ((1, 0.4), (3, 0.25)):
-            assert laguerre_rate(math.sqrt(m) * alpha / 2.0, m, alpha) == approx(0.0, abs=1e-14)
+class TestRadiusRate:
+    @pytest.mark.parametrize("spec", [lg(1, 0.4), lg(3, 0.25), POWER_EXP, CAUCHY], ids=spec_id)
+    def test_zero_exactly_at_reach(self, spec):
+        assert radius_rate(spec, reach(spec)) == approx(0.0, abs=1e-14)
 
-    def test_nonnegative_with_unique_zero(self):
-        m, alpha = 2, 0.3
-        xs = np.linspace(1e-3, 2.0, 4000)
-        vals = np.array([laguerre_rate(float(x), m, alpha) for x in xs])
+    @pytest.mark.parametrize("spec", [lg(2, 0.3), POWER_EXP, CAUCHY], ids=spec_id)
+    def test_nonnegative_with_unique_zero(self, spec):
+        r_star = reach(spec)
+        xs = r_star * np.linspace(5e-3, 9.4, 4000)
+        vals = np.array([radius_rate(spec, float(x)) for x in xs])
         assert np.all(vals >= -1e-13)
         near_zero = xs[vals < 1e-4]
         assert near_zero.size > 0
-        assert np.all(np.abs(near_zero - math.sqrt(m) * alpha / 2.0) < 0.02)
+        assert np.all(np.abs(near_zero / r_star - 1.0) < 0.1)
 
     def test_divergence_at_origin(self):
-        vals = [laguerre_rate(x, 1, 0.4) for x in (1e-3, 1e-6, 1e-9)]
+        vals = [radius_rate(lg(1, 0.4), x) for x in (1e-3, 1e-6, 1e-9)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 15.0
 
@@ -102,45 +127,71 @@ class TestLaguerreRate:
             res = optimize.minimize_scalar(neg_obj, bounds=(-2e4, 2.0 / a2m - 1e-12),
                                            method="bounded",
                                            options={"xatol": 1e-12})
-            assert laguerre_rate(x, m, alpha) == approx(-res.fun, rel=1e-7, abs=1e-9)
+            assert radius_rate(lg(m, alpha), x) == approx(-res.fun, rel=1e-7, abs=1e-9)
 
     def test_strict_convexity_in_x2(self):
-        m, alpha = 2, 0.3
         ts = np.linspace(0.01, 1.0, 300)  # t = x^2
-        vals = np.array([laguerre_rate(math.sqrt(t), m, alpha) for t in ts])
+        vals = np.array([radius_rate(lg(2, 0.3), math.sqrt(t)) for t in ts])
         second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
         assert np.all(second > 0.0)
 
+    @pytest.mark.parametrize("spec,error", [
+        (KernelSpec(Family.POWER_EXPONENTIAL, n=5, rho=0.0, nu=3.0, alpha=0.5,
+                    alpha_rule="scaled"), NoPositionKernelError),
+        (KernelSpec(Family.WHITTLE_MATERN, n=5, rho=0.0, nu=1.0, alpha=0.02),
+         UnsupportedFamilyError),
+        (KernelSpec(Family.CAUCHY, n=5, rho=0.0, nu=1.0, alpha=0.15), UnsupportedFamilyError),
+        (example_spec(Family.BESSEL_TYPE, n=5), UnsupportedFamilyError),
+        (example_spec(Family.INDICATOR_SPECTRAL, n=5), UnsupportedFamilyError),
+    ], ids=["PowerExponential-nu3", "WhittleMatern", "Cauchy-fixed", "BesselType",
+            "IndicatorSpectral"])
+    def test_refused_families(self, spec, error):
+        with pytest.raises(error):
+            radius_rate(spec, 0.1)
+        with pytest.raises(error):
+            limit_rate(spec, 0.1, "eta_ball")
+
+    def test_invalid_spec_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            radius_rate(PAST_BOUND, 0.1)
+        with pytest.raises(InvalidSpecError):
+            limit_rate(PAST_BOUND, 0.1, "eta_ball")
+
 
 class TestPiecewiseRates:
-    @pytest.mark.parametrize("m,alpha,rho", [(1, 0.4, 0.0), (3, 0.25, 0.1), (2, 0.3, -0.2)])
-    def test_eta_rate_branch_continuity(self, m, alpha, rho):
-        r_star = math.sqrt(m) * alpha / 2.0
-        below = laguerre_eta_rate(r_star * (1.0 - 1e-13), m, alpha, rho)
-        above = laguerre_eta_rate(r_star * (1.0 + 1e-13), m, alpha, rho)
+    @pytest.mark.parametrize("spec", [lg(1, 0.4), lg(3, 0.25, 0.1), lg(2, 0.3, -0.2),
+                                      POWER_EXP, CAUCHY], ids=spec_id)
+    def test_eta_rate_branch_continuity(self, spec):
+        r_star = reach(spec)
+        below = limit_rate(spec, r_star * (1.0 - 1e-13), "eta_ball")
+        above = limit_rate(spec, r_star * (1.0 + 1e-13), "eta_ball")
         assert abs(below - above) < 1e-12
-        assert laguerre_eta_rate(r_star, m, alpha, rho) == approx(above, abs=1e-12)
+        assert limit_rate(spec, r_star, "eta_ball") == approx(above, abs=1e-12)
 
     def test_eta_rate_flat_above_reach(self):
-        m, alpha, rho = 2, 0.3, 0.0
-        r_star = math.sqrt(m) * alpha / 2.0
-        v1 = laguerre_eta_rate(1.1 * r_star, m, alpha, rho)
-        v2 = laguerre_eta_rate(7.0 * r_star, m, alpha, rho)
+        spec = lg(2, 0.3)
+        r_star = reach(spec)
+        v1 = limit_rate(spec, 1.1 * r_star, "eta_ball")
+        v2 = limit_rate(spec, 7.0 * r_star, "eta_ball")
         assert v1 == v2
 
     @pytest.mark.parametrize("m,alpha", [(1, 0.4), (2, 0.3)])
     def test_boolean_rate_equals_half_at_reach(self, m, alpha):
-        r_star = math.sqrt(m) * alpha / 2.0
-        assert boolean_rate(r_star * (1 - 1e-14), m, alpha) == approx(0.5, abs=1e-12)
-        assert boolean_rate(r_star * (1 + 1e-14), m, alpha) == approx(0.5, abs=1e-12)
+        spec = lg(m, alpha)
+        r_star = reach(spec)
+        assert limit_rate(spec, r_star * (1 - 1e-14), "eta_boolean_ratio") == approx(
+            0.5, abs=1e-12)
+        assert limit_rate(spec, r_star * (1 + 1e-14), "eta_boolean_ratio") == approx(
+            0.5, abs=1e-12)
 
     def test_boolean_rate_quadratic_below(self):
-        assert boolean_rate(0.1, 2, 0.3) == approx(2.0 * 0.01 / (0.09 * 2), rel=1e-13)
+        assert limit_rate(lg(2, 0.3), 0.1, "eta_boolean_ratio") == approx(
+            2.0 * 0.01 / (0.09 * 2), rel=1e-13)
 
     def test_boolean_second_branch_value(self):
         m, alpha, R = 2, 0.3, 0.5
         want = 0.5 + math.log(2.0) - math.log(alpha) - 0.5 * math.log(m) + math.log(R)
-        assert boolean_rate(R, m, alpha) == approx(want, rel=1e-13)
+        assert limit_rate(lg(m, alpha), R, "eta_boolean_ratio") == approx(want, rel=1e-13)
 
     @given(st.floats(min_value=0.01, max_value=0.2), st.integers(min_value=1, max_value=4),
            st.floats(min_value=-0.3, max_value=0.3))
@@ -151,9 +202,48 @@ class TestPiecewiseRates:
         if R >= math.sqrt(m) * alpha / 2.0:
             R = 0.9 * math.sqrt(m) * alpha / 2.0
         poisson_exponent = rho + 0.5 * math.log(2.0 * math.pi * math.e) + math.log(R)
-        got = laguerre_eta_rate(R, m, alpha, rho)
-        want = boolean_rate(R, m, alpha) - poisson_exponent
+        got = limit_rate(lg(m, alpha, rho), R, "eta_ball")
+        want = limit_rate(lg(m, alpha, rho), R, "eta_boolean_ratio") - poisson_exponent
         assert got == approx(want, rel=1e-11, abs=1e-11)
+
+    @pytest.mark.parametrize("spec", [lg(3, 0.25, 0.1), POWER_EXP, CAUCHY], ids=spec_id)
+    def test_boolean_rate_closed_form_below_reach(self, spec):
+        # below R*, with t = (R / R*)^2, the Boolean rate is t / 2 for the
+        # Gaussian shape and ln(1 + t) for Cauchy: rho and tau cancel
+        r_star = reach(spec)
+        for R in (0.1 * r_star, 0.5 * r_star, 0.9 * r_star):
+            t = (R / r_star) ** 2
+            want = math.log1p(t) if spec.family == Family.CAUCHY else 0.5 * t
+            assert limit_rate(spec, R, "eta_boolean_ratio") == approx(want, rel=1e-12)
+
+    def test_unknown_quantity(self):
+        with pytest.raises(ValueError):
+            limit_rate(lg(1, 0.4), 0.1, "nope")
+
+
+class TestLimitRateConvergence:
+    """-(1/n) log of each quantity at finite n tends to `limit_rate`, on both
+    sides of R*: R* = 0.15 (Cauchy) and 0.127 (PowerExponential)."""
+
+    @pytest.mark.parametrize("spec,R", [(CAUCHY, 0.1), (CAUCHY, 0.3),
+                                        (POWER_EXP, 0.1), (POWER_EXP, 0.2)],
+                             ids=["Cauchy-below", "Cauchy-above",
+                                  "PowerExponential-below", "PowerExponential-above"])
+    @pytest.mark.parametrize("quantity", ["eta_ball", "eta_boolean_ratio"])
+    def test_gap_shrinks_each_decade(self, spec, R, quantity):
+        limit = limit_rate(spec, R, quantity)
+        gaps = [abs(v - limit) for _, v in empirical_rate(spec, R, [100, 1000, 10000],
+                                                           quantity=quantity)]
+        # PowerExponential's eta_ball rate above R* is exact at every n
+        assert all(b < a or a < 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-3
+
+    @pytest.mark.parametrize("spec", [lg(2, 0.3, 0.1), POWER_EXP, CAUCHY], ids=spec_id)
+    def test_tau_against_the_exact_norm(self, spec):
+        # at R = inf the ball is the whole space, whose rate is tau
+        n = 10**5
+        assert limit_rate(spec, math.inf, "eta_ball") == approx(
+            -eta_total_log(spec.with_n(n)) / n, abs=1e-4)
 
 
 class TestReachExceedsNn:
@@ -225,6 +315,10 @@ class TestReachExceedsNn:
     def test_bessel_rejected(self):
         with pytest.raises(UnsupportedFamilyError):
             reach_exceeds_nn(example_spec(Family.BESSEL_TYPE, n=5))
+
+    def test_invalid_spec_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            reach_exceeds_nn(PAST_BOUND)
 
     def test_powerexp_window_nonempty_iff_nu_above_one(self):
         lo, hi = reach_exceeds_nn(

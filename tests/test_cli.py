@@ -218,16 +218,41 @@ class TestRateCmd:
                    capsys)[0] == 0
         spec = KernelSpec(Family.LAGUERRE_GAUSS, n=1, rho=0.0, m=1, alpha=0.3)
         (n, empirical), = oracle.empirical_rate(spec, 0.1, [20])
-        analytic = asymptotics.laguerre_eta_rate(0.1, 1, 0.3, 0.0)
+        analytic = asymptotics.limit_rate(spec, 0.1, "eta_ball")
         assert out.read_text().split("\n", 1)[1] == (
             f"R,analytic_rate\n0.10000000000000001,{_fmt(analytic)}\n"
             f"n,empirical_rate\n20,{_fmt(empirical)}\n")
 
-    def test_non_laguerre_exit_three(self, capsys):
-        code, *_ = run(["rate", "--family", "Cauchy", "--n", "5", "--nu", "1",
-                        "--alpha", "0.15", "--alpha-rule", "scaled", "--R", "0.1"],
-                       capsys)
-        assert code == 3
+    @pytest.mark.parametrize("family", [
+        ["--family", "PowerExponential", "--nu", "2", "--alpha", "0.8", "--alpha-rule", "scaled"],
+        ["--family", "Cauchy", "--nu", "1", "--alpha", "0.15", "--alpha-rule", "scaled"]],
+        ids=["PowerExponential", "Cauchy"])
+    def test_new_families_answer(self, family, capsys):
+        code, out, _ = run(["rate", "--n", "5", *family, "--R", "0.1", "--n-list", "100",
+                            "--quantity", "eta_boolean_ratio", "--format", "json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        spec = KernelSpec(**data["config"]["spec"])
+        assert data["grid"][0]["analytic_rate"] == asymptotics.limit_rate(
+            spec, 0.1, "eta_boolean_ratio")
+        assert data["empirical"][0]["rate"] == approx(data["grid"][0]["analytic_rate"],
+                                                      abs=0.05)
+
+    @pytest.mark.parametrize("family", [
+        ["--family", "BesselType", "--sigma", "2", "--alpha", "0.3"],
+        ["--family", "IndicatorSpectral", "--c", "0.5"],
+        ["--family", "WhittleMatern", "--nu", "1", "--alpha", "0.02"],
+        ["--family", "PowerExponential", "--nu", "3", "--alpha", "0.5", "--alpha-rule", "scaled"],
+        ["--family", "Cauchy", "--nu", "1", "--alpha", "0.15"]],
+        ids=["BesselType", "IndicatorSpectral", "WhittleMatern", "PowerExponential-nu3",
+             "Cauchy-fixed"])
+    def test_refused_family_exit_three(self, family, capsys):
+        code, out, err = run(["rate", "--n", "5", *family, "--R", "0.1"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("unsupported for this family: ")
+        hint = family[1] == "PowerExponential"
+        assert err.count("\n") == 1 + hint
+        assert ("hint: exact moments remain available" in err) == hint
 
 
 class TestTableCmd:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy import special as sp
 
-from conftest import laguerre_double_sum_log_exact, quadrature_norm_log, surface_log
+from conftest import (laguerre_double_sum_log_exact, quadrature_norm_log, spectral_radial,
+                      surface_log)
 from dpp_repulsion.kernels import (
     Family,
     InvalidSpecError,
@@ -24,9 +25,7 @@ from dpp_repulsion.kernels import (
     log_kernel_radial_array,
     max_param,
     spec_from_dict,
-    spec_from_json,
     spec_to_dict,
-    spectral_radial,
     squared_norm_log,
     validate,
 )
@@ -432,7 +431,7 @@ class TestJsonWire:
     def test_roundtrip(self):
         spec = KernelSpec(Family.CAUCHY, n=14, rho=-0.2, nu=2.5, alpha=0.12,
                           alpha_rule="scaled")
-        back = spec_from_json(json.dumps(spec_to_dict(spec)))
+        back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert back == spec
 
     def test_irrelevant_fields_omitted(self):

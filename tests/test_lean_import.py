@@ -58,6 +58,9 @@ def test_commands_without_bessel_values_load_no_scipy(tmp_path):
          "--alpha-rule", "scaled"],
         ["rate", "--family", "LaguerreGauss", "--n", "1", "--m", "1", "--alpha", "0.3",
          "--R", "0.075", "--n-list", "100,300,600", "--out", str(tmp_path / "rate.csv")],
+        ["rate", "--family", "Cauchy", "--n", "1", "--nu", "1", "--alpha", "0.15",
+         "--alpha-rule", "scaled", "--R-grid", "0.05:0.3:6", "--quantity",
+         "eta_boolean_ratio", "--format", "json"],
         ["table", "--out", str(tmp_path / "table.csv")],
         ["moments", "--family", "WhittleMatern", "--n", "50", "--nu", "1", "--alpha", "0.02",
          "--k", "2,4"],

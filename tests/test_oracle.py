@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 from scipy import special as sp
 
+from dpp_repulsion.asymptotics import limit_rate
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import (Family, InvalidSpecError, KernelSpec, UnsupportedFamilyError,
                                    effective_alpha)
@@ -183,8 +184,7 @@ class TestEmpiricalRate:
         rows = empirical_rate(spec, R, [100, 300, 600])
         vals = [v for _, v in rows]
         assert vals[0] > vals[1] > vals[2]
-        from dpp_repulsion.asymptotics import laguerre_eta_rate
-        assert vals[-1] == approx(laguerre_eta_rate(R, 1, 0.3, 0.0), abs=0.05)
+        assert vals[-1] == approx(limit_rate(spec, R, "eta_ball"), abs=0.05)
 
     def test_normalized_ratio_rate_vanishes_above_reach(self):
         # above R* the normalized ball ratio tends to 1, so its rate tends to 0
@@ -196,8 +196,7 @@ class TestEmpiricalRate:
     def test_boolean_quantity(self):
         spec = KernelSpec(Family.LAGUERRE_GAUSS, n=1, rho=0.0, m=2, alpha=0.3)
         rows = empirical_rate(spec, 0.1, [200], quantity="eta_boolean_ratio")
-        from dpp_repulsion.asymptotics import boolean_rate
-        assert rows[0][1] == approx(boolean_rate(0.1, 2, 0.3), abs=0.05)
+        assert rows[0][1] == approx(limit_rate(spec, 0.1, "eta_boolean_ratio"), abs=0.05)
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from dpp_repulsion.asymptotics import _eta_bound_log
 from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import (
     Family,
+    InvalidSpecError,
     KernelSpec,
     NoPositionKernelError,
     UnsupportedFamilyError,
@@ -23,7 +24,6 @@ from dpp_repulsion.kernels import (
     kernel_radial,
     log_kernel_radial_array,
     max_param,
-    spectral_radial,
     squared_norm_log,
 )
 from dpp_repulsion.repulsion import (
@@ -214,8 +214,6 @@ class TestBallRatio:
             kernel_radial(spec, math.nan)
         with pytest.raises(ValueError, match="NaN"):
             log_kernel_radial_array(spec, np.array([0.5, math.nan]))
-        with pytest.raises(ValueError, match="NaN"):
-            spectral_radial(spec, math.nan)
 
     @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
     def test_infinite_radius_holds_all_mass(self, fam):
@@ -526,6 +524,12 @@ class TestPairCorrelation:
     @settings(max_examples=60, deadline=None)
     def test_range(self, r):
         assert 0.0 <= pair_correlation(example_spec(Family.BESSEL_TYPE, n=7), r) <= 1.0
+
+    def test_invalid_spec_rejected(self):
+        # alpha = 5 is past the existence bound 0.54 at n = 3
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=3, rho=0.0, m=2, alpha=5.0)
+        with pytest.raises(InvalidSpecError):
+            pair_correlation(spec, 0.5)
 
 
 class TestNnBounds:
