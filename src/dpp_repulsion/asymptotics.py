@@ -5,7 +5,8 @@ series truncation.  Every limit rate composes two closed forms: the LDP
 rate I of |X_n|/sqrt(n), a function of x / R* alone, and the total-mass
 rate tau = lim -(1/n) log E[eta_n(R^n)].  The eta-ball rate is tau + I(R)
 below R* and tau at or above it (I vanishes at R*); the Boolean degree
-rate adds the Poisson ball exponent rho + ln(2 pi e)/2 + ln R.
+rate adds the Poisson ball exponent rho + ln(2 pi e)/2 + ln R.  A family
+states one closed form, that Boolean rate B(t) below R*, t = (R / R*)^2.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def reach(spec: KernelSpec) -> Optional[float]:
     Cauchy state R* only under the scaled alpha rule.
     """
     _require_valid(spec)
-    return _reach(spec)
-
-
-def _reach(spec: KernelSpec) -> Optional[float]:
-    """`reach` on a spec already validated."""
     fam = spec.family
     if fam == Family.LAGUERRE_GAUSS:
         return math.sqrt(spec.m) * spec.alpha / 2.0
@@ -85,8 +81,8 @@ RATE_QUANTITIES = ("eta_ball", "eta_boolean_ratio")
 
 
 def _rate_law(spec: KernelSpec):
-    """(R*, radius rate as a function of t = (x / R*)^2, tau) of a valid spec."""
-    _require_valid(spec)
+    """(R*, B) of a spec with a stated rate: B(t) is its Boolean rate below R*."""
+    r_star = reach(spec)
     fam = spec.family
     if fam == Family.POWER_EXPONENTIAL and spec.nu != 2.0:
         raise NoPositionKernelError(
@@ -96,16 +92,11 @@ def _rate_law(spec: KernelSpec):
         raise UnsupportedFamilyError(
             "WhittleMatern has no stated rate: at fixed alpha its law does not "
             "concentrate at alpha / 2")
-    r_star = _reach(spec)
     if r_star is None:
         raise UnsupportedFamilyError(f"{fam.value} has no finite R* on the sqrt(n) scale")
-    tau = -spec.rho - math.log(spec.alpha)
     if fam == Family.CAUCHY:  # |X|^2 / alpha_n^2 follows a beta-prime law
-        return (r_star, lambda t: math.log((1.0 + t) / (2.0 * math.sqrt(t))),
-                tau - 0.5 * math.log(0.5 * math.pi * math.e))
-    c = (0.5 * math.log(0.5 * spec.m * math.pi) if fam == Family.LAGUERRE_GAUSS
-         else -0.5 * math.log(2.0 * math.pi))  # PowerExponential at nu = 2
-    return r_star, lambda t: 0.5 * (t - 1.0 - math.log(t)), tau - c
+        return r_star, math.log1p
+    return r_star, lambda t: 0.5 * t  # Gaussian radius: LaguerreGauss, PowerExponential
 
 
 def radius_rate(spec: KernelSpec, x: float) -> float:
@@ -114,25 +105,28 @@ def radius_rate(spec: KernelSpec, x: float) -> float:
     ln((1 + t) / (2 sqrt t)) for Cauchy (scaled); other families raise."""
     if not 0 < x < math.inf:
         raise ValueError("x must be finite and > 0")
-    r_star, shape, _ = _rate_law(spec)
-    return shape((x / r_star) ** 2)
+    r_star, boolean = _rate_law(spec)
+    return boolean(t := (x / r_star) ** 2) - boolean(1.0) - 0.5 * math.log(t)
 
 
 def limit_rate(spec: KernelSpec, R: float, quantity: str) -> float:
     """Limit of -(1/n) log of `quantity` at radius sqrt(n) R: E[eta_n(B_n)] for
-    eta_ball, E[eta_n(B_n)] / E[Phi_n(B_n)] for eta_boolean_ratio.  tau is
-    -rho - ln alpha - c, with c = ln(m pi / 2)/2 (LaguerreGauss), -ln(2 pi)/2
-    (PowerExponential) or ln(pi e / 2)/2 (Cauchy)."""
+    eta_ball, tau + radius_rate below R* and tau = -rho - ln alpha - c at or above,
+    c = ln(m pi / 2)/2 (LaguerreGauss), -ln(2 pi)/2 (PowerExponential) or
+    ln(pi e / 2)/2 (Cauchy); E[eta_n(B_n)] / E[Phi_n(B_n)] for eta_boolean_ratio,
+    which adds rho + ln(2 pi e)/2 + ln R, and is B(t) (t / 2, Cauchy ln(1 + t)) below R*."""
     if quantity not in RATE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if not R > 0:
         raise ValueError("R must be > 0")
-    r_star, shape, rate = _rate_law(spec)
+    r_star, boolean = _rate_law(spec)
+    poisson = spec.rho + 0.5 * math.log(2.0 * math.pi * math.e)  # Poisson exponent less ln R
     if R < r_star:
-        rate += shape((R / r_star) ** 2)
-    if quantity == "eta_boolean_ratio":
-        rate += spec.rho + 0.5 * math.log(2.0 * math.pi * math.e) + math.log(R)
-    return rate
+        rate = boolean((R / r_star) ** 2)
+        return rate if quantity == "eta_boolean_ratio" else rate - poisson - math.log(R)
+    if quantity == "eta_boolean_ratio":  # tau + the Poisson exponent
+        return boolean(1.0) + math.log(R / r_star)
+    return boolean(1.0) - poisson - math.log(r_star)  # tau
 
 
 @dataclass(frozen=True)
@@ -148,9 +142,8 @@ class ReachCertificate:
 
 def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
     """Whether R* > R~, with the family's admissible alpha window if any."""
-    _require_valid(spec)
+    r_star = reach(spec)
     fam, rho = spec.family, spec.rho
-    r_star = _reach(spec)
     if r_star is None:
         raise UnsupportedFamilyError(f"{fam.value} has no finite R* on the sqrt(n) scale")
     thresh = nn_threshold(rho)

@@ -28,6 +28,7 @@ from .kernels import (
     KernelSpec,
     NoPositionKernelError,
     UnsupportedFamilyError,
+    _require_valid,
     max_param,
     spec_from_dict,
     spec_to_dict,
@@ -308,6 +309,7 @@ def cmd_reach(cfg: dict) -> int:
 
 def cmd_rate(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
+    _require_valid(spec)  # a spec error outranks a radius one
     rs = _radii(cfg)
     if not min(rs) > 0:
         raise UsageError("rates need R > 0")

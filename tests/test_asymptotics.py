@@ -104,13 +104,16 @@ class TestRadiusRate:
 
     @pytest.mark.parametrize("spec", [lg(2, 0.3), POWER_EXP, CAUCHY], ids=spec_id)
     def test_nonnegative_with_unique_zero(self, spec):
-        r_star = reach(spec)
-        xs = r_star * np.linspace(5e-3, 9.4, 4000)
+        # x from 1e-3 to 2.0 for LaguerreGauss m = 2, alpha = 0.3, and the same
+        # range of x / R* for the others; the zero lies within 0.05 R* of R*
+        # (0.0106 for that LaguerreGauss spec)
+        r_star, r_lg = reach(spec), reach(lg(2, 0.3))
+        xs = r_star * np.linspace(1e-3 / r_lg, 2.0 / r_lg, 4000)
         vals = np.array([radius_rate(spec, float(x)) for x in xs])
         assert np.all(vals >= -1e-13)
         near_zero = xs[vals < 1e-4]
         assert near_zero.size > 0
-        assert np.all(np.abs(near_zero / r_star - 1.0) < 0.1)
+        assert np.all(np.abs(near_zero / r_star - 1.0) < 0.05)
 
     def test_divergence_at_origin(self):
         vals = [radius_rate(lg(1, 0.4), x) for x in (1e-3, 1e-6, 1e-9)]
@@ -210,11 +213,22 @@ class TestPiecewiseRates:
     def test_boolean_rate_closed_form_below_reach(self, spec):
         # below R*, with t = (R / R*)^2, the Boolean rate is t / 2 for the
         # Gaussian shape and ln(1 + t) for Cauchy: rho and tau cancel
+        # to the last digits, also far below R*
         r_star = reach(spec)
-        for R in (0.1 * r_star, 0.5 * r_star, 0.9 * r_star):
+        for R in (1e-4 * r_star, 0.1 * r_star, 0.5 * r_star, 0.9 * r_star):
             t = (R / r_star) ** 2
             want = math.log1p(t) if spec.family == Family.CAUCHY else 0.5 * t
-            assert limit_rate(spec, R, "eta_boolean_ratio") == approx(want, rel=1e-12)
+            assert limit_rate(spec, R, "eta_boolean_ratio") == approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("spec", [lg(3, 0.25, 0.1), POWER_EXP, CAUCHY], ids=spec_id)
+    def test_tau_closed_form(self, spec):
+        # tau = -rho - ln alpha - c, with c per family
+        c = {Family.LAGUERRE_GAUSS: 0.5 * math.log(0.5 * 3 * math.pi),
+             Family.POWER_EXPONENTIAL: -0.5 * math.log(2.0 * math.pi),
+             Family.CAUCHY: 0.5 * math.log(0.5 * math.pi * math.e)}[spec.family]
+        want = -spec.rho - math.log(spec.alpha) - c
+        for R in (reach(spec), 3.0 * reach(spec)):
+            assert limit_rate(spec, R, "eta_ball") == approx(want, rel=1e-14)
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,14 @@ class TestSpecBoundary:
         else:
             assert err.startswith("invalid spec: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("radii", [["--R", "0"], []], ids=["R=0", "no R"])
+    @pytest.mark.parametrize("bad", list(BAD_SPECS))
+    def test_rate_spec_error_outranks_radius_error(self, bad, radii, capsys):
+        code, _, err = run(["rate", "--family", "LaguerreGauss", "--n", "3", "--m", "2",
+                            *self.BAD_SPECS[bad], *radii], capsys)
+        assert code == 2
+        assert err.startswith("invalid spec: ") and err.count("\n") == 1
+
 
 class TestReachCmd:
     def test_values(self, tmp_path, capsys):
