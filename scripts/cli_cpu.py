@@ -7,8 +7,10 @@ n = 1000 (one batch of prefixes over one panel decomposition), and both
 shapes of Bessel-square prefix traffic: a 50-point BesselType curve at
 sigma = 1e5, whose cuts run about 5e4 orders below mu side by side, and
 a single IndicatorSpectral cut, which pays one numpy call per order alone;
-and `sample` at WhittleMatern n = 3, whose radial law holds about 5 % of
-its mass below r = 0.065, so the CDF grid must start at r = 0.
+`sample` at WhittleMatern n = 3, whose radial law holds about 5 % of
+its mass below r = 0.065, so the CDF grid must start at r = 0; and the
+README's Cauchy `sample` again with `--format json`, whose 1e5 radii render
+through the same array renderer as the CSV.
 
 Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
@@ -59,6 +61,8 @@ COMMANDS = [
     ("eta IndicatorSpectral one cut", "eta --family IndicatorSpectral --n 40 --c 0.5 --R 1.0"),
     ("sample WhittleMatern n=3", "sample --family WhittleMatern --n 3 --nu 0.5 --alpha 0.1536"
                                  " --samples 100000 --seed 7 --out {out}/radii_low_n.csv"),
+    ("sample json", "sample --family Cauchy --n 5 --nu 1 --alpha 0.15 --alpha-rule scaled"
+                    " --samples 100000 --seed 7 --format json --out {out}/radii.json"),
 ]
 
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

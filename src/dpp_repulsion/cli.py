@@ -36,7 +36,7 @@ from .kernels import (
 )
 from .quadrature import QuadratureError
 from .repulsion import MomentDivergesError
-from .special import _fmt
+from .special import _fmt, _fmt_join
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -69,6 +69,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _render_json(obj, indent=0) -> str:
     pad = " " * indent
+    if isinstance(obj, np.ndarray):  # floats, rendered as one array when all are finite
+        if obj.size and np.isfinite(obj).all():
+            return f"[\n{pad}  " + _fmt_join(obj, f",\n{pad}  ") + f"\n{pad}]"
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -278,6 +282,7 @@ def cmd_check(cfg: dict) -> int:
 
 def cmd_eta(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
+    _require_valid(spec)  # a spec error outranks a radius one
     report = repulsion.build_eta_report(spec, _radii(cfg), rel_tol=cfg["rel_tol"])
     payload = {
         "log_total": report.log_total,
@@ -355,14 +360,8 @@ def cmd_moments(cfg: dict) -> int:
 def cmd_sample(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
     radii = oracle.sample_radius(spec, cfg["samples"], cfg["seed"])
-    payload = {"seed": cfg["seed"], "samples": cfg["samples"]}
-    if cfg["format"] == "json":
-        payload["radii"] = radii.tolist()
-        lines = []
-    else:
-        # one %-format renders every radius exactly as _fmt does
-        lines = ["radius", "\n".join(["%.17g"] * len(radii)) % tuple(radii.tolist())]
-    _emit(cfg, payload, lines)
+    payload = {"seed": cfg["seed"], "samples": cfg["samples"], "radii": radii}
+    _emit(cfg, payload, ["radius", _fmt_join(radii)] if cfg["format"] == "csv" else [])
     return EXIT_OK
 
 

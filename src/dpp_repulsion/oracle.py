@@ -47,10 +47,6 @@ class McEstimate:
     def agrees_with(self, reference: float, n_sigma: float = 3.0) -> bool:
         return abs(self.value - reference) <= n_sigma * self.std_error
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "std_error": self.std_error,
-                "samples": self.samples, "seed": self.seed}
-
 
 def _generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) & (2**64 - 1))

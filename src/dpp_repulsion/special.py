@@ -34,8 +34,111 @@ _NEG_INF = float("-inf")
 
 def _fmt(x: float) -> str:
     """x with 17 significant digits, enough to round-trip a double; the
-    package's one number rendering for CSV and JSON output."""
+    package's one number rendering for CSV and JSON output (_fmt_join gives
+    the same text for a whole array)."""
     return format(float(x), ".17g")
+
+
+# values per pass of _fmt_join, so its work arrays stay under 1 MB at any length
+_FMT_CHUNK = 1 << 14
+# 10^p as a double, exact up to p = 22
+_POW10 = np.array([float(10**p) for p in range(23)])
+# "0000".."9999" as four bytes each, so a uint32 store writes four digits in order
+_DIGIT_QUADS = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32).ravel()
+# row L keeps the first L bytes of a 24-byte cell
+_KEEP = (np.arange(24) < np.arange(25)[:, None]).view(np.uint8)
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v as high + low halves of 26 bits each (Veltkamp), so their products are exact."""
+    c = v * 134217729.0  # 2^27 + 1
+    high = c - (c - v)
+    return high, v - high
+
+
+def _fixed_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(where, digits, k): the entries of x that %.17g prints in fixed
+    notation with no exact tie, their 17 significant digits as an integer,
+    correctly rounded, and their decimal exponents.
+
+    With k from log10, x * 10^(16-k) is formed exactly as hi + lo (Dekker's
+    two-product; each step is its own ufunc, so nothing is fused).  Then
+    hi >= 1e16 > 2^53 is an integer, and hi + floor(lo) + (frac(lo) > 1/2)
+    rounds the product to the nearest integer.  An entry whose digits miss
+    [1e16, 1e17) is left out: k was misjudged, or x rounds up to a power of
+    ten.  (A k one too high cannot round up into the range: below each 10^j,
+    -4 <= j <= 16, the nearest double is at least 8e-17 of 10^j away, more
+    than the half unit 5e-17.)  So is a tie, frac(lo) = 1/2, which %.17g
+    breaks to even.
+    """
+    where = np.flatnonzero((x >= 1e-4) & (x < 1e17))
+    x = x[where]
+    k = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.int64)
+    scale = _POW10[16 - k]
+    hi = x * scale
+    (xh, xl), (sh, sl) = _split(x), _split(scale)
+    lo = ((xh * sh - hi) + xh * sl + xl * sh) + xl * sl
+    lo_floor = np.floor(lo)
+    frac = lo - lo_floor
+    digits = hi.astype(np.int64) + lo_floor.astype(np.int64) + (frac > 0.5)
+    ok = (frac != 0.5) & (digits >= 10**16) & (digits < 10**17)
+    return where[ok], digits[ok], k[ok]
+
+
+def _fmt_join(x, sep: str = "\n") -> str:
+    """The values of x, each as _fmt renders it, joined by sep.
+
+    Values that %.17g prints in fixed notation (1e-4 <= x < 1e17) are
+    rendered as arrays from their _fixed_digits; the rest (0, subnormals,
+    negatives, non-finite, exponent notation, ties) go through _fmt one by
+    one.
+    """
+    x = np.asarray(x, dtype=float)
+    sep = sep.encode()
+    blob = b"".join(_fmt_chunk(x[i:i + _FMT_CHUNK], sep)
+                    for i in range(0, len(x), _FMT_CHUNK))
+    return blob[:len(blob) - len(sep)].decode()
+
+
+def _fmt_chunk(x: np.ndarray, sep: bytes) -> bytes:
+    """_fmt_join on one chunk, with a trailing sep."""
+    where, digits, k = _fixed_digits(x)
+    order = np.argsort(k.astype(np.int8), kind="stable")  # a radix sort
+    digits, k = digits[order], k[order]
+    # the 17 digits in bytes 3..19 of 20, four at a time
+    quads = np.empty((len(k), 5), dtype=np.uint32)
+    for col in range(4, 0, -1):
+        digits, rest = np.divmod(digits, 10000)
+        quads[:, col] = _DIGIT_QUADS[rest]
+    quads[:, 0] = _DIGIT_QUADS[digits]
+    chars = quads.view(np.uint8)[:, 3:]
+
+    # fixed notation, one slice per exponent: "d...d.d...d" or "0.0...0d...d",
+    # then the fraction's trailing zeros dropped, and a bare point with them
+    fixed = np.full((len(k), 24), ord("0"), dtype=np.uint8)
+    fixed[:, 1] = ord(".")
+    bounds = np.searchsorted(k, np.arange(-4, 18))
+    for e, a, b in zip(range(-4, 17), bounds[:-1], bounds[1:]):
+        if e < 0:
+            fixed[a:b, 1 - e:18 - e] = chars[a:b]
+        else:
+            fixed[a:b, :e + 1] = chars[a:b, :e + 1]
+            fixed[a:b, e + 1] = ord(".")
+            fixed[a:b, e + 2:18] = chars[a:b, e + 1:]
+    zeros = np.argmax(chars[:, ::-1] != ord("0"), axis=1)
+    kept = np.maximum(16 - k - zeros, 0)
+    fixed *= _KEEP[np.maximum(k, 0) + 1 + kept + (kept > 0)]
+
+    # each value's NUL-padded cell, then sep; dropping the NULs joins them
+    text = np.zeros((len(x), 24 + len(sep)), dtype=np.uint8)
+    text[:, 24:] = np.frombuffer(sep, dtype=np.uint8)
+    cells = text[:, :24].view("S24")[:, 0]
+    cells[where[order]] = fixed.view("S24")[:, 0]
+    slow = np.ones(len(x), dtype=bool)
+    slow[where] = False
+    cells[slow] = [_fmt(v).encode() for v in x[slow]]
+    return text[text != 0].tobytes()
 
 
 # the largest x whose log Gamma(x) is a finite double; math.lgamma overflows above

@@ -11,7 +11,7 @@ import pytest
 from pytest import approx
 
 from dpp_repulsion import asymptotics, oracle, repulsion
-from dpp_repulsion.cli import _COMMANDS, _SETTINGS, _mass, build_parser, main
+from dpp_repulsion.cli import _COMMANDS, _SETTINGS, _mass, _render_json, build_parser, main
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
 from dpp_repulsion.special import _fmt
@@ -190,6 +190,14 @@ class TestSpecBoundary:
         assert code == 2
         assert err.startswith("invalid spec: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("radii", [["--R", "0"], []], ids=["R=0", "no R"])
+    @pytest.mark.parametrize("bad", list(BAD_SPECS))
+    def test_eta_spec_error_outranks_radius_error(self, bad, radii, capsys):
+        code, _, err = run(["eta", "--family", "LaguerreGauss", "--n", "3", "--m", "2",
+                            *self.BAD_SPECS[bad], *radii], capsys)
+        assert code == 2
+        assert err.startswith("invalid spec: ") and err.count("\n") == 1
+
 
 class TestReachCmd:
     def test_values(self, tmp_path, capsys):
@@ -343,6 +351,29 @@ class TestSampleCmd:
                    capsys)[0] == 0
         rows = out.read_text().split("\n")[2:]
         assert rows == [*map(_fmt, radii), ""]
+
+    # radii past the fixed-notation range, and an infinite one, which renders as a string
+    JSON_RADII = {"edges": [0.0, 5e-324, 1e-5, 0.1, 1.0 / 3.0, 1e16, 12345678901234567.0,
+                            1e300],
+                  "non-finite": [0.5, math.inf]}
+
+    @pytest.mark.parametrize("case", ["sampled", *JSON_RADII])
+    def test_json_rendering_matches_render_json_per_radius(self, case, tmp_path, capsys,
+                                                            monkeypatch):
+        # the array rendering against _render_json on a list of floats
+        if case == "sampled":
+            radii = sample_radius(KernelSpec(Family.LAGUERRE_GAUSS, n=12, rho=0.0, m=1,
+                                             alpha=0.5), 20000, 9)
+        else:
+            radii = np.array(self.JSON_RADII[case])
+        monkeypatch.setattr(oracle, "sample_radius", lambda spec, count, seed: radii)
+        out = tmp_path / "r.json"
+        assert run(["sample", *GAUSS, "--samples", str(len(radii)), "--format", "json",
+                    "--out", str(out)], capsys)[0] == 0
+        config = json.loads(out.read_text())["config"]
+        want = _render_json({"config": config, "seed": 1, "samples": len(radii),
+                             "radii": [float(r) for r in radii]}) + "\n"
+        assert out.read_bytes() == want.encode()
 
 
 LAGUERRE_1 = ["--family", "LaguerreGauss", "--n", "1", "--m", "1", "--alpha", "0.3"]
@@ -598,8 +629,8 @@ class TestReadmeCommands:
         # the README's command-line examples (then three oscillatory eta runs,
         # the last at n = 1000, LaguerreGauss moments at m = 60, a dense
         # LaguerreGauss eta curve at n = 1000, a BesselType curve at
-        # sigma = 1e5, a single IndicatorSpectral cut and a WhittleMatern
-        # sample at n = 3)
+        # sigma = 1e5, a single IndicatorSpectral cut, a WhittleMatern
+        # sample at n = 3 and the README's Cauchy sample as JSON)
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
         cli_cpu = importlib.util.module_from_spec(spec)
@@ -614,4 +645,5 @@ class TestReadmeCommands:
             ["eta", "--family", "BesselType"], ["eta", "--family", "IndicatorSpectral"],
             ["eta", "--family", "BesselType"], ["moments", "--family", "LaguerreGauss"],
             ["eta", "--family", "LaguerreGauss"], ["eta", "--family", "BesselType"],
-            ["eta", "--family", "IndicatorSpectral"], ["sample", "--family", "WhittleMatern"]]
+            ["eta", "--family", "IndicatorSpectral"], ["sample", "--family", "WhittleMatern"],
+            ["sample", "--family", "Cauchy"]]

@@ -108,11 +108,6 @@ class TestMcBallRatio:
         est = mc_ball_ratio(spec, R, 100000, seed=21)
         assert est.agrees_with(eta_ball_ratio(spec, R), n_sigma=3.0)
 
-    def test_serializes(self):
-        est = mc_ball_ratio(gauss_spec(), 0.3, 1000, seed=2)
-        d = est.to_dict()
-        assert d["samples"] == 1000 and d["seed"] == 2
-
 
 @pytest.mark.parametrize("R,message", [(math.nan, "R must not be NaN"),
                                        (-1.0, "R must be >= 0")])

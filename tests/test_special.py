@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,6 +11,10 @@ from scipy import special as sp
 
 from dpp_repulsion.special import (
     LN_GAMMA_MAX_ARG,
+    _FMT_CHUNK,
+    _fixed_digits,
+    _fmt,
+    _fmt_join,
     laguerre,
     ln_ball_volume,
     ln_bessel_j_ratio,
@@ -246,3 +251,65 @@ class TestBallVolume:
     def test_doubling_identity(self, n, r):
         got = ln_ball_volume(n, 2.0 * r) - ln_ball_volume(n, r)
         assert got == approx(n * math.log(2.0), rel=1e-13)
+
+
+def _per_value(x, sep="\n"):
+    return sep.join(_fmt(v) for v in np.asarray(x, dtype=float))
+
+
+class TestFmtJoin:
+    """The array renderer against _fmt, value by value."""
+
+    def test_seeded_sweep_over_every_decade(self):
+        # 1e6 doubles, log-uniform from 1e-6 to 1e18, full 53-bit mantissas
+        rng = np.random.default_rng(2024)
+        x = 10.0 ** rng.uniform(-6.0, 18.0, 1_000_000)
+        x *= 1.0 + rng.uniform(0.0, 1e-3, x.size)
+        assert _fmt_join(x) == _per_value(x)
+
+    def test_powers_of_ten_and_neighbours(self):
+        tens = np.array([10.0**e for e in range(-8, 20)] + [float(f"1e{e}") for e in range(-8, 20)])
+        near = [tens]
+        for toward in (0.0, np.inf):
+            step = tens
+            for _ in range(3):  # 1, 2 and 3 ulps away
+                step = np.nextafter(step, toward)
+                near.append(step)
+        x = np.concatenate(near)
+        assert _fmt_join(x) == _per_value(x)
+
+    def test_exact_ties_go_to_fmt(self):
+        # x = M / 2^(p+1), M odd: x * 10^p = M 5^p / 2 is an odd multiple of
+        # 1/2, with 17 digits before the point; %.17g breaks the tie to even
+        rng = np.random.default_rng(7)
+        ties = []
+        for p in range(1, 21):
+            lo, hi = -(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53)
+            for m in rng.integers(lo, hi, 20):
+                m = int(m) | 1
+                if lo <= m < hi:
+                    x = m / 2 ** (p + 1)
+                    assert (Fraction(x) * 10**p * 2).denominator == 1
+                    ties.append(x)
+        ties = np.array(ties)
+        assert len(ties) > 300
+        assert len(_fixed_digits(ties)[0]) == 0
+        assert _fmt_join(ties) == _per_value(ties)
+
+    def test_zero_subnormals_negatives_and_non_finite(self):
+        x = np.array([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, -5e-324, -1e-5,
+                      -0.5, -1.0 / 3.0, -123456.0, -1e16, -1.7976931348623157e308,
+                      9.9999999999999991e-05, 1e-4, 99999999999999984.0, 1e17,
+                      np.inf, -np.inf, np.nan])
+        assert _fmt_join(x) == _per_value(x)
+
+    def test_separator_across_chunks(self):
+        x = np.random.default_rng(3).uniform(0.0, 3.0, 2 * _FMT_CHUNK + 3)
+        assert _fmt_join(x, ",\n    ") == _per_value(x, ",\n    ")
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(min_value=1e-4, max_value=1e17)), max_size=40),
+           st.sampled_from(["\n", ",\n    ", ","]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_array(self, values, sep):
+        assert _fmt_join(np.array(values, dtype=float), sep) == _per_value(values, sep)
