@@ -7,7 +7,7 @@ import argparse
 import math
 import sys
 
-from dpp_repulsion.asymptotics import nn_threshold, reach, summary_table
+from dpp_repulsion.asymptotics import nn_threshold, summary_table
 from dpp_repulsion.examples import example_specs
 from dpp_repulsion.repulsion import eta_total_log
 

@@ -80,9 +80,16 @@ def nn_threshold(rho: float) -> float:
 RATE_QUANTITIES = ("eta_ball", "eta_boolean_ratio")
 
 
+def _finite_reach(spec: KernelSpec) -> float:
+    """R*, or UnsupportedFamilyError where the family has none on the sqrt(n) scale."""
+    if (r_star := reach(spec)) is None:
+        raise UnsupportedFamilyError(f"{spec.family.value} has no finite R* on the sqrt(n) scale")
+    return r_star
+
+
 def _rate_law(spec: KernelSpec):
     """(R*, B) of a spec with a stated rate: B(t) is its Boolean rate below R*."""
-    r_star = reach(spec)
+    r_star = _finite_reach(spec)
     fam = spec.family
     if fam == Family.POWER_EXPONENTIAL and spec.nu != 2.0:
         raise NoPositionKernelError(
@@ -92,8 +99,6 @@ def _rate_law(spec: KernelSpec):
         raise UnsupportedFamilyError(
             "WhittleMatern has no stated rate: at fixed alpha its law does not "
             "concentrate at alpha / 2")
-    if r_star is None:
-        raise UnsupportedFamilyError(f"{fam.value} has no finite R* on the sqrt(n) scale")
     if fam == Family.CAUCHY:  # |X|^2 / alpha_n^2 follows a beta-prime law
         return r_star, math.log1p
     return r_star, lambda t: 0.5 * t  # Gaussian radius: LaguerreGauss, PowerExponential
@@ -142,10 +147,8 @@ class ReachCertificate:
 
 def reach_exceeds_nn(spec: KernelSpec) -> ReachCertificate:
     """Whether R* > R~, with the family's admissible alpha window if any."""
-    r_star = reach(spec)
+    r_star = _finite_reach(spec)
     fam, rho = spec.family, spec.rho
-    if r_star is None:
-        raise UnsupportedFamilyError(f"{fam.value} has no finite R* on the sqrt(n) scale")
     thresh = nn_threshold(rho)
     if fam == Family.LAGUERRE_GAUSS:
         scale = math.exp(rho) * math.sqrt(spec.m * math.pi)

@@ -178,8 +178,6 @@ _SETTINGS = [
            metavar="k1,k2,..."),
     _entry("samples", "--samples", 100000, _int, ">= 1", lambda n: n >= 1),
     _entry("seed", "--seed", 1, _int, "an integer"),
-    _entry("rel_tol", "--rel-tol", repulsion.PRODUCTION_REL_TOL, _real, "in (1e-14, 1e-2)",
-           lambda t: 1e-14 < t < 1e-2),
     _entry("quantity", "--quantity", "eta_ball", choices=list(asymptotics.RATE_QUANTITIES)),
     _entry("format", "--format", "csv", choices=["csv", "json"]),
     _entry("out", "--out", None, rule="a file path"),
@@ -283,7 +281,7 @@ def cmd_check(cfg: dict) -> int:
 def cmd_eta(cfg: dict) -> int:
     spec = _kernel_spec(cfg)
     _require_valid(spec)  # a spec error outranks a radius one
-    report = repulsion.build_eta_report(spec, _radii(cfg), rel_tol=cfg["rel_tol"])
+    report = repulsion.build_eta_report(spec, _radii(cfg))
     payload = {
         "log_total": report.log_total,
         "ratio_curve": [{"R": r, "ratio": v} for r, v in report.ratio_curve],
@@ -369,7 +367,7 @@ def cmd_sample(cfg: dict) -> int:
 _COMMANDS = {
     "check": (cmd_check, "validate a spec against its existence bound", ()),
     "eta": (cmd_eta, "eta ball-ratio curve over an R grid (plus log total mass)",
-            ("R", "R_grid", "rel_tol", "format", "out")),
+            ("R", "R_grid", "format", "out")),
     "reach": (cmd_reach, "reach of repulsion R* and the nearest-neighbor threshold",
               ("format", "out")),
     "rate": (cmd_rate, "analytic rate curves, optionally with finite-n empirical rates",

@@ -94,7 +94,9 @@ def _family(value) -> Family:
 class KernelSpec:
     """One DPP family instance: family tag, dimension, intensity exponent,
     and exactly the parameters its family reads (`_FIELDS_BY_FAMILY`): a
-    missing one, or any other set (not None; alpha_rule not "fixed"), raises.
+    missing one, or any other set (not None; alpha_rule not "fixed"), raises,
+    and so does a value outside its domain: m >= 1, alpha, nu, c > 0 and
+    sigma >= 0.  Whether the DPP exists is `validate`'s question.
     """
 
     family: Family
@@ -131,6 +133,12 @@ class KernelSpec:
                 raise InvalidSpecError(f"{name} must be a finite number, got {val!r}")
         if self.n < 1:
             raise InvalidSpecError(f"dimension n must be >= 1, got {self.n}")
+        for name, low, strict in (("m", 1, False), ("alpha", 0, True), ("nu", 0, True),
+                                  ("sigma", 0, False), ("c", 0, True)):
+            val = getattr(self, name)
+            if val is not None and not (val > low if strict else val >= low):
+                raise InvalidSpecError(f"{name} must be {'>' if strict else '>='} {low}, "
+                                       f"got {val!r}")
         if self.alpha_rule not in ("fixed", "scaled"):
             raise InvalidSpecError(f"alpha_rule must be fixed|scaled, got {self.alpha_rule!r}")
 
@@ -208,21 +216,11 @@ _SHAPE_BY_FAMILY = {Family.WHITTLE_MATERN: "nu", Family.CAUCHY: "nu",
 
 
 def validate(spec: KernelSpec) -> ValidationReport:
-    """Existence check: spectrum strictly inside [0, 1) plus parameter domains."""
+    """Existence check: spectrum strictly inside [0, 1) (domains are the constructor's)."""
     fam = spec.family
     bad, notes = [], []
-    if fam == Family.LAGUERRE_GAUSS and spec.m < 1:
-        bad.append(("m", f"m must be a positive integer, got {spec.m}"))
-    for name in ("alpha", "nu"):
-        if name in _FIELDS_BY_FAMILY[fam] and not getattr(spec, name) > 0:
-            bad.append((name, f"{name} must be > 0, got {getattr(spec, name)}"))
-    if fam == Family.BESSEL_TYPE:
-        if spec.sigma < 0:
-            bad.append(("sigma", f"sigma must be >= 0, got {spec.sigma}"))
-        elif spec.sigma == 0.0:
-            notes.append("sigma = 0 accepted, but the no-reach statement assumes sigma > 0")
-    if bad:
-        return ValidationReport(False, tuple(bad), tuple(notes))
+    if fam == Family.BESSEL_TYPE and spec.sigma == 0.0:
+        notes.append("sigma = 0 accepted, but the no-reach statement assumes sigma > 0")
     # norms and moments take ln Gamma at up to n + 2 nu (n + 2 sigma bounds
     # BesselType's), which must stay a finite double
     shape = _SHAPE_BY_FAMILY.get(fam)
@@ -235,7 +233,7 @@ def validate(spec: KernelSpec) -> ValidationReport:
         bad.append(("sigma", f"sigma {spec.sigma:.6g} is too large at n={spec.n}: "
                              "sigma + 1 and sigma + n + 1 round to the same double"))
     if fam == Family.INDICATOR_SPECTRAL:
-        if not (0.0 < spec.c < 1.0):
+        if not spec.c < 1.0:
             bad.append(("c", f"need 0 < c < 1 (spectrum strictly below 1), got {spec.c}"))
         return ValidationReport(not bad, tuple(bad), tuple(notes))
     a_eff, bound = effective_alpha(spec), max_param(spec)

@@ -16,7 +16,7 @@ finite-n rates against `asymptotics.limit_rate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def empirical_rate(spec: KernelSpec, R: float, n_list,
         raise ValueError(f"unknown quantity {quantity!r}")
     rows = []
     for n in n_list:
-        s = replace(spec, n=int(n))
+        s = spec.with_n(int(n))
         if quantity == "eta_ball":
             log_v = repulsion.eta_total_log(s) + repulsion.log_eta_ball_ratio(s, R)
         else:

@@ -121,14 +121,13 @@ def _radii(R) -> np.ndarray:
     return R_arr
 
 
-def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL):
+def log_eta_ball_ratio(spec: KernelSpec, R):
     """log of E[eta_n(B_n(sqrt(n) R))] / E[eta_n(R^n)] = log P(|X_n| <= sqrt(n) R).
 
-    R may be an array of radii, answered by one prefix pass over the cached
-    panels; a scalar R gives a float.  R = inf gives 0.0 (ratio 1); a NaN R
-    raises ValueError.  rel_tol reaches only the smooth families'
-    quadrature: BesselType and IndicatorSpectral sum their series to
-    rounding and ignore it.
+    R may be an array of radii, answered by one prefix pass over the spec's
+    cached panels, held to PRODUCTION_REL_TOL (the ones `radial_cdf` reads;
+    BesselType and IndicatorSpectral sum their series to rounding); a scalar
+    R gives a float.  R = inf gives 0.0 (ratio 1); a NaN R raises ValueError.
     """
     r_cut = math.sqrt(spec.n) * _radii(R)
     kn._require_valid(spec)
@@ -137,14 +136,14 @@ def log_eta_ball_ratio(spec: KernelSpec, R, rel_tol: float = PRODUCTION_REL_TOL)
         log_num = bessel_sq_prefix_log(mu, lam, r_cut / s)
         log_den = bessel_sq_moment_log(mu, lam)
     else:
-        ps = _density_panels(spec, rel_tol)
+        ps = _density_panels(spec, PRODUCTION_REL_TOL)
         log_num, log_den = ps.log_prefix(r_cut), ps.log_total
     out = np.minimum(log_num - log_den, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def _ratio(log_ratio: float) -> float:
-    return min(math.exp(log_ratio), 1.0) if log_ratio > _NEG_INF else 0.0
+    return math.exp(log_ratio) if log_ratio > _NEG_INF else 0.0  # log_ratio <= 0
 
 
 def eta_ball_ratio(spec: KernelSpec, R: float) -> float:
@@ -350,9 +349,8 @@ class EtaReport:
         return "\n".join(lines) + "\n"
 
 
-def build_eta_report(spec: KernelSpec, R_grid,
-                     rel_tol: float = PRODUCTION_REL_TOL) -> EtaReport:
+def build_eta_report(spec: KernelSpec, R_grid) -> EtaReport:
     grid = [float(R) for R in R_grid]
-    log_ratios = log_eta_ball_ratio(spec, np.array(grid), rel_tol=rel_tol)
+    log_ratios = log_eta_ball_ratio(spec, np.array(grid))
     curve = tuple((R, _ratio(float(lr))) for R, lr in zip(grid, log_ratios))
     return EtaReport(spec=spec, log_total=eta_total_log(spec), ratio_curve=curve)

@@ -154,6 +154,13 @@ class TestRadiusRate:
         with pytest.raises(error):
             limit_rate(spec, 0.1, "eta_ball")
 
+    @pytest.mark.parametrize("R", [0.0, -0.1, math.nan])
+    def test_radius_must_be_positive(self, R):
+        with pytest.raises(ValueError, match="x must be finite and > 0"):
+            radius_rate(lg(1, 0.4), R)
+        with pytest.raises(ValueError, match="R must be > 0"):
+            limit_rate(lg(1, 0.4), R, "eta_ball")
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(InvalidSpecError):
             radius_rate(PAST_BOUND, 0.1)

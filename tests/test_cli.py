@@ -14,6 +14,7 @@ from dpp_repulsion import asymptotics, oracle, repulsion
 from dpp_repulsion.cli import _COMMANDS, _SETTINGS, _mass, _render_json, build_parser, main
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
+from dpp_repulsion.quadrature import QuadratureError
 from dpp_repulsion.special import _fmt
 
 GAUSS = ["--family", "LaguerreGauss", "--n", "12", "--rho", "0", "--m", "1",
@@ -197,6 +198,86 @@ class TestSpecBoundary:
                             *self.BAD_SPECS[bad], *radii], capsys)
         assert code == 2
         assert err.startswith("invalid spec: ") and err.count("\n") == 1
+
+
+class TestInputBoundary:
+    # one out-of-domain value per family field, and the constructor's refusal
+    OUT_OF_DOMAIN = {
+        "m=0": (["--family", "LaguerreGauss", "--m", "0", "--alpha", "0.3"],
+                "m must be >= 1, got 0"),
+        "alpha=0": (["--family", "LaguerreGauss", "--m", "1", "--alpha", "0"],
+                    "alpha must be > 0, got 0.0"),
+        "alpha=-0.5": (["--family", "WhittleMatern", "--nu", "1", "--alpha", "-0.5"],
+                       "alpha must be > 0, got -0.5"),
+        "nu=0": (["--family", "Cauchy", "--nu", "0", "--alpha", "0.1"],
+                 "nu must be > 0, got 0.0"),
+        "sigma=-0.5": (["--family", "BesselType", "--sigma", "-0.5", "--alpha", "0.3"],
+                       "sigma must be >= 0, got -0.5"),
+        "c=0": (["--family", "IndicatorSpectral", "--c", "0"], "c must be > 0, got 0.0"),
+    }
+
+    @pytest.mark.parametrize("case", list(OUT_OF_DOMAIN))
+    def test_check_out_of_domain_exit_2(self, case, capsys):
+        # on stderr, as for every command: check's stdout violations are
+        # only the existence bound and the ln Gamma range
+        argv, message = self.OUT_OF_DOMAIN[case]
+        code, out, err = run(["check", "--n", "3", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err == f"invalid spec: {message}\n"
+
+    def test_check_prints_the_sigma_zero_note(self, capsys):
+        code, out, err = run(["check", "--family", "BesselType", "--n", "4", "--sigma", "0",
+                              "--alpha", "0.2"], capsys)
+        assert code == 0 and err == ""
+        assert ("note: sigma = 0 accepted, but the no-reach statement assumes sigma > 0\n"
+                "valid: spectrum strictly inside [0, 1)\n") in out
+
+    def test_alpha_rule_from_a_config_spec_exit_2(self, tmp_path, capsys):
+        # the flag's choices stop it at argparse; a config spec reaches the constructor
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"spec": {"family": "Cauchy", "n": 3, "nu": 1,
+                                                 "alpha": 0.1, "alpha_rule": "halved"}}))
+        code, out, err = run(["check", "--config", str(cfg_file)], capsys)
+        assert code == 2 and out == ""
+        assert err == "invalid spec: alpha_rule must be fixed|scaled, got 'halved'\n"
+
+    @pytest.mark.parametrize("config", [None, [1, 2]], ids=["no spec", "config not an object"])
+    def test_no_spec_exit_64(self, config, tmp_path, capsys):
+        argv = ["eta", "--R", "0.1"]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "c.json")]
+        code, out, err = run(argv, capsys)
+        assert code == 64 and out == ""
+        assert err == ("usage error: no kernel spec given (use --family/--n or --config)\n"
+                       if config is None else
+                       "usage error: config file must hold a JSON object\n")
+
+    def test_empirical_rates_on_a_grid_exit_64(self, capsys):
+        code, out, err = run(["rate", *LAGUERRE_1, "--R-grid", "0.1:0.2:3", "--n-list", "50"],
+                             capsys)
+        assert code == 64 and out == ""
+        assert err == "usage error: empirical rates need a single --R, not a grid\n"
+
+    def test_quadrature_error_exit_4(self, monkeypatch, capsys):
+        def fail(spec, R_grid):
+            raise QuadratureError("prefix did not converge")
+        monkeypatch.setattr(repulsion, "build_eta_report", fail)
+        code, out, err = run(["eta", *GAUSS, "--R", "0.1"], capsys)
+        assert code == 4 and out == ""
+        assert err == "numeric failure: prefix did not converge\n"
+
+    def test_eta_takes_no_tolerance(self, tmp_path, capsys):
+        # neither as a flag nor as a config key: ball ratios hold one tolerance
+        code, out, err = run(["eta", *GAUSS, "--R", "0.1", "--rel-tol", "1e-7"], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: unrecognized arguments: --rel-tol 1e-7")
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"spec": {"family": "LaguerreGauss", "n": 12, "m": 1,
+                                                 "alpha": 0.5}, "R": 0.1, "rel_tol": 1e-8}))
+        code, out, err = run(["eta", "--config", str(cfg_file)], capsys)
+        assert code == 64 and out == ""
+        assert err == "usage error: eta does not read config keys ['rel_tol']\n"
 
 
 class TestReachCmd:
@@ -423,17 +504,17 @@ class TestSettings:
         # the command-line order, then the run settings in table order
         out = tmp_path / "eta.json"
         assert run(["eta", "--alpha", "0.5", "--m", "1", "--rho", "0", "--n", "12",
-                    "--family", "LaguerreGauss", "--format", "json", "--rel-tol", "1e-7",
+                    "--family", "LaguerreGauss", "--format", "json",
                     "--R-grid", "0.1:0.2:2", "--R", "0.1", "--out", str(out)], capsys)[0] == 0
         config = json.loads(out.read_text())["config"]
-        assert list(config) == ["spec", "R", "R_grid", "rel_tol", "format"]
+        assert list(config) == ["spec", "R", "R_grid", "format"]
         assert list(config["spec"]) == ["family", "n", "rho", "m", "alpha"]
 
 
 # the settings each command reads, besides the spec; every other is a usage error
 READS = {
     "check": set(),
-    "eta": {"R", "R_grid", "rel_tol", "format", "out"},
+    "eta": {"R", "R_grid", "format", "out"},
     "reach": {"format", "out"},
     "rate": {"R", "R_grid", "n_list", "quantity", "format", "out"},
     "table": {"n_list", "format", "out"},
@@ -446,7 +527,7 @@ VALUES = {
     "R": (["--R", "0.075"], 0.075), "R_grid": (["--R-grid", "0.075:0.075:1"], [0.075, 0.075, 1]),
     "n_list": (["--n-list", "20"], [20]), "k_list": (["--k", "2,4"], [2, 4]),
     "samples": (["--samples", "16"], 16), "seed": (["--seed", "3"], 3),
-    "rel_tol": (["--rel-tol", "1e-7"], 1e-7), "quantity": (["--quantity", "eta_ball"], "eta_ball"),
+    "quantity": (["--quantity", "eta_ball"], "eta_ball"),
     "format": (["--format", "csv"], "csv"), "out": (["--out", "{tmp}/o"], "{tmp}/o"),
 }
 SPEC_ARGS = {"rate": LAGUERRE_1, "table": []}  # the rest take GAUSS
@@ -463,7 +544,7 @@ def _embedded(path: Path, fmt: str) -> dict:
 class TestReadLists:
     def test_declared_read_lists(self):
         assert {c: set(reads) for c, (_, _, reads) in _COMMANDS.items()} == READS
-        assert sum(map(len, READS.values())) == 23 and len(UNREAD) == 47
+        assert sum(map(len, READS.values())) == 22 and len(UNREAD) == 41
         assert {key for key, *_ in _SETTINGS} == {"spec", *VALUES}
 
     def test_parser_registers_only_the_read_flags(self):
@@ -471,7 +552,7 @@ class TestReadLists:
         counts = {name: len(q._actions) for name, q in sub.choices.items()}
         # --help, --config and the nine spec flags, then the settings read
         assert counts == {c: 11 + len(READS[c]) for c in READS}
-        assert sum(counts.values()) == 100
+        assert sum(counts.values()) == 99
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", [c for c in READS if c != "check"])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -184,6 +185,43 @@ class TestInputBoundary:
         with pytest.raises(InvalidSpecError):
             KernelSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(family=Family.LAGUERRE_GAUSS, n=0, m=1, alpha=0.3),
+         "dimension n must be >= 1, got 0"),
+        (dict(family=Family.LAGUERRE_GAUSS, n=10, m=0, alpha=0.3), "m must be >= 1, got 0"),
+        (dict(family=Family.LAGUERRE_GAUSS, n=10, m=1, alpha=0.0), "alpha must be > 0, got 0.0"),
+        (dict(family=Family.LAGUERRE_GAUSS, n=3, m=1, alpha=-0.3),
+         "alpha must be > 0, got -0.3"),
+        (dict(family=Family.WHITTLE_MATERN, n=3, nu=1.0, alpha=-0.5),
+         "alpha must be > 0, got -0.5"),
+        (dict(family=Family.CAUCHY, n=10, nu=0.0, alpha=0.1), "nu must be > 0, got 0.0"),
+        (dict(family=Family.BESSEL_TYPE, n=10, sigma=-0.5, alpha=0.3),
+         "sigma must be >= 0, got -0.5"),
+        (dict(family=Family.INDICATOR_SPECTRAL, n=10, c=0.0), "c must be > 0, got 0.0"),
+    ], ids=["n=0", "m=0", "alpha=0", "LaguerreGauss-alpha<0", "WhittleMatern-alpha<0",
+            "nu=0", "sigma<0", "c=0"])
+    def test_domain_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            KernelSpec(**kwargs)
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(Family.LAGUERRE_GAUSS, n=10, m=1, alpha=1e-300),
+        KernelSpec(Family.BESSEL_TYPE, n=10, sigma=0.0, alpha=0.3),
+        KernelSpec(Family.INDICATOR_SPECTRAL, n=10, c=5e-324),
+    ], ids=lambda s: s.family.value)
+    def test_domain_edges_are_valid(self, spec):
+        assert validate(spec).ok
+
+    @pytest.mark.parametrize("d,message", [
+        ({"n": 3, "c": 0.5}, "KernelSpec JSON requires 'family' and 'n'"),
+        ({"family": "IndicatorSpectral", "c": 0.5}, "KernelSpec JSON requires 'family' and 'n'"),
+        ({"family": "Cauchy", "n": 3, "nu": 1.0, "alpha": 0.1, "alpha_rule": "halved"},
+         "alpha_rule must be fixed|scaled, got 'halved'"),
+    ], ids=["no family", "no n", "unknown alpha_rule"])
+    def test_bad_wire_spec_rejected(self, d, message):
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            spec_from_dict(d)
+
     def test_integral_values_become_ints(self):
         spec = KernelSpec(Family.LAGUERRE_GAUSS, n=np.int64(10), m=2.0, alpha=0.3)
         assert spec == KernelSpec(Family.LAGUERRE_GAUSS, n=10, m=2, alpha=0.3)
@@ -204,6 +242,10 @@ class TestEffectiveAlpha:
         spec = KernelSpec(Family.CAUCHY, n=25, rho=0.0, nu=1.0, alpha=0.2,
                           alpha_rule="scaled")
         assert effective_alpha(spec) == approx(1.0, rel=1e-14)
+
+    def test_indicator_has_no_scale(self):
+        with pytest.raises(UnsupportedFamilyError, match="IndicatorSpectral has no alpha scale"):
+            effective_alpha(KernelSpec(Family.INDICATOR_SPECTRAL, n=4, c=0.5))
 
 
 class TestKernelRadial:

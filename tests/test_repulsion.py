@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -287,6 +288,18 @@ class TestBatchedRatio:
         assert len(report.ratio_curve) == 50
         assert builds == [1] and prefix_sizes == [50]
 
+    def test_ratios_and_cdf_read_one_production_panel_set(self):
+        # a ball ratio takes no tolerance of its own, so the spec's cached
+        # panels serve its ratios, its CDF and its sampled radii alike
+        assert list(inspect.signature(log_eta_ball_ratio).parameters) == ["spec", "R"]
+        assert list(inspect.signature(build_eta_report).parameters) == ["spec", "R_grid"]
+        repulsion._density_panels.cache_clear()
+        spec = KernelSpec(Family.CAUCHY, n=7, nu=1.0, alpha=0.15, alpha_rule="scaled")
+        build_eta_report(spec, [0.1, 0.2])
+        log_eta_ball_ratio(spec, 0.3)
+        repulsion.radial_cdf(spec)
+        assert repulsion._density_panels.cache_info()[:2] == (2, 1)  # (hits, misses)
+
 
 class TestOscillatoryRatio:
     # BesselType specs whose J^2 total once took log(0): its analytic tail
@@ -551,6 +564,13 @@ class TestNnBounds:
         r_tilde = 1.0 / math.sqrt(2.0 * math.pi * math.e)
         b = nn_bounds(gauss_spec(n=100, rho=0.0), r_tilde)
         assert abs(b.log_e_hi) < 0.1 * 100
+
+    @pytest.mark.parametrize("R", [0.0, -0.1, math.nan])
+    def test_radius_must_be_positive(self, R):
+        with pytest.raises(ValueError, match="R must be > 0"):
+            nn_bounds(gauss_spec(n=10), R)
+        with pytest.raises(ValueError, match="R must be > 0"):
+            log_boolean_degree_ratio(gauss_spec(n=10), R)
 
     def test_ordering(self):
         for R in (0.1, 0.24, 0.4):
