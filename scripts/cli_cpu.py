@@ -17,7 +17,10 @@ BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
 threads late does not add CPU time to the commands that load scipy.  Prints
 one JSON line per command: the median CPU seconds (user + system) of its
 runs and its exit status.  Every `--out` file goes under `--out-dir`, which is
-created if missing.  Exits 1 when any command exits non-zero.
+created if missing, and so does each command's stdout from its first run, as
+`<label>.stdout` with the out-dir's path written as `{out}`; `diff -r` of two
+out-dirs then compares every command's output.  Exits 1 when any command
+exits non-zero.
 """
 
 import argparse
@@ -79,14 +82,14 @@ def child_env() -> dict:
 
 
 def run_once(argv: list, env: dict) -> tuple:
-    """(CPU seconds of the child, its exit status, its stderr)."""
+    """(CPU seconds of the child, its exit status, its stderr, its stdout)."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "-m", "dpp_repulsion.cli", *argv], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           timeout=600)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return cpu, proc.returncode, proc.stderr
+    return cpu, proc.returncode, proc.stderr, proc.stdout
 
 
 def main(argv=None):
@@ -106,12 +109,13 @@ def main(argv=None):
         for label, command in COMMANDS:
             cmd = command.format(out=out_dir).split()
             runs = [run_once(cmd, env) for _ in range(args.repeat)]
-            status = next((code for _, code, _ in runs if code != 0), 0)
+            (out_dir / f"{label}.stdout").write_text(runs[0][3].replace(str(out_dir), "{out}"))
+            status = next((code for _, code, *_ in runs if code != 0), 0)
             if status:
                 failed = True
-                sys.stderr.write(next(err for _, code, err in runs if code != 0))
+                sys.stderr.write(next(err for _, code, err, _ in runs if code != 0))
             print(json.dumps({"command": label,
-                              "cpu_s": round(statistics.median(cpu for cpu, _, _ in runs), 4),
+                              "cpu_s": round(statistics.median(cpu for cpu, *_ in runs), 4),
                               "repeat": args.repeat, "status": status}), flush=True)
     return 1 if failed else 0
 

@@ -298,19 +298,28 @@ def _bind_log_kernel(spec: KernelSpec):
                 logmag[pos] = c + nu * np.log(zp) + ln_bessel_k(nu, zp)
             return logmag, 1
     else:
+        mu, _, s = _bessel_y_scale(spec)
         if fam == Family.BESSEL_TYPE:
-            mu = 0.5 * (spec.sigma + n)
-            scale = (2.0 / spec.alpha) * math.sqrt(mu)
             c = nrho + mu * math.log(2.0) + ln_gamma(mu + 1.0)
         else:  # IndicatorSpectral: inverse transform of sqrt(c) 1_{B(r_n)}
             r_n = indicator_radius(spec)
-            mu, scale = 0.5 * n, 2.0 * math.pi * r_n
             c = 0.5 * math.log(spec.c) + 0.5 * n * math.log(2.0 * math.pi * r_n * r_n)
 
         def log_k(r):
-            log_ratio, sign = ln_bessel_j_ratio(mu, scale * r)
+            log_ratio, sign = ln_bessel_j_ratio(mu, r / s)
             return c + log_ratio, sign
     return log_k
+
+
+def _bessel_y_scale(spec: KernelSpec) -> tuple[float, float, float]:
+    """(mu, lam, s) of a Bessel-type or indicator-spectral spec: its kernel
+    is a function of J_mu(r / s) / (r / s)^mu, and r = s y reduces its
+    radial density to J_mu(y)^2 y^{-lam}."""
+    if spec.family == Family.BESSEL_TYPE:
+        mu = 0.5 * (spec.sigma + spec.n)
+        return mu, spec.sigma + 1.0, spec.alpha / math.sqrt(2.0 * (spec.sigma + spec.n))
+    r_n = indicator_radius(spec)
+    return 0.5 * spec.n, 1.0, 1.0 / (2.0 * math.pi * r_n)
 
 
 def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray]:

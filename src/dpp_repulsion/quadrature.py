@@ -6,21 +6,24 @@ returning log of a non-negative value (-inf at zeros).  One vectorized
 nested Gauss7/Kronrod15 evaluator, `_k15_log`, serves every panel of the
 adaptive PanelSet and of its prefixes.  It takes arrays of panel edges,
 evaluates the log-integrand once over all their nodes, shifts each panel by
-its maximum, and returns the panel arrays with the log value and the log
-|K15 - G7| error per panel.  Every integral runs over r in [0, inf), the
-one domain of the radial densities, in the variable u = r/(1+r) on [0, 1].
+its maximum, and returns one row per panel: (lo, hi, log K15 value,
+log |K15 - G7| error).  Every integral runs over r in [0, inf), the one
+domain of the radial densities, in the variable u = r/(1+r) on [0, 1].
 
 One refinement loop, `_refine`, does all adaptive bisection: the
 full-domain PanelSet (one group) and the prefixes (one group each).  Each
 round, every group whose summed error is not within rel_tol of its sum
 splits its panels with error at or above the group's mean, and the splits
-of all groups are one K15 call.  A PanelSet's panels never change once
-built, nor do the running log sums of them made with it.  Prefixes
-come in batches: one searchsorted finds every cut panel, one K15 call
-evaluates their left parts, the stored panels below each cut are one
-lookup in the running sums, and only the prefixes that miss their own
-tolerance refine.  A RadialCdf is a view of a built PanelSet: its node
-masses are these prefixes unrefined, each within rel_tol of the total.
+of all groups are one K15 call.  It raises QuadratureError, with the
+partial sum and its error, when the MAX_PANELS budget is spent or when a
+panel to split can no longer be halved in doubles (its midpoint rounds to
+an edge).  A PanelSet's panels never change once built, nor do the
+running log sums of them made with it.  Prefixes come in batches: one
+searchsorted finds every cut panel, one K15 call evaluates their left
+parts, the stored panels below each cut are one lookup in the running
+sums, and only the prefixes that miss their own tolerance refine.  A
+RadialCdf is a view of a built PanelSet: its node masses are these
+prefixes unrefined, each within rel_tol of the total.
 
 Panels seed around the integrand's peak, located by `find_mode`: nested
 grid scans, each a single vectorized call on interior points of the
@@ -65,7 +68,6 @@ _NEG_INF = float("-inf")
 _U_MAX = 1.0 - 1e-16
 
 # Limits of the adaptive scheme, the mode scan and the CDF grid
-MAX_DEPTH = 60
 MAX_PANELS = 60000
 SCAN_POINTS = 257
 CDF_NODES = 4096
@@ -123,8 +125,8 @@ class LogIntegrand:
         return self.log_f(r)
 
 
-def _k15_log(g, lo, hi, depth):
-    """Panel arrays (lo, hi, log K15 value, log |K15 - G7| error, depth) of g on each [lo_i, hi_i].
+def _k15_log(g, lo, hi):
+    """Panel rows (lo, hi, log K15 value, log |K15 - G7| error) of g on each [lo_i, hi_i].
 
     The module's one Gauss7/Kronrod15 rule: g is called once on the nodes
     of all panels, and each panel is shifted by its own maximum before the
@@ -145,7 +147,7 @@ def _k15_log(g, lo, hi, depth):
     with np.errstate(divide="ignore"):
         log_val = np.where(live, m + np.log(k15 * half), _NEG_INF)
         log_err = np.where(live, m + np.log(np.abs(k15 - e @ _GW) * half), _NEG_INF)
-    return lo, hi, log_val, log_err, depth
+    return np.array([lo, hi, log_val, log_err]).T  # column-major: each column is contiguous
 
 
 def r_of_u(u):
@@ -172,43 +174,42 @@ def _group_logsumexp(log_val, log_err, group, n_groups: int):
 def _refine(g, panels, rel_tol, group, n_groups: int):
     """Bisect panels until each group's summed error is within rel_tol of its sum.
 
-    The module's one adaptive loop, on the panel arrays of `_k15_log`;
+    The module's one adaptive loop, on the panel rows of `_k15_log`;
     `group` gives each panel's group in range(n_groups).  The full-domain
     run is one group, a batch of prefixes one group per prefix.  Each
     round, every group that misses its tolerance splits each of its panels
     whose error is at or above the group's mean panel error (so its worst
     one always splits), just as it would refined alone; the splits of all
-    groups are one K15 call.  The left half takes the panel's place, the
-    right half is appended.  The input arrays are not modified.
+    groups are one K15 call.  The left half takes the panel's row, the
+    right half is appended.  The input array is not modified.  Raises
+    QuadratureError when the panel budget is spent or a panel to split has
+    no double strictly between its edges.
     Returns (panels, log_total, log_err_total), the totals one per group.
     """
     log_tol = math.log(rel_tol)
     count = np.bincount(group, None, n_groups)
     while True:
-        lo, hi, log_val, log_err, depth = panels
-        log_total, log_err_total = _group_logsumexp(log_val, log_err, group, n_groups)
+        log_total, log_err_total = _group_logsumexp(panels[:, 2], panels[:, 3], group, n_groups)
         open_ = log_err_total > log_total + log_tol
         if not open_.any():
             return panels, log_total, log_err_total
         bar = np.where(open_, log_err_total - np.log(count), math.inf)
-        i = np.flatnonzero(log_err >= bar[group])
+        i = np.flatnonzero(panels[:, 3] >= bar[group])
         count = count + np.bincount(group[i], None, n_groups)
-        j = i[depth[i].argmax()]
+        lo, hi = panels[i, :2].T
+        mid = 0.5 * (lo + hi)
+        stuck = (mid == lo) | (mid == hi)
         full = count.max() > MAX_PANELS
-        if full or depth[j] >= MAX_DEPTH:
-            b = int(np.argmax(count)) if full else group[j]
+        if full or stuck.any():
+            j = int(np.argmax(stuck))
+            b = int(np.argmax(count)) if full else group[i[j]]
             raise QuadratureError(
                 f"panel budget {MAX_PANELS} exhausted" if full
-                else f"max depth {MAX_DEPTH} reached on [{lo[j]}, {hi[j]}]",
+                else f"panel [{lo[j]}, {hi[j]}] cannot be halved",
                 log_partial=float(log_total[b]), log_error_bound=float(log_err_total[b]))
-        mid = 0.5 * (lo[i] + hi[i])
-        deeper = depth[i] + 1
-        halves = _k15_log(g, np.concatenate([lo[i], mid]), np.concatenate([mid, hi[i]]),
-                          np.concatenate([deeper, deeper]))
-        k = len(i)
-        panels = tuple(np.concatenate([p, h[k:]]) for p, h in zip(panels, halves))
-        for p, h in zip(panels, halves):
-            p[i] = h[:k]
+        halves = _k15_log(g, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        panels = np.concatenate([panels, halves[len(i):]])
+        panels[i] = halves[:len(i)]
         group = np.concatenate([group, group[i]])
 
 
@@ -222,32 +223,29 @@ def _running_log_sum(a: np.ndarray) -> np.ndarray:
 class PanelSet:
     """Adaptive decomposition of one radial integral, reusable for prefixes.
 
-    The full-domain run fixes the panels in u as arrays sorted by `lo`:
-    edges `lo` and `hi`, K15 log values `log_vals`, log errors `log_errs`
-    and bisection depths `depths`, plus running log sums: `cum_vals[k]`
-    and `cum_errs[k]` sum the first k panels.  They are read-only, so a
-    cached PanelSet is safe to share.  A prefix over [0, r] keeps the
-    panels below the cut with their stored values (so the shared error
-    cancels in ratios) and adds the left part of the panel holding the
-    cut; a prefix whose error is not yet within `rel_tol` of the prefix
-    itself, not of the total, refines those panels until it is.
+    The full-domain run fixes the panels in u as one array `panels` of
+    rows (lo, hi, log K15 value, log |K15 - G7| error) sorted by lo;
+    `lo`, `hi`, `log_vals` and `log_errs` are views of its columns.
+    Running log sums go with it: `cum_vals[k]` and `cum_errs[k]` sum the
+    first k panels.  They are read-only, so a cached PanelSet is safe to
+    share.  A prefix over [0, r] keeps the panels below the cut with their
+    stored values (so the shared error cancels in ratios) and adds the
+    left part of the panel holding the cut; a prefix whose error is not
+    yet within `rel_tol` of the prefix itself, not of the total, refines
+    those panels until it is.  The full run and a prefix's refinement
+    raise QuadratureError at either stop of `_refine`: MAX_PANELS panels
+    in one group, or a panel to split whose midpoint rounds to an edge.
     """
 
     def __init__(self, rel_tol, g, u_mode, g_mode, panels, log_total, log_err):
         self.rel_tol, self.g = rel_tol, g
         self.u_mode, self.g_mode = u_mode, g_mode
-        order = np.argsort(panels[0])
-        self.lo, self.hi, self.log_vals, self.log_errs, self.depths = (p[order] for p in panels)
-        for p in (self.lo, self.hi, self.log_vals, self.log_errs, self.depths):
-            p.flags.writeable = False
+        self.panels = panels[np.argsort(panels[:, 0])]
+        self.panels.flags.writeable = False
+        self.lo, self.hi, self.log_vals, self.log_errs = self.panels.T
         self.log_total, self.log_err = log_total, log_err
         self.cum_vals = _running_log_sum(self.log_vals)
         self.cum_errs = _running_log_sum(self.log_errs)
-
-    @property
-    def panels(self) -> np.ndarray:
-        """The panels as rows [lo, hi] in u."""
-        return np.column_stack([self.lo, self.hi])
 
     def log_prefix(self, cuts):
         """log integral over [0, r] for each cut r in cuts, accurate
@@ -270,9 +268,9 @@ class PanelSet:
         searchsorted, one K15 call and one lookup in the running sums."""
         k = np.searchsorted(self.hi, u_q, side="right")  # panels below each cut
         # the left part of each cut panel; empty (value -inf) for a cut on an edge
-        cut = _k15_log(self.g, self.lo[k], u_q, self.depths[k])
-        return (k, cut, np.logaddexp(self.cum_vals[k], cut[2]),
-                np.logaddexp(self.cum_errs[k], cut[3]))
+        cut = _k15_log(self.g, self.lo[k], u_q)
+        return (k, cut, np.logaddexp(self.cum_vals[k], cut[:, 2]),
+                np.logaddexp(self.cum_errs[k], cut[:, 3]))
 
     def _cut_prefixes(self, u_q: np.ndarray) -> np.ndarray:
         """log prefixes up to the cuts u_q, each inside (0, 1), each within
@@ -280,13 +278,12 @@ class PanelSet:
         `_refine`, one group each, in batches of at most MAX_PANELS stored panels."""
         k, cut, val, err = self._cut_sums(u_q)
         miss = np.flatnonzero(err > val + math.log(self.rel_tol))
-        stored = (self.lo, self.hi, self.log_vals, self.log_errs, self.depths)
         step = max(1, MAX_PANELS // len(self.lo))  # a prefix holds at most len(lo) of them
         for s in range(0, miss.size, step):
             batch = miss[s:s + step]
             kb = k[batch]
             idx = np.arange(kb.sum()) - np.repeat(np.cumsum(kb) - kb, kb)
-            panels = tuple(np.concatenate([p[idx], q[batch]]) for p, q in zip(stored, cut))
+            panels = np.concatenate([self.panels[idx], cut[batch]])
             group = np.concatenate([np.repeat(np.arange(len(batch)), kb), np.arange(len(batch))])
             val[batch] = _refine(self.g, panels, self.rel_tol, group, len(batch))[1]
         return val
@@ -368,8 +365,8 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
 
     bounds, u_mode, g_mode = _scan_seed(g)
     edges = np.array(bounds)
-    panels = _k15_log(g, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int))
-    panels, log_total, log_err = _refine(g, panels, rel_tol, np.zeros(len(edges) - 1, int), 1)
+    panels, log_total, log_err = _refine(g, _k15_log(g, edges[:-1], edges[1:]), rel_tol,
+                                         np.zeros(len(edges) - 1, int), 1)
     return PanelSet(rel_tol, g, u_mode, g_mode, panels, float(log_total[0]), float(log_err[0]))
 
 

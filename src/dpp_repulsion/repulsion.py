@@ -25,8 +25,8 @@ from .kernels import (
     Family,
     KernelSpec,
     UnsupportedFamilyError,
+    _bessel_y_scale,
     effective_alpha,
-    indicator_radius,
     intensity_log,
     kernel_radial,
     squared_norm_log,
@@ -102,15 +102,6 @@ def radial_density(spec: KernelSpec) -> LogIntegrand:
 @lru_cache(maxsize=64)
 def _density_panels(spec: KernelSpec, rel_tol: float) -> PanelSet:
     return integrate_log_panels(radial_density(spec), rel_tol=rel_tol)
-
-
-def _bessel_y_scale(spec: KernelSpec) -> tuple[float, float, float]:
-    """(mu, lam, s) with r = s y reducing the density to J_mu^2 y^{-lam}."""
-    if spec.family == Family.BESSEL_TYPE:
-        mu = 0.5 * (spec.sigma + spec.n)
-        return mu, spec.sigma + 1.0, spec.alpha / math.sqrt(2.0 * (spec.sigma + spec.n))
-    r_n = indicator_radius(spec)
-    return 0.5 * spec.n, 1.0, 1.0 / (2.0 * math.pi * r_n)
 
 
 def _radii(R) -> np.ndarray:
@@ -301,6 +292,7 @@ class NnBounds:
 def nn_bounds(spec: KernelSpec, R: float) -> NnBounds:
     if not R > 0:
         raise ValueError("R must be > 0")
+    kn._require_valid(spec)
     n = spec.n
     log_e_hi = intensity_log(spec) + ln_ball_volume(n, math.sqrt(n) * R)
     e_hi = math.exp(log_e_hi) if log_e_hi < 709.0 else math.inf

@@ -55,7 +55,11 @@ class TestK15:
         (lambda y: quadrature._bessel_sq_log(26.0, y, 3.0), 40.0 + math.pi * np.arange(41)),
     ], ids=["smooth", "bessel_sq"])
     def test_matches_scalar_panel_rule(self, g, edges):
-        _, _, log_val, log_err, _ = quadrature._k15_log(g, edges[:-1], edges[1:], 0)
+        rows = quadrature._k15_log(g, edges[:-1], edges[1:])
+        assert rows.shape == (len(edges) - 1, 4)
+        np.testing.assert_array_equal(rows[:, 0], edges[:-1])
+        np.testing.assert_array_equal(rows[:, 1], edges[1:])
+        log_val, log_err = rows[:, 2], rows[:, 3]
         for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             want_val, want_err = _k15_scalar_log(g, lo, hi)
             assert log_val[i] == approx(want_val, abs=1e-14)
@@ -64,12 +68,11 @@ class TestK15:
                                                              abs=1e-14)
 
     def test_zero_panel_and_divergence(self):
-        _, _, log_val, log_err, _ = quadrature._k15_log(lambda u: np.full(u.shape, -np.inf),
-                                                        [0.0, 1.0], [1.0, 2.0], 0)
-        assert np.all(log_val == -np.inf) and np.all(log_err == -np.inf)
+        rows = quadrature._k15_log(lambda u: np.full(u.shape, -np.inf), [0.0, 1.0], [1.0, 2.0])
+        assert np.all(rows[:, 2:] == -np.inf)
         with pytest.raises(InfiniteMassError):
             quadrature._k15_log(lambda u: np.where(u > 1.5, np.inf, 0.0),
-                                [0.0, 1.0], [1.0, 2.0], 0)
+                                [0.0, 1.0], [1.0, 2.0])
 
 
 class TestIntegrateLog:
@@ -121,22 +124,32 @@ class TestIntegrateLog:
         with pytest.raises(ValueError):
             integrate_log_panels(LogIntegrand(lambda r: -r), rel_tol=0.5)
 
-    def test_nonconvergence_carries_partial(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
-        monkeypatch.setattr(quadrature, "SCAN_POINTS", 8)
+    def test_panel_budget_stop_carries_partial(self, monkeypatch):
+        # the full-domain run and a batch of prefixes refined together as
+        # groups both stop at the budget with a finite partial
         f = LogIntegrand(lambda r: np.cos(40.0 * r) - r)
-        with pytest.raises(QuadratureError) as err:
-            integrate_log_panels(f, rel_tol=1e-13)
-        assert math.isfinite(err.value.log_error_bound)
-        assert math.isfinite(err.value.log_partial)
-
-    def test_unconverged_prefix_batch_carries_partial(self, monkeypatch):
-        # prefixes refined together as groups raise like a single run
-        ps = integrate_log_panels(LogIntegrand(lambda r: np.cos(40.0 * r) - r), rel_tol=1e-8)
+        ps = integrate_log_panels(f, rel_tol=1e-8)
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
         ps.rel_tol = 1e-13
-        monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
-        with pytest.raises(QuadratureError) as err:
-            ps.log_prefix(np.linspace(0.05, 0.95, 7))
+        for run in (lambda: integrate_log_panels(f, rel_tol=1e-13),
+                    lambda: ps.log_prefix(np.linspace(0.05, 0.95, 7))):
+            with pytest.raises(QuadratureError, match="budget") as err:
+                run()
+            assert math.isfinite(err.value.log_error_bound)
+            assert math.isfinite(err.value.log_partial)
+
+    def test_unsplittable_panel_stop_carries_partial(self):
+        # a one-ulp panel of an integrand that is noise at every node misses
+        # any tolerance, and its midpoint rounds to an edge
+        rng = np.random.default_rng(0)
+
+        def g(u):
+            return rng.standard_normal(u.shape)
+
+        lo = 0.5
+        panels = quadrature._k15_log(g, [lo], [np.nextafter(lo, 1.0)])
+        with pytest.raises(QuadratureError, match="cannot be halved") as err:
+            quadrature._refine(g, panels, 1e-8, np.zeros(1, int), 1)
         assert math.isfinite(err.value.log_error_bound)
         assert math.isfinite(err.value.log_partial)
 
@@ -248,7 +261,8 @@ class TestIntegrateLog:
         spec = example_spec(Family.CAUCHY, n=50)
         ps = repulsion._density_panels(spec, repulsion.PRODUCTION_REL_TOL)
         before = {k: v.copy() for k, v in vars(ps).items() if isinstance(v, np.ndarray)}
-        assert set(before) >= {"lo", "hi", "log_vals", "log_errs", "depths"}
+        assert set(before) >= {"panels", "lo", "hi", "log_vals", "log_errs"}
+        assert ps.panels.shape == (len(ps.lo), 4) and not ps.panels.flags.writeable
         for R in np.linspace(0.002, 1.5, 2000):
             repulsion.log_eta_ball_ratio(spec, float(R))
         assert repulsion._density_panels(spec, repulsion.PRODUCTION_REL_TOL) is ps

@@ -578,6 +578,12 @@ class TestNnBounds:
             assert 0.0 <= b.p_lo <= b.p_hi <= 1.0
             assert 0.0 <= b.e_lo <= b.e_hi
 
+    def test_invalid_spec_rejected(self):
+        # alpha = 5 is past the existence bound 0.54 at n = 3
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=3, rho=0.0, m=2, alpha=5.0)
+        with pytest.raises(InvalidSpecError):
+            nn_bounds(spec, 0.5)
+
 
 class TestBooleanDegree:
     def test_in_unit_interval(self):

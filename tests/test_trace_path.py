@@ -61,6 +61,15 @@ def test_patched_internals_resolve():
     assert callable(repulsion._density_panels.cache_info)
 
 
+def test_panel_counter_counts_panels():
+    # the counter reads len(o.panels): one row per panel, not one per column
+    counter = next(c for layer, path, c in _tracing().TRACED
+                   if path == "integrate_log_panels")["quadrature.panels"]
+    ps = quadrature.integrate_log_panels(quadrature.LogIntegrand(lambda r: -r))
+    assert len(ps.lo) > 4
+    assert len(ps.panels) == len(ps.lo) == counter((), {}, ps)
+
+
 def test_counters_read_real_arguments():
     reads = _arg_reads()
     assert {name for *_, name in reads} == {"y", "x", "r", "count", "argv"}
