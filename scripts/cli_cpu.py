@@ -10,7 +10,9 @@ a single IndicatorSpectral cut, which pays one numpy call per order alone;
 `sample` at WhittleMatern n = 3, whose radial law holds about 5 % of
 its mass below r = 0.065, so the CDF grid must start at r = 0; and the
 README's Cauchy `sample` again with `--format json`, whose 1e5 radii render
-through the same array renderer as the CSV.
+through the same array renderer as the CSV; a WhittleMatern `eta` curve,
+whose every integrand point is a `ln_bessel_k` call; and a LaguerreGauss
+`sample` that writes its CSV to stdout.
 
 Each command runs `--repeat` times, each time in a fresh interpreter with the
 BLAS/OpenMP thread pools pinned to one thread, so that a pool starting its
@@ -66,6 +68,10 @@ COMMANDS = [
                                  " --samples 100000 --seed 7 --out {out}/radii_low_n.csv"),
     ("sample json", "sample --family Cauchy --n 5 --nu 1 --alpha 0.15 --alpha-rule scaled"
                     " --samples 100000 --seed 7 --format json --out {out}/radii.json"),
+    ("eta WhittleMatern", "eta --family WhittleMatern --n 200 --nu 1 --alpha 0.02"
+                          " --R-grid 0.05:0.3:50 --out {out}/eta_whittle.csv"),
+    ("sample stdout", "sample --family LaguerreGauss --n 20 --m 2 --alpha 0.2"
+                      " --samples 1000 --seed 3"),
 ]
 
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

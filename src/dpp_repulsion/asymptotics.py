@@ -224,10 +224,13 @@ def summary_table(specs: Sequence[KernelSpec]) -> SummaryTable:
     rows = []
     for spec in specs:
         try:  # the spec's one validation, before any value of it is formed
-            cert = reach_exceeds_nn(spec)
-            reach_cell, exceed_cell = f"{cert.r_star:.6g}", str(cert.exceeds)
+            r_star = reach(spec)
         except UnsupportedFamilyError:
+            r_star = None
+        if r_star is None:
             reach_cell = exceed_cell = "N/A"
+        else:  # reach_exceeds_nn's verdict, without its alpha window
+            reach_cell, exceed_cell = f"{r_star:.6g}", str(r_star > nn_threshold(spec.rho))
         expr, log_bound = _eta_bound_log(spec)
         rows.append((spec.family.value, spec.n, expr,
                      f"{math.exp(log_bound):.6g}" if log_bound > -700 else f"exp({log_bound:.4g})",

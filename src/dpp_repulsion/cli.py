@@ -71,7 +71,7 @@ def _render_json(obj, indent=0) -> str:
     pad = " " * indent
     if isinstance(obj, np.ndarray):  # floats, rendered as one array when all are finite
         if obj.size and np.isfinite(obj).all():
-            return f"[\n{pad}  " + _fmt_join(obj, f",\n{pad}  ") + f"\n{pad}]"
+            return f"[\n{pad}  " + _fmt_join(obj, f",\n{pad}  ").decode() + f"\n{pad}]"
         obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
@@ -237,23 +237,29 @@ def _mass(log_total: float) -> str:
 
 
 def _emit(cfg: dict, payload: dict, csv_lines) -> None:
-    """Write machine output (embedding the resolved config) and a stdout note."""
+    """Write machine output (embedding the resolved config) and a stdout note.
+
+    A CSV line is a str, or bytes for a block rendered as bytes (_fmt_join's
+    radii); the output is written as bytes, to the file or to stdout's buffer.
+    """
     resolved = {k: v for k, v in cfg.items() if v is not None and k != "out"}
     if cfg["format"] == "json":
-        text = _render_json({"config": resolved, **payload}) + "\n"
+        data = (_render_json({"config": resolved, **payload}) + "\n").encode()
     else:
         head = "# config = " + json.dumps(_strict_json(resolved), sort_keys=True,
                                           separators=(",", ":"), allow_nan=False)
-        text = "\n".join([head] + list(csv_lines)) + "\n"
+        data = b"\n".join(line if isinstance(line, bytes) else line.encode()
+                          for line in [head, *csv_lines]) + b"\n"
     if cfg["out"]:
         try:
-            with open(cfg["out"], "w") as fh:
-                fh.write(text)
+            with open(cfg["out"], "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             raise UsageError(f"cannot write {cfg['out']}: {exc.strerror}")
         print(f"wrote {cfg['out']}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text printed so far goes first
+        sys.stdout.buffer.write(data)
 
 
 # ---------------------------------------------------------------------------

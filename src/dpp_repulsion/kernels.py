@@ -291,11 +291,11 @@ def _bind_log_kernel(spec: KernelSpec):
 
         def log_k(r):
             z = r / alpha
-            logmag = np.full(r.shape, nrho)
             pos = z > 0
-            if np.any(pos):
-                zp = z[pos]
-                logmag[pos] = c + nu * np.log(zp) + ln_bessel_k(nu, zp)
+            if pos.all():  # no radius at the origin, as at every integrand point and CDF node
+                return c + nu * np.log(z) + ln_bessel_k(nu, z), 1
+            logmag = np.full(r.shape, nrho)  # K(0) = e^{n rho}
+            logmag[pos] = log_k(r[pos])[0]
             return logmag, 1
     else:
         mu, _, s = _bessel_y_scale(spec)

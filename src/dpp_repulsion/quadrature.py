@@ -73,6 +73,8 @@ SCAN_POINTS = 257
 CDF_NODES = 4096
 # Order steps of the Bessel-square recurrence held at once per cut
 _ORDER_BLOCK = 256
+# inverse_cdf's draw buckets: u in [k, k + 1) / 2^15, u = 1 alone in the last
+_BUCKETS = float(1 << 15)
 
 # Kronrod-15 nodes on [-1, 1] with the embedded Gauss-7 weights (zero at
 # Kronrod-only nodes).  Standard tabulated values.
@@ -435,10 +437,11 @@ def inverse_cdf(c: RadialCdf, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0) & (u <= 1)):  # NaN fails the test too
         raise ValueError("u must lie in [0, 1]")
-    # np.interp searches from the previous hit, so sorted draws run faster;
-    # it works element by element, so the radii are the same
+    # np.interp searches from its previous hit, so draws in bucket order (a
+    # stable radix sort of a 16-bit key) each land near it; it works element
+    # by element, so the radii are those of the unsorted draws
     flat = u.ravel()
-    order = np.argsort(flat)
+    order = np.argsort((flat * _BUCKETS).astype(np.uint16), kind="stable")
     out = np.empty(flat.shape)
     out[order] = np.interp(flat[order], c.levels(), c.nodes)
     return out.reshape(u.shape) if u.ndim else float(out[0])

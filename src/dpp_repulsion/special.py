@@ -35,7 +35,7 @@ _NEG_INF = float("-inf")
 def _fmt(x: float) -> str:
     """x with 17 significant digits, enough to round-trip a double; the
     package's one number rendering for CSV and JSON output (_fmt_join gives
-    the same text for a whole array)."""
+    the same text, as bytes, for a whole array)."""
     return format(float(x), ".17g")
 
 
@@ -86,8 +86,8 @@ def _fixed_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return where[ok], digits[ok], k[ok]
 
 
-def _fmt_join(x, sep: str = "\n") -> str:
-    """The values of x, each as _fmt renders it, joined by sep.
+def _fmt_join(x, sep: str = "\n") -> bytes:
+    """The values of x, each as _fmt renders it, joined by sep, as ASCII bytes.
 
     Values that %.17g prints in fixed notation (1e-4 <= x < 1e17) are
     rendered as arrays from their _fixed_digits; the rest (0, subnormals,
@@ -98,7 +98,7 @@ def _fmt_join(x, sep: str = "\n") -> str:
     sep = sep.encode()
     blob = b"".join(_fmt_chunk(x[i:i + _FMT_CHUNK], sep)
                     for i in range(0, len(x), _FMT_CHUNK))
-    return blob[:len(blob) - len(sep)].decode()
+    return blob[:len(blob) - len(sep)]
 
 
 def _fmt_chunk(x: np.ndarray, sep: bytes) -> bytes:
@@ -114,21 +114,27 @@ def _fmt_chunk(x: np.ndarray, sep: bytes) -> bytes:
     quads[:, 0] = _DIGIT_QUADS[digits]
     chars = quads.view(np.uint8)[:, 3:]
 
-    # fixed notation, one slice per exponent: "d...d.d...d" or "0.0...0d...d",
-    # then the fraction's trailing zeros dropped, and a bare point with them
-    fixed = np.full((len(k), 24), ord("0"), dtype=np.uint8)
-    fixed[:, 1] = ord(".")
+    # fixed notation in NUL-padded cells, one slice per exponent:
+    # "d...d.d...d", "0.0...0d...d", or at e = 16 the 17 digits alone
+    fixed = np.zeros((len(k), 24), dtype=np.uint8)
     bounds = np.searchsorted(k, np.arange(-4, 18))
     for e, a, b in zip(range(-4, 17), bounds[:-1], bounds[1:]):
         if e < 0:
+            fixed[a:b, :1 - e] = ord("0")
+            fixed[a:b, 1] = ord(".")
             fixed[a:b, 1 - e:18 - e] = chars[a:b]
         else:
             fixed[a:b, :e + 1] = chars[a:b, :e + 1]
-            fixed[a:b, e + 1] = ord(".")
-            fixed[a:b, e + 2:18] = chars[a:b, e + 1:]
-    zeros = np.argmax(chars[:, ::-1] != ord("0"), axis=1)
-    kept = np.maximum(16 - k - zeros, 0)
-    fixed *= _KEEP[np.maximum(k, 0) + 1 + kept + (kept > 0)]
+            if e < 16:
+                fixed[a:b, e + 1] = ord(".")
+                fixed[a:b, e + 2:18] = chars[a:b, e + 1:]
+    # the fraction's trailing zeros dropped, and a bare point with them; only
+    # a value whose 17th digit is 0 has any
+    tz = np.flatnonzero(chars[:, 16] == ord("0"))
+    zeros = np.argmax(chars[tz, ::-1] != ord("0"), axis=1)
+    kt = k[tz]
+    kept = np.maximum(16 - kt - zeros, 0)
+    fixed[tz] *= _KEEP[np.maximum(kt, 0) + 1 + kept + (kept > 0)]
 
     # each value's NUL-padded cell, then sep; dropping the NULs joins them
     text = np.zeros((len(x), 24 + len(sep)), dtype=np.uint8)
@@ -231,12 +237,14 @@ def ln_bessel_k(order: float, x) -> np.ndarray:
     if not np.all(x > 0):
         raise ValueError("ln_bessel_k requires x > 0")
     k = kve(nu, x)
-    far = np.isnan(k) & (x > 1.0)
-    xf = x[far]
-    k[far] = np.sqrt(np.pi / (2.0 * xf)) * (1.0 + (4.0 * nu * nu - 1.0) / (8.0 * xf))
+    nan = np.isnan(k)
+    if nan.any():
+        far = nan & (x > 1.0)
+        xf = x[far]
+        k[far] = np.sqrt(np.pi / (2.0 * xf)) * (1.0 + (4.0 * nu * nu - 1.0) / (8.0 * xf))
     out = np.log(k) - x
     over = ~np.isfinite(out)
-    if np.any(over):
+    if over.any():
         xo = x[over]
         ln_x = np.log(xo)
         f = nu - math.floor(nu)

@@ -437,6 +437,29 @@ class TestSummaryTable:
         assert csv_text.splitlines()[0].startswith("family,")
         assert len(csv_text.strip().splitlines()) == 7
 
+    def test_reach_cells_are_reach_exceeds_nn(self):
+        specs = [spec for n in (2, 10, 57, 400) for spec in example_specs(n=n)]
+        specs += [
+            # R* = 0.4514 passes the threshold 0.242 here
+            KernelSpec(Family.CAUCHY, n=2, rho=0.0, nu=2.0, alpha=0.4514, alpha_rule="scaled"),
+            # fixed alpha rules state no R*
+            KernelSpec(Family.POWER_EXPONENTIAL, n=10, rho=0.0, nu=2.0, alpha=0.3,
+                       alpha_rule="fixed"),
+            KernelSpec(Family.CAUCHY, n=10, rho=0.0, nu=1.0, alpha=0.15, alpha_rule="fixed"),
+        ]
+        cells = []
+        for spec in specs:
+            try:
+                cert = reach_exceeds_nn(spec)
+                cells.append((f"{cert.r_star:.6g}", str(cert.exceeds)))
+            except UnsupportedFamilyError:
+                cells.append(("N/A", "N/A"))
+        assert [(row[4], row[6]) for row in summary_table(specs).rows] == cells
+        assert {exceeds for _, exceeds in cells} == {"True", "False", "N/A"}
+        assert cells[-3:] == [("0.4514", "True"), ("N/A", "N/A"), ("N/A", "N/A")]
+        with pytest.raises(InvalidSpecError):
+            summary_table(specs + [PAST_BOUND])
+
     def test_invalid_spec_rejected(self):
         bad = KernelSpec(Family.LAGUERRE_GAUSS, n=4, rho=0.0, m=1, alpha=5.0)
         with pytest.raises(ValueError):

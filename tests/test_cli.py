@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -12,6 +13,7 @@ from pytest import approx
 
 from dpp_repulsion import asymptotics, oracle, repulsion
 from dpp_repulsion.cli import _COMMANDS, _SETTINGS, _mass, _render_json, build_parser, main
+from dpp_repulsion.examples import EXAMPLE_PARAMS
 from dpp_repulsion.kernels import Family, KernelSpec
 from dpp_repulsion.oracle import sample_radius
 from dpp_repulsion.quadrature import QuadratureError
@@ -433,6 +435,28 @@ class TestSampleCmd:
         rows = out.read_text().split("\n")[2:]
         assert rows == [*map(_fmt, radii), ""]
 
+    # SHA-256 of a seeded 1,000-radius CSV per smooth family, at n = 10 and
+    # seed 2017: a change that moves one byte of seeded output fails here
+    SEEDED_SHA256 = {
+        Family.LAGUERRE_GAUSS: "a2cd75e2c4c56e970a5bf9673c7d25071636c5981582a6014b4f0efdb5272168",
+        Family.POWER_EXPONENTIAL:
+            "2e1abbefefcb54c7ba13806bdb0d6f17e273ea9eed6e0d45ce35020f4d0cb024",
+        Family.WHITTLE_MATERN: "987bf17481f0efbdd72f4725ee4487066feb20f337880bee5a4c27d84569f8e5",
+        Family.CAUCHY: "a3e303be601e9ef083fbbd9e5d1375afd0168d8a1d7d52de7a0bceb02c5c7041",
+    }
+
+    @pytest.mark.parametrize("family", list(SEEDED_SHA256), ids=lambda f: f.value)
+    def test_seeded_csv_bytes_are_pinned(self, family, tmp_path, capsys):
+        args = ["sample", "--family", family.value, "--n", "10"]
+        for key, val in EXAMPLE_PARAMS[family].items():
+            args += [f"--{key.replace('_', '-')}", str(val)]
+        args += ["--samples", "1000", "--seed", "2017"]
+        out = tmp_path / "r.csv"
+        assert run([*args, "--out", str(out)], capsys)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SEEDED_SHA256[family]
+        # stdout gets the same bytes
+        assert run(args, capsys)[1].encode() == out.read_bytes()
+
     # radii past the fixed-notation range, and an infinite one, which renders as a string
     JSON_RADII = {"edges": [0.0, 5e-324, 1e-5, 0.1, 1.0 / 3.0, 1e16, 12345678901234567.0,
                             1e300],
@@ -644,6 +668,7 @@ class TestClosedStdout:
         class Closed:
             def __init__(self, fh):
                 self.fileno = fh.fileno
+                self.buffer = self  # machine output goes to stdout's buffer as bytes
 
             def write(self, text):
                 if fails == "write":
@@ -651,7 +676,8 @@ class TestClosedStdout:
                 return len(text)
 
             def flush(self):
-                raise BrokenPipeError(32, "Broken pipe")
+                if fails == "flush":
+                    raise BrokenPipeError(32, "Broken pipe")
 
         with open(tmp_path / "stdout", "wb") as fh:
             monkeypatch.setattr(sys, "stdout", Closed(fh))
@@ -711,7 +737,8 @@ class TestReadmeCommands:
         # the last at n = 1000, LaguerreGauss moments at m = 60, a dense
         # LaguerreGauss eta curve at n = 1000, a BesselType curve at
         # sigma = 1e5, a single IndicatorSpectral cut, a WhittleMatern
-        # sample at n = 3 and the README's Cauchy sample as JSON)
+        # sample at n = 3, the README's Cauchy sample as JSON, a WhittleMatern
+        # eta curve and a LaguerreGauss sample to stdout)
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("cli_cpu", root / "scripts" / "cli_cpu.py")
         cli_cpu = importlib.util.module_from_spec(spec)
@@ -727,4 +754,5 @@ class TestReadmeCommands:
             ["eta", "--family", "BesselType"], ["moments", "--family", "LaguerreGauss"],
             ["eta", "--family", "LaguerreGauss"], ["eta", "--family", "BesselType"],
             ["eta", "--family", "IndicatorSpectral"], ["sample", "--family", "WhittleMatern"],
-            ["sample", "--family", "Cauchy"]]
+            ["sample", "--family", "Cauchy"], ["eta", "--family", "WhittleMatern"],
+            ["sample", "--family", "LaguerreGauss"]]

@@ -29,7 +29,7 @@ def heavy():
 
 report = [["import", 0, heavy()]]
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
         code = cli.main(argv)
     report.append([" ".join(argv[:3]), code, heavy()])
 print(json.dumps(report))

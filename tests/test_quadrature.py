@@ -18,6 +18,7 @@ from dpp_repulsion.quadrature import (
     InfiniteMassError,
     LogIntegrand,
     QuadratureError,
+    RadialCdf,
     bessel_sq_moment_log,
     bessel_sq_prefix_log,
     build_cdf,
@@ -445,6 +446,29 @@ class TestCdf:
             got_one = inverse_cdf(cdf, x)
             assert isinstance(got_one, float)
             assert got_one == float(np.interp(x, cdf.levels(), cdf.nodes))
+
+    @pytest.mark.parametrize("make_cdf", [
+        lambda: TestCdf._CDF_CACHE,
+        lambda: repulsion.radial_cdf(example_spec(Family.WHITTLE_MATERN, n=3)),
+        # levels 0, 0, 0, 1/4, 1/4, 3/4, 1: a level-0 plateau and a flat step
+        lambda: RadialCdf(np.array([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]),
+                          np.array([-np.inf, -1000.0, -np.inf, math.log(0.25), math.log(0.25),
+                                    math.log(0.75), 0.0]), 0.0),
+    ], ids=["gaussian", "whittle_n3", "plateaus"])
+    def test_inverse_cdf_bucket_edges_match_interp(self, make_cdf):
+        # the draws are ordered by the bucket floor(u 2^15), not by value: at
+        # 0 and 1, at the node levels, on the level-0 plateau and at every
+        # bucket edge k / 2^15 and its neighbouring doubles, shuffled, the
+        # radii are those of one np.interp call on the draws as given
+        cdf = make_cdf()
+        levels = cdf.levels()
+        edges = np.arange((1 << 15) + 1) / 2.0**15
+        u = np.concatenate([[0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)], levels, edges,
+                            *(np.nextafter(x, t) for x in (levels, edges) for t in (0.0, 1.0)),
+                            np.random.default_rng(25).random(5000)])
+        u = np.random.default_rng(26).permutation(u)
+        want = np.interp(u, levels, cdf.nodes)
+        assert inverse_cdf(cdf, u).tobytes() == want.tobytes()
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)

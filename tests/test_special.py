@@ -254,7 +254,7 @@ class TestBallVolume:
 
 
 def _per_value(x, sep="\n"):
-    return sep.join(_fmt(v) for v in np.asarray(x, dtype=float))
+    return sep.join(_fmt(v) for v in np.asarray(x, dtype=float)).encode()
 
 
 class TestFmtJoin:
@@ -295,6 +295,44 @@ class TestFmtJoin:
         assert len(ties) > 300
         assert len(_fixed_digits(ties)[0]) == 0
         assert _fmt_join(ties) == _per_value(ties)
+
+    def test_trailing_zeros_at_every_exponent_in_one_chunk(self):
+        # values whose 17 digits end in exactly z zeros, 1 <= z <= 16, at each
+        # decimal exponent e: an integer from e + z >= 16 on, else c / 2^q with
+        # c odd and q = 16 - z - e, whose digits are c 5^q (ending in 5) and z
+        # zeros; at e = 16 there is no fraction to trim.  Shuffled into one
+        # chunk with values whose digits end in no zero.
+        rng = np.random.default_rng(17)
+        x, want = [], []
+        for e in range(-4, 17):
+            for z in range(1, 17):
+                q = 16 - z - e
+                for _ in range(3):
+                    if q <= 0:
+                        while True:  # d ends in no zero, and d 10^-q is a double
+                            d = int(rng.integers(10 ** (16 - z), 10 ** (17 - z)))
+                            if d % 10 and float(d * 10**-q) == d * 10**-q:
+                                break
+                        x.append(float(d * 10**-q))
+                    else:  # odd c in [2^q 10^e, 2^q 10^(e+1)), if there is one
+                        lo, hi = (-(-(2**q) * 10**max(j, 0) // 10**max(-j, 0))
+                                  for j in (e, e + 1))
+                        c = int(rng.integers(lo, max(hi, lo + 1))) | 1
+                        if c >= hi:
+                            c -= 2
+                        if c < lo:
+                            continue
+                        x.append(c / 2**q)
+                    want.append((e, z))
+        where, digits, k = _fixed_digits(np.array(x))
+        assert len(where) == len(x)
+        got = [(int(kk), len(str(d)) - len(str(d).rstrip("0"))) for d, kk in zip(digits, k)]
+        assert got == want
+        assert {e for e, _ in want} == set(range(-4, 17))
+        assert {z for e, z in want if e == 16} == {z for _, z in want} == set(range(1, 17))
+        x = rng.permutation(np.concatenate([x, 10.0 ** rng.uniform(-4.0, 17.0, 2000)]))
+        assert len(x) <= _FMT_CHUNK
+        assert _fmt_join(x) == _per_value(x)
 
     def test_zero_subnormals_negatives_and_non_finite(self):
         x = np.array([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, -5e-324, -1e-5,
