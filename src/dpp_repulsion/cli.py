@@ -12,6 +12,7 @@ setting, from a flag or a config file, included), 141 stdout closed early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -386,6 +387,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: main may run many times in-process
 def build_parser() -> _Parser:
     p = _Parser(prog="dpp-repulsion",
                 description="Repulsion-measure analysis of stationary isotropic "

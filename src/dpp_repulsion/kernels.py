@@ -49,8 +49,6 @@ __all__ = [
     "spec_from_dict",
 ]
 
-_NEG_INF = float("-inf")
-
 
 class Family(str, enum.Enum):
     LAGUERRE_GAUSS = "LaguerreGauss"
@@ -257,7 +255,8 @@ def _bind_log_kernel(spec: KernelSpec):
     """log_k(r) -> (log|K_n|, s) on a 1-d radius array r >= 0 (not checked),
     with the spec's constants computed once; s carries the sign (1 for a
     positive kernel).  Each family's one formula: `log_kernel_radial_array`
-    and the radial density both call it."""
+    and the radial density both call it, under np.errstate(divide="ignore"):
+    LaguerreGauss takes log |L| = -inf at a zero of its Laguerre factor."""
     fam, n = spec.family, spec.n
     # of the PowerExponential spectra only the Gaussian one (nu = 2) has a
     # closed position kernel
@@ -272,9 +271,10 @@ def _bind_log_kernel(spec: KernelSpec):
 
         def log_k(r):
             u = r * r / scale
+            if m == 1:  # L_0 = 1, and c + log 1 - u reads c = -0.0 as 0.0
+                return c + 0.0 - u, 1
             lag = laguerre(m - 1, 0.5 * n, u)
-            log_lag = np.log(np.abs(lag), out=np.full(lag.shape, _NEG_INF), where=lag != 0)
-            return c + log_lag - u, lag
+            return c + np.log(np.abs(lag)) - u, lag
     elif fam == Family.POWER_EXPONENTIAL:  # nu == 2: Gaussian closed form
         a_n = effective_alpha(spec)
 
@@ -291,9 +291,9 @@ def _bind_log_kernel(spec: KernelSpec):
 
         def log_k(r):
             z = r / alpha
-            pos = z > 0
-            if pos.all():  # no radius at the origin, as at every integrand point and CDF node
+            if z.min(initial=math.inf) > 0:  # no r = 0, as at every integrand point
                 return c + nu * np.log(z) + ln_bessel_k(nu, z), 1
+            pos = z > 0
             logmag = np.full(r.shape, nrho)  # K(0) = e^{n rho}
             logmag[pos] = log_k(r[pos])[0]
             return logmag, 1
@@ -327,7 +327,8 @@ def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(r >= 0):
         raise ValueError("radius must be >= 0 and not NaN")
-    logmag, s = _bind_log_kernel(spec)(r)
+    with np.errstate(divide="ignore"):  # log |L| = -inf at a Laguerre zero
+        logmag, s = _bind_log_kernel(spec)(r)
     return logmag, np.broadcast_to(np.sign(s), r.shape).astype(int)
 
 

@@ -64,12 +64,14 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+_MIN_LOG = -1.7976931348623157e308  # the least double: a finite shift for all -inf values
 # The integrand wrapper's largest u, 1 - 2^-53, where r = u / (1 - u) is 2^53 - 1
 _U_MAX = 1.0 - 1e-16
 
 # Limits of the adaptive scheme, the mode scan and the CDF grid
 MAX_PANELS = 60000
 SCAN_POINTS = 257
+_SCAN_FRAC = np.arange(1, SCAN_POINTS) / SCAN_POINTS
 CDF_NODES = 4096
 # Order steps of the Bessel-square recurrence held at once per cut
 _ORDER_BLOCK = 256
@@ -117,14 +119,17 @@ class LogIntegrand:
     """log of a non-negative integrand on r in [0, inf), vectorized over the
     radius array.
 
-    A thin wrapper: every evaluation of a radial integrand goes through
-    `__call__`, the one hook where a profiler can count integrand points.
+    Every evaluation of a radial integrand goes through `__call__`, the one
+    hook where a profiler can count integrand points.  It runs log_f under
+    one np.errstate(all="ignore") and reads NaN as -inf, so no call warns
+    or returns NaN, which `_k15_log` relies on.
     """
 
     log_f: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.log_f(r)
+        with np.errstate(all="ignore"):
+            return np.fmax(self.log_f(r), _NEG_INF)  # NaN to -inf
 
 
 def _k15_log(g, lo, hi):
@@ -132,8 +137,9 @@ def _k15_log(g, lo, hi):
 
     The module's one Gauss7/Kronrod15 rule: g is called once on the nodes
     of all panels, and each panel is shifted by its own maximum before the
-    weights apply.  A panel where g is -inf everywhere has value and error
-    -inf; a +inf value of g means the integral diverges.
+    weights apply.  g never returns NaN, so a panel where g is -inf
+    everywhere needs no mask: its value and error come out as log 0 = -inf.
+    A +inf value of g means the integral diverges.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -143,13 +149,13 @@ def _k15_log(g, lo, hi):
     if m.max(initial=_NEG_INF) == math.inf:
         u = mid[np.argmax(m)]
         raise InfiniteMassError(f"log-integrand is +inf near u = {u:.6g}; integral diverges")
-    live = m > _NEG_INF
-    e = np.exp(vals - np.where(live, m, 0.0)[:, None])
-    k15 = e @ _KW
-    with np.errstate(divide="ignore"):
-        log_val = np.where(live, m + np.log(k15 * half), _NEG_INF)
-        log_err = np.where(live, m + np.log(np.abs(k15 - e @ _GW) * half), _NEG_INF)
-    return np.array([lo, hi, log_val, log_err]).T  # column-major: each column is contiguous
+    vals -= np.maximum(m, _MIN_LOG)[:, None]  # a dead panel's shift stays finite
+    e = np.exp(vals, out=vals)
+    out = np.array([lo, hi, e @ _KW, e @ _GW])  # rows lo, hi, K15, G7
+    np.abs(np.subtract(out[2], out[3], out=out[3]), out=out[3])
+    with np.errstate(divide="ignore"):  # a dead or empty panel: log 0 = -inf
+        out[2:] = m + np.log(out[2:] * half)
+    return out.T  # column-major: each column is contiguous
 
 
 def r_of_u(u):
@@ -167,8 +173,8 @@ def _group_logsumexp(log_val, log_err, group, n_groups: int):
     both = np.concatenate((group, group + n_groups))
     m = np.full(2 * n_groups, _NEG_INF)
     np.maximum.at(m, both, a)
-    s = np.bincount(both, np.exp(a - np.where(m > _NEG_INF, m, 0.0)[both]), 2 * n_groups)
     # a live group's maximum adds exp(0) = 1, so only all -inf groups have s < 1
+    s = np.bincount(both, np.exp(a - np.maximum(m, _MIN_LOG)[both]), 2 * n_groups)
     total = m + np.log(np.maximum(s, 1.0))
     return total[:n_groups], total[n_groups:]
 
@@ -197,29 +203,24 @@ def _refine(g, panels, rel_tol, group, n_groups: int):
             return panels, log_total, log_err_total
         bar = np.where(open_, log_err_total - np.log(count), math.inf)
         i = np.flatnonzero(panels[:, 3] >= bar[group])
-        count = count + np.bincount(group[i], None, n_groups)
+        split = group[i]
+        count = count + np.bincount(split, None, n_groups)
         lo, hi = panels[i, :2].T
         mid = 0.5 * (lo + hi)
-        stuck = (mid == lo) | (mid == hi)
+        left, right = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        stuck = left == right  # a half of no width: the midpoint rounds to an edge
         full = count.max() > MAX_PANELS
         if full or stuck.any():
-            j = int(np.argmax(stuck))
-            b = int(np.argmax(count)) if full else group[i[j]]
+            j = int(np.argmax(stuck.reshape(2, -1).any(axis=0)))
+            b = int(np.argmax(count)) if full else split[j]
             raise QuadratureError(
                 f"panel budget {MAX_PANELS} exhausted" if full
                 else f"panel [{lo[j]}, {hi[j]}] cannot be halved",
                 log_partial=float(log_total[b]), log_error_bound=float(log_err_total[b]))
-        halves = _k15_log(g, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        halves = _k15_log(g, left, right)
         panels = np.concatenate([panels, halves[len(i):]])
         panels[i] = halves[:len(i)]
-        group = np.concatenate([group, group[i]])
-
-
-def _running_log_sum(a: np.ndarray) -> np.ndarray:
-    """Read-only c with c[k] the log-sum-exp of a[:k]."""
-    c = np.logaddexp.accumulate(np.append(_NEG_INF, a))
-    c.flags.writeable = False
-    return c
+        group = np.concatenate([group, split])
 
 
 class PanelSet:
@@ -228,9 +229,9 @@ class PanelSet:
     The full-domain run fixes the panels in u as one array `panels` of
     rows (lo, hi, log K15 value, log |K15 - G7| error) sorted by lo;
     `lo`, `hi`, `log_vals` and `log_errs` are views of its columns.
-    Running log sums go with it: `cum_vals[k]` and `cum_errs[k]` sum the
-    first k panels.  They are read-only, so a cached PanelSet is safe to
-    share.  A prefix over [0, r] keeps the panels below the cut with their
+    Running log sums go with it: row `cums[k]` sums the values and errors
+    of the first k panels.  All of it is read-only, so a cached PanelSet is
+    safe to share.  A prefix over [0, r] keeps the panels below the cut with their
     stored values (so the shared error cancels in ratios) and adds the
     left part of the panel holding the cut; a prefix whose error is not
     yet within `rel_tol` of the prefix itself, not of the total, refines
@@ -246,20 +247,22 @@ class PanelSet:
         self.panels.flags.writeable = False
         self.lo, self.hi, self.log_vals, self.log_errs = self.panels.T
         self.log_total, self.log_err = log_total, log_err
-        self.cum_vals = _running_log_sum(self.log_vals)
-        self.cum_errs = _running_log_sum(self.log_errs)
+        self.cums = np.logaddexp.accumulate(
+            np.concatenate([[[_NEG_INF, _NEG_INF]], self.panels[:, 2:]]))
+        self.cums.flags.writeable = False
 
     def log_prefix(self, cuts):
         """log integral over [0, r] for each cut r in cuts, accurate
         relative to each prefix; a float for a scalar cut.  r = inf gives
         the total; a NaN or negative cut raises ValueError."""
         r = np.asarray(cuts, dtype=float)
-        if not np.all(r >= 0):
+        if not (r >= 0).all():
             raise ValueError("cut must be >= 0 and not NaN")
         r_q = np.minimum(r.ravel(), 1e300)  # r = inf maps to 1, as every r above 1e16 does
         u_q = r_q / (1.0 + r_q)
-        out = np.where(u_q < 1.0, _NEG_INF, self.log_total)
-        part = np.flatnonzero((u_q > 0.0) & (u_q < 1.0))
+        below = u_q < 1.0
+        out = np.where(below, _NEG_INF, self.log_total)
+        part = np.flatnonzero(below & (u_q > 0.0))
         if part.size:
             out[part] = self._cut_prefixes(u_q[part])
         return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
@@ -271,8 +274,8 @@ class PanelSet:
         k = np.searchsorted(self.hi, u_q, side="right")  # panels below each cut
         # the left part of each cut panel; empty (value -inf) for a cut on an edge
         cut = _k15_log(self.g, self.lo[k], u_q)
-        return (k, cut, np.logaddexp(self.cum_vals[k], cut[:, 2]),
-                np.logaddexp(self.cum_errs[k], cut[:, 3]))
+        val, err = np.logaddexp(self.cums[k], cut[:, 2:]).T
+        return k, cut, val, err
 
     def _cut_prefixes(self, u_q: np.ndarray) -> np.ndarray:
         """log prefixes up to the cuts u_q, each inside (0, 1), each within
@@ -301,11 +304,10 @@ def find_mode(g):
     Returns (x_mode, g_mode, g_scan_max); g_scan_max is the first round's
     maximum.
     """
-    frac = np.arange(1, SCAN_POINTS) / SCAN_POINTS
     lo, hi = 0.0, 1.0
     x_mode, g_mode, g_scan_max = None, _NEG_INF, None
     while True:
-        x = lo + (hi - lo) * frac
+        x = lo + (hi - lo) * _SCAN_FRAC
         vals = g(x)
         i = int(vals.argmax())
         if g_scan_max is None:
@@ -353,17 +355,16 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
     """Adaptive run over r in [0, inf), in u; returns the PanelSet.
 
     The panels integrate g(u) = f(r(u)) + log r'(u), r'(u) = 1 / (1 - u)^2,
-    with u clamped to _U_MAX, where r = 2^53 - 1.
+    with u clamped to _U_MAX, where r = 2^53 - 1.  f is a LogIntegrand, so
+    its one errstate covers the call and it reads NaN as -inf; log r'(u) is
+    finite, so g never returns NaN, as `_k15_log` needs for dropping masks.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
 
     def g(u):
         u = np.minimum(u, _U_MAX)
-        with np.errstate(all="ignore"):
-            vals = f(r_of_u(u)) - 2.0 * np.log1p(-u)
-        vals[np.isnan(vals)] = _NEG_INF
-        return vals
+        return f(u / (1.0 - u)) - 2.0 * np.log1p(-u)
 
     bounds, u_mode, g_mode = _scan_seed(g)
     edges = np.array(bounds)

@@ -78,23 +78,16 @@ def eta_total_log(spec: KernelSpec) -> float:
 # Radial density of |X_n| and its panel decomposition
 # ---------------------------------------------------------------------------
 
-def _log_r(r: np.ndarray) -> np.ndarray:
-    """log r elementwise, exact down to the least subnormal; -inf at r = 0."""
-    return np.log(r, out=np.full(r.shape, _NEG_INF), where=r > 0)
-
-
 def radial_density(spec: KernelSpec) -> LogIntegrand:
     """log of the unnormalized radial density r^{n-1} K_n(r)^2 at radii r >= 0
     (not checked; NaN gives -inf), with the kernel bound to the spec once."""
     n = spec.n
     log_k = kn._bind_log_kernel(spec)
 
-    def log_f(r):
+    def log_f(r):  # under the LogIntegrand's errstate: log 0 = -inf
         r = np.atleast_1d(np.asarray(r, dtype=float))
         logk = log_k(r)[0]
-        out = 2.0 * logk if n == 1 else (n - 1) * _log_r(r) + 2.0 * logk
-        out[np.isnan(out)] = _NEG_INF
-        return out
+        return 2.0 * logk if n == 1 else (n - 1) * np.log(r) + 2.0 * logk
 
     return LogIntegrand(log_f)
 
@@ -251,7 +244,7 @@ def radial_moment_quadrature(spec: KernelSpec, k: int) -> float:
                         - ln_gamma_ratio(0.5 * (lam - k), 0.5)
                         + ln_gamma_ratio(g, h) + ln_gamma_ratio(g + lam - h, h))
     dens = radial_density(spec)
-    num = integrate_log_panels(LogIntegrand(lambda r: dens.log_f(r) + k * _log_r(r)),
+    num = integrate_log_panels(LogIntegrand(lambda r: dens.log_f(r) + k * np.log(r)),
                                rel_tol=CHECK_REL_TOL)
     den = _density_panels(spec, CHECK_REL_TOL)
     return math.exp(num.log_total - den.log_total)

@@ -108,9 +108,10 @@ def _fmt_chunk(x: np.ndarray, sep: bytes) -> bytes:
     digits, k = digits[order], k[order]
     # the 17 digits in bytes 3..19 of 20, four at a time
     quads = np.empty((len(k), 5), dtype=np.uint32)
-    for col in range(4, 0, -1):
-        digits, rest = np.divmod(digits, 10000)
-        quads[:, col] = _DIGIT_QUADS[rest]
+    for col in range(4, 0, -1):  # digits >= 0, so // and a multiply-subtract give divmod
+        high = digits // 10000
+        quads[:, col] = _DIGIT_QUADS[digits - high * 10000]
+        digits = high
     quads[:, 0] = _DIGIT_QUADS[digits]
     chars = quads.view(np.uint8)[:, 3:]
 
@@ -194,10 +195,9 @@ def laguerre(m: int, beta: float, x) -> float:
     if m < 0:
         raise ValueError("degree m must be >= 0")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
     if m == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + beta - x
+        return np.ones_like(x) if x.ndim else 1.0
+    prev, cur = 1.0, 1.0 + beta - x
     for k in range(1, m):
         prev, cur = cur, ((2 * k + 1 + beta - x) * cur - (k + beta) * prev) / (k + 1)
     return cur if cur.ndim else float(cur)
@@ -234,14 +234,15 @@ def ln_bessel_k(order: float, x) -> np.ndarray:
     if nu < 1e-150:  # kve is NaN at subnormal orders; K is even in the order, so K = K_0 here
         nu = 0.0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(x > 0):
-        raise ValueError("ln_bessel_k requires x > 0")
     k = kve(nu, x)
-    nan = np.isnan(k)
-    if nan.any():
-        far = nan & (x > 1.0)
-        xf = x[far]
-        k[far] = np.sqrt(np.pi / (2.0 * xf)) * (1.0 + (4.0 * nu * nu - 1.0) / (8.0 * xf))
+    out = np.log(k) - x
+    if np.isfinite(out).all():  # kve is inf at x = 0 and NaN below, so x > 0 here
+        return out
+    if not (x > 0).all():
+        raise ValueError("ln_bessel_k requires x > 0")
+    far = np.isnan(k) & (x > 1.0)
+    xf = x[far]
+    k[far] = np.sqrt(np.pi / (2.0 * xf)) * (1.0 + (4.0 * nu * nu - 1.0) / (8.0 * xf))
     out = np.log(k) - x
     over = ~np.isfinite(out)
     if over.any():

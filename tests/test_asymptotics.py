@@ -387,7 +387,7 @@ class TestReachOfTheLaw:
     WhittleMatern is left out: its law concentrates near alpha sqrt(n) / 2,
     not at its stated R* = alpha / 2 (see
     `TestReachMomentConsistency::test_whittle_matern_discrepancy_is_real`
-    and ROADMAP item 1).
+    and ROADMAP item 5).
     """
 
     CASES = [

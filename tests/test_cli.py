@@ -457,6 +457,41 @@ class TestSampleCmd:
         # stdout gets the same bytes
         assert run(args, capsys)[1].encode() == out.read_bytes()
 
+    # SHA-256 of a 50-point eta CSV per smooth family (and LaguerreGauss at
+    # m = 1, a Gaussian kernel) at n = 10 and n = 1000, on grids from 0.4 to
+    # 1.6 times where the mass sits: R* (WhittleMatern: its finite-n centre
+    # n alpha / (2 sqrt(n))).  At n = 1000 about half the prefixes refine.
+    CURVE_SHA256 = {
+        ("LaguerreGauss --m 1 --alpha 0.3", "0.06:0.24:50"): {
+            10: "eeb371f46879c0eb22a8817bbd3eb6bd53a4ab0e4b875ebe818c31c4ebf7ca07",
+            1000: "4d40bf9865d224a337a51a3a1c7a9caf1c14ddfa1d586f275acae36a5eba706e"},
+        ("LaguerreGauss --m 2 --alpha 0.3", "0.085:0.34:50"): {
+            10: "5477ee6a008f6a91635c2f57926e5a574b92278782c70dbcd4e6f05041a74497",
+            1000: "f04da4830dd1cb64e2933edd5f47936a139562796f19b639d147008829a24788"},
+        ("PowerExponential --nu 2 --alpha 0.4 --alpha-rule scaled", "0.025:0.1:50"): {
+            10: "69dab44618829a795b5f6673ae2ac27d408cc2e64c08eeb297997ff44ea8b51f",
+            1000: "5aa8c8cc74a1fbe95b68c3dc07ac075ef47130a22de4590bfa27df94905766f2"},
+        ("Cauchy --nu 1 --alpha 0.15 --alpha-rule scaled", "0.06:0.24:50"): {
+            10: "745af27e6fbbaec054178a59c89bd9ca104ebf48c2076e79eaf66e89ec28b145",
+            1000: "e6c68b311c42736a9bd3efa5a7b9216142daee419fb3956dc51fd8548a84c0c9"},
+        ("WhittleMatern --nu 1 --alpha 0.02", "0.013:0.05:50"): {
+            10: "7386b262bb24301092ee1cb1db35e4e25b4ec102424bd6238dd5deafe519b500"},
+        ("WhittleMatern --nu 1 --alpha 0.02", "0.13:0.5:50"): {
+            1000: "6f29d3ff4959b3b33100abc92c60215ba3148d8f07d5c41cf5cbcdef99e1ef3c"},
+    }
+
+    @pytest.mark.parametrize("params, grid, n, digest", [
+        pytest.param(params, grid, n, digest,
+                     id=params.split(" --alpha")[0].replace(" --", "-").replace(" ", "")
+                     + f"-n{n}")
+        for (params, grid), pins in CURVE_SHA256.items() for n, digest in pins.items()])
+    def test_curve_csv_bytes_are_pinned(self, params, grid, n, digest, tmp_path, capsys):
+        out = tmp_path / "eta.csv"
+        argv = ["eta", "--family", *params.split(), "--n", str(n), "--R-grid", grid,
+                "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     # radii past the fixed-notation range, and an infinite one, which renders as a string
     JSON_RADII = {"edges": [0.0, 5e-324, 1e-5, 0.1, 1.0 / 3.0, 1e16, 12345678901234567.0,
                             1e300],

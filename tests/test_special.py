@@ -214,6 +214,15 @@ class TestBesselK:
         with pytest.raises(ValueError):
             ln_bessel_k(1.0, 0.0)
 
+    # every x <= 0 or NaN raises, also beside valid values and at an order
+    # where kve overflows at small x
+    @pytest.mark.parametrize("order", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("x", [-0.0, -1.0, math.nan, -math.inf, [1.0, -2.0],
+                                   [1e-300, math.nan]])
+    def test_domain_below_zero_and_nan(self, order, x):
+        with pytest.raises(ValueError):
+            ln_bessel_k(order, x)
+
     @pytest.mark.parametrize("order", [0.0, 1.0, 4.5])
     def test_log_convex_in_x(self, order):
         logk = ln_bessel_k(order, np.linspace(0.2, 30.0, 200))
