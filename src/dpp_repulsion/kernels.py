@@ -21,6 +21,7 @@ import numpy as np
 
 from .special import (
     LN_GAMMA_MAX_ARG,
+    _ln_laguerre,
     laguerre,
     ln_ball_volume,
     ln_bessel_j_ratio,
@@ -255,7 +256,7 @@ def _bind_log_kernel(spec: KernelSpec):
     """log_k(r) -> (log|K_n|, s) on a 1-d radius array r >= 0 (not checked),
     with the spec's constants computed once; s carries the sign (1 for a
     positive kernel).  Each family's one formula: `log_kernel_radial_array`
-    and the radial density both call it, under np.errstate(divide="ignore"):
+    and the radial density both call it, under np.errstate(all="ignore"):
     LaguerreGauss takes log |L| = -inf at a zero of its Laguerre factor."""
     fam, n = spec.family, spec.n
     # of the PowerExponential spectra only the Gaussian one (nu = 2) has a
@@ -274,7 +275,11 @@ def _bind_log_kernel(spec: KernelSpec):
             if m == 1:  # L_0 = 1, and c + log 1 - u reads c = -0.0 as 0.0
                 return c + 0.0 - u, 1
             lag = laguerre(m - 1, 0.5 * n, u)
-            return c + np.log(np.abs(lag)) - u, lag
+            log_lag = np.log(np.abs(lag))
+            if not log_lag.max(initial=-math.inf) < math.inf:  # +inf or NaN: it overflowed
+                big = ~(log_lag < math.inf)
+                log_lag[big], lag[big] = _ln_laguerre(m - 1, 0.5 * n, u[big])
+            return c + log_lag - u, lag
     elif fam == Family.POWER_EXPONENTIAL:  # nu == 2: Gaussian closed form
         a_n = effective_alpha(spec)
 
@@ -323,13 +328,17 @@ def _bessel_y_scale(spec: KernelSpec) -> tuple[float, float, float]:
 
 
 def log_kernel_radial_array(spec: KernelSpec, r) -> tuple[np.ndarray, np.ndarray]:
-    """(log|K_n|, sign) at radii r, vectorized.  r = 0 gives the exact limit."""
+    """(log|K_n|, sign) at radii r, vectorized, without a warning.  r = 0
+    gives the exact limit.  Where K is 0 in doubles, log|K| is -inf with
+    sign 0: at r = inf, at a zero of K, and where K underflows, also where
+    the family's formula overflows on the way (a NaN or +inf log)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(r >= 0):
         raise ValueError("radius must be >= 0 and not NaN")
-    with np.errstate(divide="ignore"):  # log |L| = -inf at a Laguerre zero
+    with np.errstate(all="ignore"):
         logmag, s = _bind_log_kernel(spec)(r)
-    return logmag, np.broadcast_to(np.sign(s), r.shape).astype(int)
+    zero = ~np.isfinite(logmag)
+    return np.where(zero, -math.inf, logmag), np.where(zero, 0, np.sign(s)).astype(int)
 
 
 def kernel_radial(spec: KernelSpec, r: float) -> tuple[float, int]:

@@ -72,6 +72,8 @@ _U_MAX = 1.0 - 1e-16
 MAX_PANELS = 60000
 SCAN_POINTS = 257
 _SCAN_FRAC = np.arange(1, SCAN_POINTS) / SCAN_POINTS
+# the growth test's points toward u = 1
+_FAR = np.array([1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
 CDF_NODES = 4096
 # Order steps of the Bessel-square recurrence held at once per cut
 _ORDER_BLOCK = 256
@@ -320,23 +322,33 @@ def find_mode(g):
             return x_mode, g_mode, g_scan_max
 
 
-def _scan_seed(g):
-    """Locate the integrand maximum in u and seed boundaries clustered around it.
+def _scan_seed(g, seed=None):
+    """(boundaries, u_mode, g_mode): the first panel edges in u for g.
 
-    Returns (boundaries, u_mode, g_mode).  One call of g takes the curvature
-    stencil at the mode and the growth test: g climbing 5 e-folds past the
-    first scan's maximum toward u = 1 (a refined search would happily climb
-    a divergence there) means infinite mass and raises InfiniteMassError.
+    Unseeded, `find_mode` locates the maximum and the boundaries cluster
+    around it; one call of g takes the curvature stencil and the growth
+    test.  With a PanelSet `seed`, the boundaries are its partition, and the
+    whole probe is one call of g on the first scan round's points and the
+    growth test's; u_mode, g_mode are that round's best point.  The growth
+    test: g climbing 5 e-folds past the first scan round's maximum toward
+    u = 1 (a refined search would happily climb a divergence there) means
+    infinite mass and raises InfiniteMassError.
     """
-    u_mode, g_mode, g_scan_max = find_mode(g)
-    # local width from a second difference, its stencil kept inside [0, 1];
-    # fall back to the scan spacing
-    h = 1.0 / (8.0 * SCAN_POINTS)
-    u_c = min(max(u_mode, h), 1.0 - h)
-    gm, g0, gp, *far = g(np.array([u_c - h, u_c, u_c + h,
-                                   1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])).tolist()
+    if seed is None:
+        u_mode, g_mode, g_scan_max = find_mode(g)
+        # local width from a second difference, its stencil kept inside [0, 1];
+        # fall back to the scan spacing
+        h = 1.0 / (8.0 * SCAN_POINTS)
+        u_c = min(max(u_mode, h), 1.0 - h)
+        gm, g0, gp, *far = g(np.append([u_c - h, u_c, u_c + h], _FAR)).tolist()
+    else:
+        vals = g(np.append(_SCAN_FRAC, _FAR))
+        i = int(vals[:-3].argmax())
+        u_mode, g_mode, g_scan_max, far = float(_SCAN_FRAC[i]), vals[i], vals[i], vals[-3:]
     if max(far) > g_scan_max + 5.0:
         raise InfiniteMassError("integrand grows toward r = inf; total mass looks infinite")
+    if seed is not None:
+        return np.append(seed.lo, seed.hi[-1]), u_mode, float(g_mode)
     d2 = (gm - 2.0 * g0 + gp) / (h * h)
     width = 1.0 / math.sqrt(-d2) if (np.isfinite(d2) and d2 < 0) else 1.0 / SCAN_POINTS
     width = min(max(width, 1e-13), 1.0)
@@ -351,13 +363,17 @@ def _scan_seed(g):
     return sorted(bounds), u_mode, g_mode
 
 
-def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
+def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8, seed=None) -> PanelSet:
     """Adaptive run over r in [0, inf), in u; returns the PanelSet.
 
     The panels integrate g(u) = f(r(u)) + log r'(u), r'(u) = 1 / (1 - u)^2,
     with u clamped to _U_MAX, where r = 2^53 - 1.  f is a LogIntegrand, so
     its one errstate covers the call and it reads NaN as -inf; log r'(u) is
     finite, so g never returns NaN, as `_k15_log` needs for dropping masks.
+    A PanelSet `seed` (say, of a density that f weights) gives the first
+    panels in place of the mode scan's; its probe of f is the first scan
+    round plus the growth test's points, and refinement is to rel_tol of f's
+    own total.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
@@ -366,7 +382,7 @@ def integrate_log_panels(f: LogIntegrand, rel_tol: float = 1e-8) -> PanelSet:
         u = np.minimum(u, _U_MAX)
         return f(u / (1.0 - u)) - 2.0 * np.log1p(-u)
 
-    bounds, u_mode, g_mode = _scan_seed(g)
+    bounds, u_mode, g_mode = _scan_seed(g, seed)
     edges = np.array(bounds)
     panels, log_total, log_err = _refine(g, _k15_log(g, edges[:-1], edges[1:]), rel_tol,
                                          np.zeros(len(edges) - 1, int), 1)

@@ -224,9 +224,13 @@ def radial_moment(spec: KernelSpec, k: int) -> float:
 def radial_moment_quadrature(spec: KernelSpec, k: int) -> float:
     """E[|X_n|^k] by direct radial quadrature; the verification route.
 
-    The oscillatory families (Bessel-type, indicator-spectral) have no
-    quadrature here: their J^2 y^{-lam} totals are closed forms, and the
-    tests check those against quadrature prefixes plus an asymptotic tail.
+    The smooth families integrate r^k times the radial density, never a
+    closed form: the density's cached CHECK_REL_TOL panels, the denominator,
+    seed the numerator's adaptive run, which refines to CHECK_REL_TOL of
+    the moment itself.  The oscillatory families (Bessel-type,
+    indicator-spectral) have no quadrature here: their J^2 y^{-lam} totals
+    are closed forms, and the tests check those against quadrature prefixes
+    plus an asymptotic tail.
     """
     k = _moment_order(k)
     kn._require_valid(spec)
@@ -243,10 +247,10 @@ def radial_moment_quadrature(spec: KernelSpec, k: int) -> float:
         return math.exp(k * math.log(s) + ln_gamma_ratio(0.5 * lam, 0.5)
                         - ln_gamma_ratio(0.5 * (lam - k), 0.5)
                         + ln_gamma_ratio(g, h) + ln_gamma_ratio(g + lam - h, h))
+    den = _density_panels(spec, CHECK_REL_TOL)
     dens = radial_density(spec)
     num = integrate_log_panels(LogIntegrand(lambda r: dens.log_f(r) + k * np.log(r)),
-                               rel_tol=CHECK_REL_TOL)
-    den = _density_panels(spec, CHECK_REL_TOL)
+                               CHECK_REL_TOL, den)
     return math.exp(num.log_total - den.log_total)
 
 

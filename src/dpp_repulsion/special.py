@@ -203,6 +203,19 @@ def laguerre(m: int, beta: float, x) -> float:
     return cur if cur.ndim else float(cur)
 
 
+def _ln_laguerre(m: int, beta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log |L_m^beta(x)|, sign) for m >= 1 by `laguerre`'s recurrence on a
+    1-d array x, the newer term scaled into [1/2, 1) by a power of two
+    (exact, as is the older term's) before each step, so no x below about
+    2^1000 overflows."""
+    prev, cur, exp = np.ones_like(x), 1.0 + beta - x, 0
+    for k in range(1, m):
+        cur, e = np.frexp(cur)
+        prev, exp = np.ldexp(prev, -e), exp + e
+        prev, cur = cur, ((2 * k + 1 + beta - x) * cur - (k + beta) * prev) / (k + 1)
+    return np.log(np.abs(cur)) + exp * math.log(2.0), np.sign(cur)
+
+
 def _ln_bessel_k_small_x(order: float, ln_x: np.ndarray) -> np.ndarray:
     """log K_order(x) for 0 <= order <= 1 from its leading small-x terms in
     t = x/2 (DLMF 10.27.4 with 10.25.2); exact to rounding once x^2 is below

@@ -14,7 +14,7 @@ from pytest import approx
 from dpp_repulsion import asymptotics, oracle, repulsion
 from dpp_repulsion.cli import _COMMANDS, _SETTINGS, _mass, _render_json, build_parser, main
 from dpp_repulsion.examples import EXAMPLE_PARAMS
-from dpp_repulsion.kernels import Family, KernelSpec
+from dpp_repulsion.kernels import Family, KernelSpec, max_param
 from dpp_repulsion.oracle import sample_radius
 from dpp_repulsion.quadrature import QuadratureError
 from dpp_repulsion.special import _fmt
@@ -100,6 +100,15 @@ class TestEta:
         assert lines[2] == "R,ratio"
         ratios = [float(l.split(",")[1]) for l in lines[3:]]
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
+
+    @pytest.mark.parametrize("n,m", [(10, 30), (10, 60), (10, 120), (2, 30), (2, 120)])
+    def test_laguerre_gauss_large_m_exit_zero(self, n, m, tmp_path, capsys):
+        # valid specs whose Laguerre factor overflows a double in the density's tail
+        spec = ["--family", "LaguerreGauss", "--n", str(n), "--m", str(m), "--alpha",
+                repr(0.5 * max_param(KernelSpec(Family.LAGUERRE_GAUSS, n=n, m=m, alpha=1.0)))]
+        assert run(["eta", *spec, "--R", "0.5"], capsys)[0] == 0
+        assert run(["sample", *spec, "--samples", "64", "--seed", "1",
+                    "--out", str(tmp_path / "r.csv")], capsys)[0] == 0
 
     def test_powerexp_nu3_exit_three_with_hint(self, capsys):
         code, _, err = run(["eta", "--family", "PowerExponential", "--n", "10",

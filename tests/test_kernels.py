@@ -13,6 +13,7 @@ from scipy import special as sp
 
 from conftest import (laguerre_double_sum_log_exact, quadrature_norm_log, spectral_radial,
                       surface_log)
+from dpp_repulsion.examples import example_spec
 from dpp_repulsion.kernels import (
     Family,
     InvalidSpecError,
@@ -322,6 +323,14 @@ class TestKernelRadial:
         got, sign = log_kernel_radial_array(spec, np.array([1e-320, 1e-310, 1e-300]))
         assert np.all(np.isfinite(got)) and np.all(sign == 1)
         assert got == approx(np.full(3, 3 * 0.2), abs=1e-15 * max(100.0, 740.0 * nu))
+
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    def test_zero_at_infinity(self, fam):
+        # K vanishes at r = inf: log|K| = -inf with sign 0, and no NaN or warning
+        spec = example_spec(fam, n=10)
+        got, sign = log_kernel_radial_array(spec, np.array([1e-3, 1e100, 1e200, math.inf]))
+        assert np.isfinite(got[0]) and got[-1] == -math.inf and sign[-1] == 0
+        assert not np.isnan(got).any() and (got[1:] < got[0]).all()
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

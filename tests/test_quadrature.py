@@ -238,6 +238,60 @@ class TestIntegrateLog:
         assert sum(received) > 0
         assert hooked == received
 
+    @pytest.mark.parametrize("fam", [Family.LAGUERRE_GAUSS, Family.POWER_EXPONENTIAL,
+                                     Family.WHITTLE_MATERN, Family.CAUCHY],
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 10, 60, 600])
+    def test_density_seeded_moment_matches_unseeded(self, fam, n):
+        # r^k f(r) refined from the density's own panels meets the run that
+        # seeds its panels around its own mode
+        spec = example_spec(fam, n=n)
+        seed = repulsion._density_panels(spec, repulsion.CHECK_REL_TOL)
+        dens = repulsion.radial_density(spec)
+        for k in (1, 2, 3, 4):
+            f = LogIntegrand(lambda r: dens.log_f(r) + k * np.log(r))
+            seeded = integrate_log_panels(f, repulsion.CHECK_REL_TOL, seed).log_total
+            plain = integrate_log_panels(f, repulsion.CHECK_REL_TOL).log_total
+            assert math.exp(seeded - plain) == approx(1.0, rel=1e-10), k
+
+    @pytest.mark.parametrize("n,nu", [(2, 0.5), (4, 1.2), (6, 0.2), (3, 1.7), (3, 0.55),
+                                      (8, 2.0)])
+    def test_seeded_growth_test_refuses_what_the_scan_refuses(self, n, nu):
+        # Cauchy moments of order k near the divergence at k = n + 4 nu
+        # (n = 2, nu = 0.5, k = 4 diverges; n = 4, nu = 1.2, k = 8 is finite)
+        spec = KernelSpec(Family.CAUCHY, n=n, nu=nu, alpha=0.15)
+        seed = repulsion._density_panels(spec, repulsion.CHECK_REL_TOL)
+        dens = repulsion.radial_density(spec)
+        edge = n + 4 * nu
+        outcomes = set()
+        for k in range(math.floor(edge) - 2, math.ceil(edge) + 2):
+            f = LogIntegrand(lambda r: dens.log_f(r) + k * np.log(r))
+            finite = []
+            for s in (seed, None):
+                try:
+                    finite.append(math.isfinite(
+                        integrate_log_panels(f, repulsion.CHECK_REL_TOL, s).log_total))
+                except InfiniteMassError:
+                    finite.append(False)
+            assert finite[0] == finite[1], k
+            outcomes.add(finite[0])
+        assert outcomes == {True, False}
+
+    def test_seeded_run_probes_once(self, monkeypatch):
+        # the seeded probe is one call: the first scan round and the three
+        # growth-test points
+        received = []
+        seed_fn = quadrature._scan_seed
+
+        def spy(g, *args):
+            return seed_fn(lambda u: received.append(np.size(u)) or g(u), *args)
+
+        spec = example_spec(Family.CAUCHY, n=10)
+        repulsion._density_panels(spec, repulsion.CHECK_REL_TOL)  # the seed, built unspied
+        monkeypatch.setattr(quadrature, "_scan_seed", spy)
+        repulsion.radial_moment_quadrature(spec, 2)
+        assert received == [quadrature.SCAN_POINTS - 1 + 3]
+
     def test_prefix_rejects_nan_and_negative_cuts(self):
         ps = repulsion._density_panels(example_spec(Family.CAUCHY, n=10),
                                        repulsion.PRODUCTION_REL_TOL)

@@ -390,6 +390,14 @@ class TestMoments:
         ref = radial_moment_quadrature(spec, k)
         assert got == approx(ref, rel=1e-6)
 
+    @pytest.mark.parametrize("n,m", [(10, 30), (10, 60), (10, 120), (2, 30), (2, 120)])
+    def test_laguerre_gauss_large_m_quadrature(self, n, m):
+        # at large m the Laguerre recurrence overflows in the density's tail,
+        # where the kernel takes the rescaled recurrence instead
+        probe = KernelSpec(Family.LAGUERRE_GAUSS, n=n, m=m, alpha=1.0)
+        spec = replace(probe, alpha=0.5 * max_param(probe))
+        assert radial_moment_quadrature(spec, 2) == approx(radial_moment(spec, 2), rel=1e-9)
+
     @pytest.mark.parametrize("sigma", [2.5, 4.0])
     @pytest.mark.parametrize("k", [1, 2])
     def test_bessel_moment_vs_quadrature_totals(self, k, sigma):
@@ -537,6 +545,17 @@ class TestPairCorrelation:
     @settings(max_examples=60, deadline=None)
     def test_range(self, r):
         assert 0.0 <= pair_correlation(example_spec(Family.BESSEL_TYPE, n=7), r) <= 1.0
+
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("r", [1e100, 1e200, math.inf])
+    def test_one_far_out_without_warning(self, fam, r):
+        assert pair_correlation(example_spec(fam, n=10), r) == 1.0
+
+    @pytest.mark.parametrize("r", [1e77, 1e154, 1e300])
+    def test_laguerre_gauss_one_past_overflow(self, r):
+        # L_2 overflows from r ~ 1e77 at alpha = 0.3, r^2 from r ~ 1e154
+        spec = KernelSpec(Family.LAGUERRE_GAUSS, n=10, m=3, alpha=0.3)
+        assert pair_correlation(spec, r) == 1.0
 
     def test_invalid_spec_rejected(self):
         # alpha = 5 is past the existence bound 0.54 at n = 3

@@ -15,6 +15,7 @@ from dpp_repulsion.special import (
     _fixed_digits,
     _fmt,
     _fmt_join,
+    _ln_laguerre,
     laguerre,
     ln_ball_volume,
     ln_bessel_j_ratio,
@@ -133,6 +134,21 @@ class TestLaguerre:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("m,beta", [(1, 5.0), (29, 5.0), (59, 300.0), (119, 1.0)])
+    def test_log_form_matches_and_outlives_the_recurrence(self, m, beta):
+        # where laguerre is finite the log form agrees with it; past its
+        # overflow the log form stays finite, with the leading term's growth
+        x = np.concatenate([np.linspace(0.0, 60.0, 200), np.geomspace(60.0, 1e290, 200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            lag = laguerre(m, beta, x)
+        log_mag, sign = _ln_laguerre(m, beta, x)
+        fin = np.isfinite(lag) & (lag != 0)
+        assert log_mag[fin] == approx(np.log(np.abs(lag[fin])), rel=1e-14, abs=1e-12)
+        assert (sign[fin] == np.sign(lag[fin])).all()
+        # L_m(x) ~ (-x)^m / m! as x grows
+        assert log_mag[-1] == approx(m * math.log(1e290) - math.lgamma(m + 1), rel=1e-12)
+        assert sign[-1] == (-1) ** m
 
 
 def _jv_via_ratio(order, x):
